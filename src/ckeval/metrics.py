@@ -8,6 +8,13 @@ RFC   response for a class (own methods plus distinct called methods)
 LCOM  lack of cohesion in methods (disjoint pairs minus sharing pairs, >= 0)
 
 All functions are pure; per-class results are independent of each other.
+
+DIT, NOC and CBO need the whole model. They read a per-model index, built
+in linear time on first use and kept on the model: the internal class
+names, the reverse use sets (who uses each name), child counts, and the
+extends forest with each class's DIT and its preorder interval, so "A is an
+ancestor of B" is two comparisons. All six metrics over a model then cost
+O(classes + references + inheritance edges), whatever the inheritance depth.
 """
 
 from dataclasses import dataclass
@@ -41,11 +48,13 @@ class ProjectMetrics:
     per_class: tuple[MetricRecord, ...]
     means: dict[str, float]
 
+    def __post_init__(self):
+        # not a field, so == and repr are unchanged; the first row of a name wins
+        object.__setattr__(self, "_by_class",
+                           {rec.class_name: rec for rec in reversed(self.per_class)})
+
     def record(self, class_name: str) -> MetricRecord | None:
-        for rec in self.per_class:
-            if rec.class_name == class_name:
-                return rec
-        return None
+        return self._by_class.get(class_name)
 
 
 def wmc(cls: ClassInfo, complexity: Callable[[MethodInfo], int] | None = None) -> int:
@@ -61,50 +70,136 @@ def dit(cls: ClassInfo, model: ClassModel) -> int:
     External stubs contribute no depth: a class whose superclass chain
     immediately leaves the model has depth 0.
     """
-    depth = 0
-    for name in model.ancestors(cls.qualified_name):
-        parent = model.get(name)
-        if parent is None or parent.is_external:
-            break
-        depth += 1
-    return depth
+    return _index(model).depth.get(cls.qualified_name, 0)
 
 
 def noc(cls: ClassInfo, model: ClassModel) -> int:
     """Direct subclasses only; stubs carry no extends edges."""
-    return sum(1 for other in model.classes
-               if other.superclass == cls.qualified_name)
+    return _index(model).children.get(cls.qualified_name, 0)
 
 
 def _uses(cls: ClassInfo) -> set[str]:
     """Classes whose methods or fields this class's methods touch."""
     out: set[str] = set()
     for m in cls.methods:
-        out.update(ref for ref in m.referenced_classes)
+        out.update(m.referenced_classes)
         out.update(c.class_name for c in m.called_methods if c.class_name is not None)
     out.discard(cls.qualified_name)
     return out
-
-
-def _related(model: ClassModel, a: str, b: str) -> bool:
-    return a in model.ancestors(b) or b in model.ancestors(a)
 
 
 def cbo(cls: ClassInfo, model: ClassModel) -> int:
     """Distinct other classes coupled by use in either direction.
 
     Counts classes, not references. Pairs related by inheritance are
-    excluded, as are external stubs and unresolved targets.
+    excluded, as are external stubs and unresolved targets. The class's own
+    uses come from ``cls``; who uses it, and the hierarchy, from ``model``.
     """
-    own_uses = _uses(cls)
-    partners: set[str] = set()
-    for other in model.internal_classes():
-        name = other.qualified_name
-        if name == cls.qualified_name or _related(model, cls.qualified_name, name):
-            continue
-        if name in own_uses or cls.qualified_name in _uses(other):
-            partners.add(name)
-    return len(partners)
+    index = _index(model)
+    name = cls.qualified_name
+    partners = (_uses(cls) | index.used_by.get(name, set())) & index.internal
+    return sum(1 for other in partners if not index.related(name, other))
+
+
+class _Index:
+    """Whole-model lookups behind DIT, NOC and CBO; read-only once built.
+
+    Names resolve as ``ClassModel.get`` resolves them. The extends forest
+    follows each name's superclass while it names a class in the model; an
+    extends cycle, possible only in a model that was never validated, is cut
+    at one member, and every class that reaches the cycle counts all of its
+    members as ancestors, as a walk up the chain would.
+    """
+
+    def __init__(self, model: ClassModel):
+        self.internal = {c.qualified_name for c in model.classes if not c.is_external}
+        self.used_by: dict[str, set[str]] = {}
+        self.children: dict[str, int] = {}
+        parent: dict[str, str | None] = {}
+        for c in model.classes:
+            if c.superclass is not None:
+                self.children[c.superclass] = self.children.get(c.superclass, 0) + 1
+            if not c.is_external:
+                for used in _uses(c):
+                    self.used_by.setdefault(used, set()).add(c.qualified_name)
+            sup = model.get(c.qualified_name).superclass
+            parent[c.qualified_name] = sup if sup in model else None
+
+        def external(name: str) -> bool:
+            return model.get(name).is_external
+
+        # a cycle, where cycle[i] extends cycle[i + 1], is cut at cycle[0];
+        # a member's depth is the run of non-external members after it, and
+        # a walk counts each member once, so depth stops growing at a cycle
+        # of internal classes
+        self.depth: dict[str, int] = {}
+        self.cycle_root: dict[str, str] = {}
+        closed: set[str] = set()
+        walked: dict[str, str] = {}
+        for start in parent:
+            trail = []
+            name = start
+            while name is not None and name not in walked:
+                walked[name] = start
+                trail.append(name)
+                name = parent[name]
+            if name is None or walked[name] != start:
+                continue
+            cycle = trail[trail.index(name):]
+            parent[name] = None
+            self.cycle_root.update(dict.fromkeys(cycle, name))
+            ext = next((i for i, member in enumerate(cycle) if external(member)), None)
+            if ext is None:
+                closed.update(cycle)
+                self.depth.update(dict.fromkeys(cycle, len(cycle)))
+                continue
+            for i in range(ext - 1, ext - 1 - len(cycle), -1):
+                nxt = cycle[(i + 1) % len(cycle)]
+                self.depth[cycle[i]] = 0 if external(nxt) else self.depth[nxt] + 1
+
+        kids: dict[str, list[str]] = {}
+        for name, sup in parent.items():
+            if sup is not None:
+                kids.setdefault(sup, []).append(name)
+        self.enter: dict[str, int] = {}
+        self.last: dict[str, int] = {}
+        order = []
+        stack = [name for name, sup in parent.items() if sup is None]
+        while stack:
+            name = stack.pop()
+            self.enter[name] = self.last[name] = len(order)
+            order.append(name)
+            sup = parent[name]
+            if name not in self.depth:
+                self.depth[name] = (0 if sup is None or external(sup)
+                                    else self.depth[sup] + (sup not in closed))
+            stack.extend(kids.get(name, ()))
+        for name in reversed(order):
+            sup = parent[name]
+            if sup is not None and self.last[name] > self.last[sup]:
+                self.last[sup] = self.last[name]
+
+    def _above(self, a: str, b: str) -> bool:
+        """Whether ``a`` is among the ancestors of ``b`` (a != b)."""
+        top = self.cycle_root.get(a, a)
+        return (top in self.enter and b in self.enter
+                and self.enter[top] <= self.enter[b] <= self.last[top])
+
+    def related(self, a: str, b: str) -> bool:
+        return self._above(a, b) or self._above(b, a)
+
+
+def _index(model: ClassModel) -> _Index:
+    """The model's metric index, built on first use and kept on the model.
+
+    It is built whole before it is stored, so a reader on another thread
+    sees either no index (and builds an equal one) or a complete one.
+    """
+    index = vars(model).get("_metric_index")
+    if index is None:
+        index = _Index(model)
+        object.__setattr__(model, "_metric_index", index)
+    return index
 
 
 def rfc(cls: ClassInfo) -> int:

@@ -97,6 +97,11 @@ class Diagnostic:
 
 def validate_model(model: ClassModel) -> list[Diagnostic]:
     """Check every model invariant; an empty list means the model is sound."""
+    return _check(model)[0]
+
+
+def _check(model: ClassModel) -> tuple[list[Diagnostic], list[str] | None]:
+    """One validation pass: all diagnostics, and the extends cycle if any."""
     diags: list[Diagnostic] = []
     seen: dict[str, ClassInfo] = {}
     for cls in model.classes:
@@ -136,43 +141,36 @@ def validate_model(model: ClassModel) -> list[Diagnostic]:
                     diags.append(Diagnostic("UNKNOWN_FIELD", f"{loc}.{m.name}/{m.arity}",
                                             f"method uses undeclared field {used!r}"))
 
-    diags.extend(_cycle_diagnostics(seen))
-    return diags
+    cycle = _find_cycle(seen)
+    if cycle is not None:
+        diags.append(Diagnostic("INHERITANCE_CYCLE", cycle[0],
+                                "extends cycle: " + " -> ".join(cycle)))
+    return diags, cycle
 
 
-def _cycle_diagnostics(classes: dict[str, ClassInfo]) -> list[Diagnostic]:
-    color: dict[str, int] = {}  # 0 unvisited, 1 on stack, 2 done
+def _find_cycle(classes: dict[str, ClassInfo]) -> list[str] | None:
+    """The first extends cycle met walking up from each class in name order.
 
-    def walk(name: str, trail: list[str]) -> list[str] | None:
-        color[name] = 1
-        trail.append(name)
-        parent = classes[name].superclass
-        if parent is not None and parent in classes:
-            state = color.get(parent, 0)
-            if state == 1:
-                return trail[trail.index(parent):]
-            if state == 0:
-                found = walk(parent, trail)
-                if found is not None:
-                    return found
-        color[name] = 2
-        trail.pop()
-        return None
-
-    for name in sorted(classes):
-        if color.get(name, 0) == 0:
-            cycle = walk(name, [])
-            if cycle is not None:
-                return [Diagnostic("INHERITANCE_CYCLE", cycle[0],
-                                   "extends cycle: " + " -> ".join(cycle))]
-    return []
+    Each class has at most one superclass, so a walk is a single path; it
+    ends at a class already cleared, at a root, or back on its own trail.
+    """
+    cleared: set[str] = set()
+    for start in sorted(classes):
+        trail: list[str] = []
+        position: dict[str, int] = {}
+        name = start
+        while name in classes and name not in cleared:
+            if name in position:
+                return trail[position[name]:]
+            position[name] = len(trail)
+            trail.append(name)
+            name = classes[name].superclass
+        cleared.update(trail)
+    return None
 
 
 def find_inheritance_cycle(model: ClassModel) -> list[str] | None:
-    diags = _cycle_diagnostics({c.qualified_name: c for c in model.classes})
-    if not diags:
-        return None
-    return diags[0].message.split(": ", 1)[1].split(" -> ")
+    return _find_cycle({c.qualified_name: c for c in model.classes})
 
 
 def build_model(project_name: str, classes: list[ClassInfo]) -> ClassModel:
@@ -180,7 +178,8 @@ def build_model(project_name: str, classes: list[ClassInfo]) -> ClassModel:
 
     Superclass references that name no class in the input get an external
     stub entry, so inheritance chains stay resolvable; anything else that
-    violates an invariant raises.
+    violates an invariant raises: a duplicate name first, then a cycle,
+    then the first other diagnostic.
     """
     known = {c.qualified_name for c in classes}
     stubs = []
@@ -192,15 +191,14 @@ def build_model(project_name: str, classes: list[ClassInfo]) -> ClassModel:
     model = ClassModel(project_name=project_name,
                        classes=_normalize_classes(list(classes) + stubs))
 
-    dup = [d for d in validate_model(model) if d.code == "DUPLICATE_CLASS"]
-    if dup:
-        raise DuplicateClassError(dup[0].location)
-    cycle = find_inheritance_cycle(model)
+    diags, cycle = _check(model)
+    for d in diags:
+        if d.code == "DUPLICATE_CLASS":
+            raise DuplicateClassError(d.location)
     if cycle is not None:
         raise InheritanceCycleError(cycle)
-    remaining = validate_model(model)
-    if remaining:
-        d = remaining[0]
+    if diags:
+        d = diags[0]
         raise SchemaError(d.location, f"{d.code}: {d.message}")
     return model
 

@@ -1,10 +1,15 @@
 import random
+import sys
+import threading
+from dataclasses import replace
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
 from ckeval.metrics import (
     METRICS,
+    MetricRecord,
+    ProjectMetrics,
     cbo,
     compute_all,
     dit,
@@ -50,6 +55,21 @@ def dit_oracle(cls: ClassInfo, model: ClassModel) -> int:
     if parent is None or parent.is_external:
         return 0
     return 1 + dit_oracle(parent, model)
+
+
+def dit_walk_oracle(cls: ClassInfo, model: ClassModel) -> int:
+    """The chain walk by name through ClassModel.ancestors; ends on cycles."""
+    depth = 0
+    for name in model.ancestors(cls.qualified_name):
+        if model.get(name).is_external:
+            break
+        depth += 1
+    return depth
+
+
+def noc_oracle(cls: ClassInfo, model: ClassModel) -> int:
+    return sum(1 for other in model.classes
+               if other.superclass == cls.qualified_name)
 
 
 def uses_oracle(cls: ClassInfo) -> set[str]:
@@ -254,6 +274,16 @@ def test_fixture_shaped_class_matches_published_first_row():
     assert record.values() == (4, 1, 0, 6, 9, 4)
 
 
+def test_record_lookup_keeps_first_row_and_dataclass_identity():
+    first, second = MetricRecord("A", 1, 0, 0, 0, 1, 0), MetricRecord("A", 2, 0, 0, 0, 2, 0)
+    pm = ProjectMetrics("p", (first, second, MetricRecord("B", 3, 0, 0, 0, 3, 0)), {})
+    assert pm.record("A") is first
+    assert pm.record("B").wmc == 3
+    assert pm.record("C") is None
+    assert pm == ProjectMetrics("p", pm.per_class, {})
+    assert repr(pm) == f"ProjectMetrics(project_name='p', per_class={pm.per_class!r}, means={{}})"
+
+
 def test_compute_all_empty_model():
     pm = compute_all(build_model("empty", []))
     assert pm.per_class == ()
@@ -365,6 +395,115 @@ def test_cbo_symmetric_contribution():
                 if crossed:
                     assert cbo(a, model) >= 1
                     assert cbo(b, model) >= 1
+
+
+def deep_model(rng: random.Random, max_classes: int, depth: int) -> ClassModel:
+    """A random model plus an extends tree ``depth`` classes deep hanging off
+    it or off an external stub, its classes using random classes of both."""
+    base = random_model(rng, max_classes=max_classes)
+    names = [c.qualified_name for c in base.internal_classes()]
+    tree: list[ClassInfo] = []
+    for i in range(depth):
+        if not i:
+            superclass = rng.choice(names + ["ext.Root"])
+        elif rng.random() < 0.8:
+            superclass = f"q.K{i - 1}"
+        else:
+            superclass = f"q.K{rng.randrange(i)}"
+        pool = names + [f"q.K{j}" for j in range(depth)]
+        refs = rng.sample(pool, rng.randint(0, min(3, len(pool))))
+        calls = [CallRef(rng.choice(pool), "m0", 0) for _ in range(rng.randint(0, 2))]
+        tree.append(cls_of([method("m0", calls=calls, refs=refs)],
+                           name=f"q.K{i}", superclass=superclass))
+    return build_model("deep", list(base.classes) + tree)
+
+
+def assert_index_metrics_match_oracles(model: ClassModel, rng: random.Random):
+    pm = compute_all(model)
+    names = [c.qualified_name for c in model.classes]
+    for cls in model.internal_classes():
+        assert pm.record(cls.qualified_name).values() == (
+            len(cls.methods), dit_oracle(cls, model), noc_oracle(cls, model),
+            cbo_oracle(cls, model), rfc_oracle(cls), lcom_oracle(cls))
+    # a same-name class that is not the model's own object: own uses come
+    # from the argument, everything else from the model by name
+    for cls in rng.sample(model.internal_classes(), min(3, len(model.internal_classes()))):
+        alias = replace(cls, methods=(method("x", refs=rng.sample(names, min(2, len(names)))),))
+        assert alias is not model.get(cls.qualified_name)
+        assert dit(alias, model) == dit_oracle(alias, model)
+        assert noc(alias, model) == noc_oracle(alias, model)
+        assert cbo(alias, model) == cbo_oracle(alias, model)
+        assert (wmc(alias), rfc(alias), lcom(alias)) == (1, rfc_oracle(alias), 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(0, 40))
+def test_index_metrics_match_oracles_hypothesis(seed, max_classes, depth):
+    rng = random.Random(seed)
+    assert_index_metrics_match_oracles(deep_model(rng, max_classes, depth), rng)
+
+
+def test_index_metrics_match_oracles_deep_chain():
+    rng = random.Random(20)
+    assert_index_metrics_match_oracles(deep_model(rng, 10, 300), rng)
+
+
+def test_index_terminates_on_unvalidated_cycle():
+    # A and B extend each other; C and D hang below the cycle, E beside it
+    model = ClassModel("t", (
+        cls_of([method("m", refs=["C", "E"])], name="A", superclass="B"),
+        cls_of(name="B", superclass="A"),
+        cls_of([method("m", refs=["B", "E"])], name="C", superclass="A"),
+        cls_of(name="D", superclass="C"),
+        cls_of([method("m", refs=["D"])], name="E"),
+    ))
+    assert [dit(c, model) for c in model.classes] == [2, 2, 2, 3, 0]
+    assert [noc(c, model) for c in model.classes] == [2, 1, 1, 0, 0]
+    assert [cbo(c, model) for c in model.classes] == [1, 0, 1, 1, 3]
+    for cls in model.classes:
+        assert dit(cls, model) == dit_walk_oracle(cls, model)
+        assert cbo(cls, model) == cbo_oracle(cls, model)
+
+
+def test_index_matches_chain_walk_on_unvalidated_models():
+    # cycles through internal and external classes, self-extends and
+    # dangling superclasses: models only a hand-built ClassModel can hold
+    rng = random.Random(21)
+    for _ in range(300):
+        names = [f"p.C{i}" for i in range(rng.randint(1, 12))]
+        classes = []
+        for name in names:
+            refs = rng.sample(names, rng.randint(0, min(3, len(names))))
+            classes.append(cls_of(
+                [method("m", refs=refs)], name=name,
+                superclass=rng.choice(names + [None, "gone.X"]),
+                external=rng.random() < 0.15))
+        model = ClassModel("t", tuple(classes))
+        for cls in model.classes:
+            assert dit(cls, model) == dit_walk_oracle(cls, model)
+            assert noc(cls, model) == noc_oracle(cls, model)
+            assert cbo(cls, model) == cbo_oracle(cls, model)
+
+
+def test_index_shared_across_threads():
+    # every thread may find the index missing and build its own; each must
+    # still read a complete one
+    expected = compute_all(deep_model(random.Random(22), 30, 80))
+    model = deep_model(random.Random(22), 30, 80)
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(compute_all(model)))
+               for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * len(threads)
 
 
 def rename_everywhere(model: ClassModel, mapping: dict[str, str]) -> ClassModel:

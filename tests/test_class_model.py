@@ -8,7 +8,10 @@ from ckeval.model import (
     CallRef,
     ClassInfo,
     ClassModel,
+    Diagnostic,
     MethodInfo,
+    build_model,
+    find_inheritance_cycle,
     load_class_model,
     serialize_model,
     validate_model,
@@ -46,6 +49,29 @@ def test_two_class_cycle_is_rejected_naming_both():
     with pytest.raises(InheritanceCycleError) as err:
         load_class_model(document)
     assert set(err.value.cycle) == {"A", "B"}
+
+
+def test_cycle_search_runs_up_a_deep_chain_without_recursion():
+    # the walk from p.C0000 climbs 700 classes before it enters the cycle
+    chain = [ClassInfo(f"p.C{i:04d}", superclass=f"p.C{i + 1:04d}") for i in range(1500)]
+    model = ClassModel("x", tuple(chain + [ClassInfo("p.C1500", superclass="p.C0700")]))
+    cycle = [f"p.C{i:04d}" for i in range(700, 1501)]
+    assert find_inheritance_cycle(model) == cycle
+    assert validate_model(model)[-1] == Diagnostic(
+        "INHERITANCE_CYCLE", "p.C0700", "extends cycle: " + " -> ".join(cycle))
+
+
+def test_build_model_raises_duplicate_then_cycle_then_first_diagnostic():
+    cycle = [ClassInfo("A", superclass="B"), ClassInfo("B", superclass="A")]
+    ghost = ClassInfo("C", methods=(MethodInfo("m", 0, used_fields=frozenset({"ghost"})),))
+    with pytest.raises(DuplicateClassError):
+        build_model("x", cycle + [ghost, ClassInfo("C")])
+    with pytest.raises(InheritanceCycleError) as err:
+        build_model("x", cycle + [ghost])
+    assert err.value.cycle == ["A", "B"]
+    with pytest.raises(SchemaError) as err:
+        build_model("x", [ghost])
+    assert err.value.path == "C.m/0"
 
 
 def test_single_class_with_four_methods():

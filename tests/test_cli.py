@@ -1,8 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+from time import perf_counter
 
+import ckeval
 from ckeval.cli import cli_main
+from ckeval.metrics import compute_all
+from ckeval.model import load_class_model
+from ckeval.tables import load_metrics_input
 
 
 def run_cli(argv, capsys):
@@ -349,10 +356,47 @@ def test_unrecognized_input_format_exits_2(tmp_path, capsys):
 
 
 def test_module_entry_point(fixtures):
+    # the child imports the same ckeval as this test, installed or not
+    package_root = str(Path(ckeval.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "ckeval.cli", "compare",
          str(fixtures / "five_versions.csv"), "--metrics", "WMC",
          "--locale", "tr"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "SÜRÜM-2 ve SÜRÜM-3 (5)" in proc.stdout
+
+
+def chain_document(depth: int) -> dict:
+    """A single extends chain whose leaf p.C0000 sorts first and whose root
+    is p.C{depth - 1}, so a walk in name order starts at the deep end."""
+    return {"schemaVersion": 1, "projectName": "deep", "classes": [
+        {"name": f"p.C{i:04d}",
+         **({"extends": f"p.C{i + 1:04d}"} if i + 1 < depth else {})}
+        for i in range(depth)]}
+
+
+def test_deep_inheritance_chain_evaluates(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(chain_document(1500)), encoding="utf-8")
+    code, _, err = run_cli(["evaluate", str(path)], capsys)
+    assert code == 0, err
+    pm = load_metrics_input(path)
+    assert pm.record("p.C0000").dit == 1499
+    assert pm.record("p.C1499").dit == 0
+    assert pm.record("p.C1499").noc == 1
+
+    def metrics_seconds(depth: int) -> float:
+        best = float("inf")
+        for _ in range(3):
+            model = load_class_model(chain_document(depth))  # fresh index each time
+            start = perf_counter()
+            compute_all(model)
+            best = min(best, perf_counter() - start)
+        return best
+
+    # linear in depth: four times the depth costs about four times the time,
+    # where a quadratic pass would cost sixteen
+    assert metrics_seconds(2000) < 8 * metrics_seconds(500)
