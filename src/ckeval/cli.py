@@ -18,7 +18,7 @@ from . import rules as rules_mod
 from . import tables
 from . import versions as versions_mod
 from .errors import InputError, UsageError
-from .java import ParseError, lower_to_model, parse_source
+from .java import ParseError, decode_source, lower_to_model, parse_source
 from .metrics import METRICS, compute_all
 
 
@@ -158,11 +158,12 @@ def _cmd_analyze(args) -> int:
     failures = 0
     for path in _discover_sources(args.roots):
         try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
+            data = path.read_bytes()
+        except OSError as exc:
             raise InputError(f"cannot read {path}: {exc}") from None
+        name = path.as_posix()
         try:
-            units.append(parse_source(text, path.as_posix()))
+            units.append(parse_source(decode_source(data, name), name))
         except ParseError as exc:
             failures += 1
             for diag in exc.diagnostics:
@@ -203,13 +204,7 @@ def _parse_selection(specs: list[str]) -> dict[str, rules_mod.Condition]:
 
 def _parse_condition(text: str, origin: str) -> rules_mod.Condition:
     def number(raw: str) -> float:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise UsageError(f"bad number {raw!r} in selection {origin!r}") from None
-        if value < 0:
-            raise UsageError(f"negative value in selection {origin!r}")
-        return value
+        return tables.read_number(raw, f"selection {origin!r}", UsageError)
 
     if "," in text:
         return rules_mod.ValueSet(frozenset(number(part) for part in text.split(",")))

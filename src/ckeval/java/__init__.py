@@ -8,6 +8,7 @@ from .parser import (
     ParseDiagnostic,
     ParseError,
     SourceUnit,
+    decode_source,
     parse_source,
 )
 from .lower import lower_to_model
@@ -21,6 +22,7 @@ __all__ = [
     "ParseError",
     "SourceUnit",
     "Token",
+    "decode_source",
     "lower_to_model",
     "parse_source",
     "tokenize",

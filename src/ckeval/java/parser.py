@@ -84,6 +84,30 @@ class SourceUnit:
     classes: tuple[ClassDecl, ...]
 
 
+def decode_source(data: bytes, path: str) -> str:
+    """The text of a source file, as ``Path.read_text(encoding="utf-8")``
+    gives it: UTF-8 with CR LF and lone CR read as LF.
+
+    Raises ParseError with a DECODE_ERROR diagnostic at the first byte that
+    is not UTF-8, its line and column counted as the lexer counts them.
+    """
+    try:
+        return _universal_newlines(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        before = _universal_newlines(data[:exc.start].decode("utf-8"))
+        line = before.count("\n") + 1
+        column = len(before) - before.rfind("\n")
+        message = f"not UTF-8: {exc.reason} (byte 0x{data[exc.start]:02x})"
+        raise ParseError([ParseDiagnostic(path, line, column, "DECODE_ERROR",
+                                          message)]) from None
+
+
+def _universal_newlines(text: str) -> str:
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def parse_source(text: str, path: str) -> SourceUnit:
     """Parse one file; raises ParseError with positioned diagnostics."""
     try:
@@ -96,17 +120,18 @@ def parse_source(text: str, path: str) -> SourceUnit:
 
 class _Parser:
     def __init__(self, tokens: list[Token], path: str):
-        self.tokens = tokens
+        # one more eof, so peek(1) on the final eof needs no bounds check
+        self.tokens = (*tokens, tokens[-1])
         self.pos = 0
         self.path = path
 
     # --- token plumbing ---
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos + offset]
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def take(self) -> Token:
@@ -174,22 +199,26 @@ class _Parser:
             if self.at("punct", "("):
                 self.skip_balanced("(", ")")
 
-    def skip_balanced(self, opener: str, closer: str) -> list[Token]:
+    def skip_balanced(self, opener: str, closer: str) -> tuple[Token, ...]:
+        """The tokens between a balanced opener and closer, both consumed."""
         start = self.expect("punct", opener)
+        tokens = self.tokens
+        first = i = self.pos
         depth = 1
-        swallowed: list[Token] = []
-        while depth > 0:
-            tok = self.take()
-            if tok.kind == "eof":
-                self.fail(f"unbalanced {opener!r}", start)
-            if tok.kind == "punct" and tok.text == opener:
+        while True:
+            tok = tokens[i]
+            text = tok.text  # only punctuation tokens have a bracket as text
+            if text == opener:
                 depth += 1
-            elif tok.kind == "punct" and tok.text == closer:
+            elif text == closer:
                 depth -= 1
                 if depth == 0:
                     break
-            swallowed.append(tok)
-        return swallowed
+            elif tok.kind == "eof":
+                self.fail(f"unbalanced {opener!r}", start)
+            i += 1
+        self.pos = i + 1
+        return tokens[first:i]
 
     def modifiers(self) -> set[str]:
         mods: set[str] = set()
@@ -262,7 +291,7 @@ class _Parser:
             name_tok = self.take()
             params = self.parameters()
             self.skip_throws()
-            body = tuple(self.skip_balanced("{", "}"))
+            body = self.skip_balanced("{", "}")
             methods.append(MethodDecl(
                 name=name_tok.text, params=params, is_constructor=True,
                 is_static=False, is_abstract=False, body=body,
@@ -279,7 +308,7 @@ class _Parser:
                 self.take()
                 body: tuple[Token, ...] | None = None
             else:
-                body = tuple(self.skip_balanced("{", "}"))
+                body = self.skip_balanced("{", "}")
             methods.append(MethodDecl(
                 name=name_tok.text, params=params, is_constructor=False,
                 is_static="static" in mods,
@@ -358,9 +387,11 @@ class _Parser:
 
     def skip_initializer(self) -> None:
         """Swallow an initializer expression up to ',' or ';' at depth 0."""
+        tokens = self.tokens
+        i = self.pos
         depth = 0
         while True:
-            tok = self.peek()
+            tok = tokens[i]
             if tok.kind == "eof":
                 self.fail("unterminated field initializer", tok)
             if tok.kind == "punct":
@@ -371,5 +402,6 @@ class _Parser:
                     if depth < 0:
                         self.fail("unbalanced initializer", tok)
                 elif depth == 0 and tok.text in ",;":
+                    self.pos = i
                     return
-            self.take()
+            i += 1

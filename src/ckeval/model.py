@@ -77,15 +77,17 @@ class ClassModel:
 
     def ancestors(self, qualified_name: str) -> list[str]:
         """Names along the extends chain, nearest first; stops at externals."""
-        seen = []
+        chain: list[str] = []
+        seen: set[str] = set()
         current = self.get(qualified_name)
         while current is not None and current.superclass is not None:
             parent = self.get(current.superclass)
             if parent is None or current.superclass in seen:
                 break
-            seen.append(current.superclass)
+            seen.add(current.superclass)
+            chain.append(current.superclass)
             current = parent
-        return seen
+        return chain
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import json
 
 from .errors import RuleError, RuleOverlapError, SchemaError, UsageError
 from .metrics import METRICS, ProjectMetrics
-from .tables import format_value, read_text
+from .tables import format_value, read_number, read_text
 
 BUILTIN_BASES = ("default", "paper")
 
@@ -84,7 +84,6 @@ class Interval:
         return value >= self.lo and (self.hi is None or value <= self.hi)
 
     def describe(self) -> str:
-        from .tables import format_value
         if self.hi is None:
             return f"{format_value(self.lo)}+"
         return f"{format_value(self.lo)} - {format_value(self.hi)}"
@@ -98,7 +97,6 @@ class ValueSet:
         return value in self.values
 
     def describe(self) -> str:
-        from .tables import format_value
         return ", ".join(format_value(v) for v in sorted(self.values))
 
 
@@ -288,13 +286,15 @@ def _read_condition(entry: dict, path: str) -> Condition:
                 or not (raw[1] is None or _is_number(raw[1]))):
             raise SchemaError(f"{path}.range",
                               "must be [lo, hi] with hi a number or null")
-        return Interval(lo=float(raw[0]),
-                        hi=None if raw[1] is None else float(raw[1]))
+        return Interval(lo=read_number(raw[0], f"{path}.range[0]", RuleError),
+                        hi=None if raw[1] is None
+                        else read_number(raw[1], f"{path}.range[1]", RuleError))
     raw = entry["values"]
     if (not isinstance(raw, list) or not raw
             or any(not _is_number(v) for v in raw)):
         raise SchemaError(f"{path}.values", "must be a non-empty number array")
-    return ValueSet(values=frozenset(float(v) for v in raw))
+    return ValueSet(values=frozenset(
+        read_number(v, f"{path}.values[{i}]", RuleError) for i, v in enumerate(raw)))
 
 
 def _is_number(v) -> bool:
@@ -349,7 +349,6 @@ def resolve_rule_base(spec: str) -> KnowledgeBase:
         return default_rule_base()
     if spec == "paper":
         return paper_rule_preset()
-    from .tables import read_text
     return load_rules(read_text(spec))
 
 

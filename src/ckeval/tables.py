@@ -13,9 +13,10 @@ either representation, so external tools can feed the evaluator directly.
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
-from .errors import InputError, SchemaError
+from .errors import CkevalError, InputError, SchemaError
 from .metrics import METRICS, MetricRecord, ProjectMetrics, project_means
 from .model import SCHEMA_VERSION, load_class_model
 from . import metrics as _metrics
@@ -23,6 +24,30 @@ from . import metrics as _metrics
 CLASS_HEADER = ("CLASS",) + METRICS
 VERSION_HEADER = ("VERSION",) + METRICS
 VERSION_PATH_HEADER = ("VERSION", "PATH") + METRICS
+
+
+def read_number(raw: str | int | float, where: str,
+                error: type[CkevalError] = InputError) -> float:
+    """A finite, non-negative number from text or a JSON number.
+
+    This is the one reader for means, rule bounds and selection bounds.
+    Text (a table cell, a command-line bound) is parsed with ``float``.
+    Anything else raises ``error`` with a message that starts with
+    ``where`` and names the value.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
+        raise error(f"{where}: {raw!r} is not a number")
+    try:
+        value = float(raw)
+    except ValueError:
+        raise error(f"{where}: {raw!r} is not a number") from None
+    except OverflowError:  # an integer too large for a float
+        value = math.inf
+    if not math.isfinite(value):
+        raise error(f"{where}: {raw!r} is not a finite number")
+    if value < 0:
+        raise error(f"{where}: {raw!r} is negative")
+    return value
 
 
 def format_value(value: float) -> str:
@@ -134,16 +159,8 @@ def versions_from_csv(text: str) -> list[dict]:
         name = row[0].strip()
         if not name:
             raise InputError(f"line {lineno}: empty version name")
-        means = {}
-        for m, cell in zip(METRICS, row[offset:]):
-            try:
-                v = float(cell.strip())
-            except ValueError:
-                raise InputError(f"line {lineno}: {m} value {cell.strip()!r} "
-                                 "is not a number") from None
-            if v < 0:
-                raise InputError(f"line {lineno}: {m} must be non-negative")
-            means[m] = v
+        means = {m: read_number(cell.strip(), f"line {lineno}: {m}")
+                 for m, cell in zip(METRICS, row[offset:])}
         out.append({"version": name,
                     "path": row[1].strip() if has_path else "",
                     "means": means})
@@ -168,10 +185,10 @@ def versions_from_document(doc: dict) -> list[dict]:
         means = {}
         for m in METRICS:
             v = raw.get(m.lower())
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
+            if isinstance(v, str):  # read_number would parse it as text
                 raise SchemaError(f"{path}.means.{m.lower()}",
-                                  "must be a non-negative number")
-            means[m] = float(v)
+                                  f"{v!r} is not a number")
+            means[m] = read_number(v, f"{path}.means.{m.lower()}")
         source = row.get("path", "")
         if not isinstance(source, str):
             raise SchemaError(f"{path}.path", "must be a string")

@@ -95,7 +95,9 @@ def related_oracle(model: ClassModel, a: str, b: str) -> bool:
 
 
 def cbo_oracle(cls: ClassInfo, model: ClassModel) -> int:
-    count = 0
+    """Distinct qualified names: a name held by several class entries, as in
+    a hand-built model, is one partner."""
+    partners = set()
     for other in model.classes:
         name = other.qualified_name
         if other.is_external or name == cls.qualified_name:
@@ -103,8 +105,8 @@ def cbo_oracle(cls: ClassInfo, model: ClassModel) -> int:
         if related_oracle(model, cls.qualified_name, name):
             continue
         if name in uses_oracle(cls) or cls.qualified_name in uses_oracle(other):
-            count += 1
-    return count
+            partners.add(name)
+    return len(partners)
 
 
 # --- example-driven unit tests ------------------------------------------------
@@ -466,13 +468,14 @@ def test_index_terminates_on_unvalidated_cycle():
 
 
 def test_index_matches_chain_walk_on_unvalidated_models():
-    # cycles through internal and external classes, self-extends and
-    # dangling superclasses: models only a hand-built ClassModel can hold
+    # cycles through internal and external classes, self-extends, dangling
+    # superclasses and duplicate names: models only a hand-built ClassModel
+    # can hold
     rng = random.Random(21)
     for _ in range(300):
         names = [f"p.C{i}" for i in range(rng.randint(1, 12))]
         classes = []
-        for name in names:
+        for name in names + rng.choices(names, k=rng.randint(0, 3)):
             refs = rng.sample(names, rng.randint(0, min(3, len(names))))
             classes.append(cls_of(
                 [method("m", refs=refs)], name=name,

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+import pytest
+
 import ckeval
 from ckeval.cli import cli_main
 from ckeval.metrics import compute_all
@@ -400,3 +402,108 @@ def test_deep_inheritance_chain_evaluates(tmp_path, capsys):
     # linear in depth: four times the depth costs about four times the time,
     # where a quadratic pass would cost sixteen
     assert metrics_seconds(2000) < 8 * metrics_seconds(500)
+
+
+# --- one bad source file, non-finite numbers ---------------------------------
+
+def test_analyze_skips_non_utf8_file_unless_strict(tmp_path, capsys):
+    (tmp_path / "Good.java").write_text("package p; class Good {}",
+                                        encoding="utf-8")
+    (tmp_path / "B.java").write_bytes(
+        b'package p;\r\nclass B { String s = "caf\xe9"; }\n')
+    code, out, err = run_cli(["analyze", str(tmp_path)], capsys)
+    assert code == 0, err
+    assert "p.Good" in out and "p.B" not in out
+    # line 2, after the 25 characters of 'class B { String s = "caf'
+    assert f"{(tmp_path / 'B.java').as_posix()}:2:26: DECODE_ERROR: " in err
+    assert "0xe9" in err and "skipped 1" in err
+
+    code, out, err = run_cli(["analyze", str(tmp_path), "--strict"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "DECODE_ERROR" in err
+
+
+def test_analyze_unreadable_file_is_an_input_error(tmp_path, capsys, monkeypatch):
+    source = tmp_path / "A.java"
+    source.write_text("class A {}", encoding="utf-8")
+
+    def refuse(self):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: refuse(self))
+    code, _, err = run_cli(["analyze", str(tmp_path)], capsys)
+    assert code == 2
+    assert "cannot read" in err and "A.java" in err
+
+
+@pytest.mark.parametrize("spec, shown", [
+    ("WMC=nan", "'nan'"), ("WMC=inf", "'inf'"), ("WMC=1-inf", "'inf'"), ("WMC=NaN-", "'NaN'"), ("WMC=0,nan", "'nan'"),
+    ("WMC=1e999", "'1e999'"),
+])
+def test_select_rejects_non_finite_numbers(fixtures, capsys, spec, shown):
+    code, out, err = run_cli(
+        ["evaluate", str(fixtures / "moreunit_classes.csv"), "--select", spec],
+        capsys)
+    assert code == 1
+    assert out == ""
+    assert shown in err and repr(spec) in err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_versions_table_rejects_non_finite_means(tmp_path, capsys, cell):
+    table = tmp_path / "v.csv"
+    table.write_text("VERSION,WMC,DIT,NOC,CBO,RFC,LCOM\n"
+                     "v1,1,1,1,1,1,1\n"
+                     f"v2,2,1,{cell},1,1,1\n", encoding="utf-8")
+    code, out, err = run_cli(["compare", str(table)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "line 3" in err and "NOC" in err and repr(cell) in err
+
+
+@pytest.mark.parametrize("literal", [
+    "NaN", "Infinity", "-Infinity",
+    pytest.param("1" + "0" * 400, id="integer-beyond-float"),
+])
+def test_versions_document_rejects_non_finite_means(tmp_path, capsys, literal):
+    means = '{"wmc": 1, "dit": 1, "noc": 1, "cbo": 1, "rfc": 1, "lcom": 1}'
+    bad = means.replace('"cbo": 1', f'"cbo": {literal}')
+    doc = tmp_path / "v.json"
+    doc.write_text('{"schemaVersion": 1, "versions": ['
+                   f'{{"version": "v1", "means": {means}}}, '
+                   f'{{"version": "v2", "means": {bad}}}]}}', encoding="utf-8")
+    code, out, err = run_cli(["compare", str(doc)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"versions[1].means.cbo: {json.loads(literal)!r} " in err
+
+
+@pytest.mark.parametrize("condition, where, shown", [
+    ('"range": [NaN, 5]', "range[0]", "nan"), ('"range": [0, NaN]', "range[1]", "nan"),
+    ('"range": [0, Infinity]', "range[1]", "inf"),
+    ('"values": [1, NaN]', "values[1]", "nan"),
+    ('"values": [-Infinity]', "values[0]", "-inf"),
+    pytest.param('"range": [0, 1' + "0" * 400 + ']', "range[1]", "1" + "0" * 400,
+                 id="integer-beyond-float"),
+])
+def test_rule_file_rejects_non_finite_bounds(fixtures, tmp_path, capsys,
+                                             condition, where, shown):
+    rules = tmp_path / "rules.json"
+    rules.write_text(
+        '{"schemaVersion": 1, "name": "n", "rules": ['
+        '{"id": "ok", "metric": "DIT", "range": [0, null], '
+        '"conclusions": [{"attribute": "quality", "level": "Low"}]}, '
+        f'{{"id": "odd", "metric": "WMC", {condition}, '
+        '"conclusions": [{"attribute": "quality", "level": "Low"}]}]}',
+        encoding="utf-8")
+    code, _, err = run_cli(["rules", "check", str(rules)], capsys)
+    assert code == 2
+    assert f"rules[1].{where}: {shown} " in err
+    assert "overlap" not in err
+    code, out, err = run_cli(["evaluate", str(fixtures / "moreunit_classes.csv"),
+                              "--rules", str(rules)], capsys)
+    assert code == 2
+    assert out == "" and f"rules[1].{where}" in err
+

@@ -1,9 +1,11 @@
+import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ckeval.errors import DuplicateClassError
-from ckeval.java import ParseError, lower_to_model, parse_source
+from ckeval.java import ParseError, decode_source, lower_to_model, parse_source
 from ckeval.model import CallRef, validate_model
 
 
@@ -34,6 +36,30 @@ def test_syntax_error_position():
     diag = err.value.diagnostics[0]
     assert diag.code == "SYNTAX_ERROR"
     assert (diag.line, diag.column) == (1, 19)
+
+
+def test_method_body_is_the_tokens_between_its_braces():
+    unit = parse_source("class A { int f = g(1, {2}), h; void m() { x = {1}; } int k; }",
+                        "A.java")
+    decl = unit.classes[0]
+    assert [f.name for f in decl.fields] == ["f", "h", "k"]
+    body = decl.methods[0].body
+    assert isinstance(body, tuple)
+    assert [t.text for t in body] == ["x", "=", "{", "1", "}", ";"]
+
+
+@pytest.mark.parametrize("source, rendered", [
+    ("class A {\n  void m() {\n    if (x) { y(); \n}",
+     "A.java:2:12: SYNTAX_ERROR: unbalanced '{'"),
+    ("class A { @Deprecated(since = \"1\" void m() {} }",
+     "A.java:1:22: SYNTAX_ERROR: unbalanced '('"),
+    ("class A { int x = g(1));", "A.java:1:23: SYNTAX_ERROR: unbalanced initializer"),
+    ("class A { int x = (1", "A.java:1:21: SYNTAX_ERROR: unterminated field initializer"),
+])
+def test_unbalanced_diagnostics_point_at_the_cause(source, rendered):
+    with pytest.raises(ParseError) as err:
+        parse_source(source, "A.java")
+    assert [d.render() for d in err.value.diagnostics] == [rendered]
 
 
 def test_lex_error_position():
@@ -248,3 +274,33 @@ def test_counted_identifiers_appear_in_source():
                     assert used in blob
                 for call in method.called_methods:
                     assert call.method in blob
+
+
+# --- reading source bytes -----------------------------------------------------
+
+def read_text_oracle(data: bytes, errors: str = "strict") -> str:
+    """What Path.read_text(encoding="utf-8") makes of the bytes."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors).read()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from("a\r\n é²\t")).map(str.encode) | st.text().map(str.encode))
+def test_decode_source_matches_read_text(data):
+    assert decode_source(data, "F.java") == read_text_oracle(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from("ab\r\n é\t")),
+       # bytes that no suffix can complete into a character
+       st.sampled_from([b"\xe9 ", b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\xf0\x9f!"]),
+       st.binary(max_size=8))
+def test_decode_error_points_at_first_bad_character(prefix, bad, suffix):
+    data = prefix.encode() + bad + suffix
+    with pytest.raises(ParseError) as err:
+        decode_source(data, "F.java")
+    [diag] = err.value.diagnostics
+    replaced = read_text_oracle(data, errors="replace")
+    before = replaced[:replaced.index("�")]
+    assert (diag.code, diag.line) == ("DECODE_ERROR", before.count("\n") + 1)
+    assert diag.column == len(before) - before.rfind("\n")
+    assert f"(byte 0x{bad[0]:02x})" in diag.message

@@ -1,0 +1,139 @@
+import random
+from pathlib import Path
+from time import perf_counter
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from ckeval.java import LexError, ParseError, SourceUnit, Token, parse_source, tokenize
+from lexer_oracle import oracle_tokenize
+from test_java_frontend import TORTURE, _generate_source
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def lexed(tokenizer, text: str):
+    """Tokens as (kind, text, line, column), or the LexError's fields."""
+    try:
+        return [(t.kind, t.text, t.line, t.column) for t in tokenizer(text)]
+    except LexError as exc:
+        return ("LexError", exc.message, exc.line, exc.column)
+
+
+# inputs where the predicates, the line count or an error case are easy to
+# get wrong; the hypothesis strategy draws from them too
+SEEDS = [
+    "²", "1²", "a²", "x = ²;",            # isdigit but not isdecimal
+    "Ⅻ", "aⅫ", "1Ⅻ", "Ⅻa",               # isnumeric but not alpha
+    "café", "é", "naïve = 1;", "int ñ2 = x.é;", "日本 語", "a b",
+    "\f", "a\fb", "\v", "a\vb", "a\rb", "a\r\nb", "\t\tx",
+    '"a\\\nb" c', "'\\\n' x", 'a "b\\\n\\\nc"\n d', '"\\\r\n"',
+    "1.e5", "1..2", "x.5", "1.5e10f", "0x1F.", "3._", "1.²", "1.é", "1é",
+    '"abc', "'a", '"a\\', '"a\nb"', "x /* never closed", "/*", "/*/", "/* a *",
+    "/**/x", "/***/", "//*x\ny", "a//b", "x // c\ny", "/* a\n b */ z",
+    "", "\n", "\n\n", " ", "`", "#", "\\", "\x00", "a\x85b",
+]
+
+
+def assert_same_as_oracle(text: str) -> None:
+    assert lexed(tokenize, text) == lexed(oracle_tokenize, text)
+
+
+@pytest.mark.parametrize("text", SEEDS)
+def test_seed_inputs_match_oracle(text):
+    assert_same_as_oracle(text)
+
+
+# fragments that put the pattern's boundaries next to each other
+FRAGMENTS = ["a", "Z9", "_", "$", "1", "0.5", ".", "..", "e5", "²", "Ⅻ", "é",
+             "日", " ", "\t", "\n", "\r", "\f", "\v", '"', "'", "\\", "\\\n",
+             "/", "*", "//", "/*", "*/", "(", ")", "{", "}", ";", ",", "=",
+             "`", "class", "int", "x1"]
+
+
+def java_ish():
+    return st.lists(st.sampled_from(FRAGMENTS), max_size=30).map("".join)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.sampled_from(SEEDS), st.text(), java_ish()))
+@example("².Ⅻ")
+@example("x = 1.e5 + 1..2 + x.5; // end")
+def test_tokenize_matches_oracle(text):
+    assert_same_as_oracle(text)
+
+
+def test_fixture_and_generated_sources_match_oracle():
+    texts = [p.read_text(encoding="utf-8")
+             for p in sorted((FIXTURES / "corpus").rglob("*.java"))]
+    texts.append(TORTURE)
+    rng = random.Random(3)
+    names = [f"G{i}" for i in range(6)]
+    texts += [_generate_source(rng, i, names) for i in range(len(names))]
+    for text in texts:
+        assert_same_as_oracle(text)
+        assert_same_as_oracle(text.replace("a", "á"))
+
+
+def test_token_is_an_immutable_named_tuple():
+    tok = tokenize("foo")[0]
+    assert tok == Token("ident", "foo", 1, 1)
+    assert (tok.kind, tok.text, tok.line, tok.column) == ("ident", "foo", 1, 1)
+    assert Token._fields == ("kind", "text", "line", "column")
+    with pytest.raises(AttributeError):
+        tok.kind = "keyword"
+    assert tokenize("x")[-1] == Token("eof", "", 1, 2)
+
+
+def test_many_exact_tokens_stay_linear():
+    # every identifier goes to the exact path; a rescan of the rest of the
+    # text after each one would make four times the text cost sixteen times
+    def seconds(count: int) -> float:
+        text = "ä = ö;\n" * count
+        best = float("inf")
+        for _ in range(3):
+            start = perf_counter()
+            tokens = tokenize(text)
+            best = min(best, perf_counter() - start)
+        assert len(tokens) == 4 * count + 1
+        return best
+
+    assert seconds(8000) < 8 * seconds(2000)
+
+
+PARSER_WORDS = ["package", "import", "class", "interface", "extends", "implements",
+                "static", "void", "new", "this", "throws", "enum", "A", "B", "@",
+                "<", ">", "[", "]"]
+
+
+@st.composite
+def edited_sources(draw):
+    """A well-formed source with a few random cuts and insertions."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    names = [f"E{i}" for i in range(3)]
+    text = draw(st.sampled_from([TORTURE, _generate_source(rng, 1, names)]))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + text[at + draw(st.integers(1, 12)):]
+        else:
+            text = text[:at] + draw(st.sampled_from(FRAGMENTS + PARSER_WORDS)) + text[at:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), java_ish(), edited_sources(),
+                 st.lists(st.sampled_from(FRAGMENTS + PARSER_WORDS),
+                          max_size=40).map(" ".join)))
+@example("class A { void m() { é(); } }")
+@example("class A { int x = (; }")
+@example("class A { void m( }")
+@example("package")
+def test_parse_source_returns_unit_or_parse_error(text):
+    try:
+        unit = parse_source(text, "F.java")
+    except ParseError as exc:
+        assert exc.diagnostics
+        assert all(d.code in ("LEX_ERROR", "SYNTAX_ERROR") for d in exc.diagnostics)
+    else:
+        assert isinstance(unit, SourceUnit)
