@@ -5,10 +5,17 @@ and input provenance (paths plus file modification timestamps) all appear
 in the document. Serialization is canonical, so exporting an imported
 document reproduces it byte for byte; provenance is carried, never
 regenerated, which keeps repeated runs on identical inputs identical.
+
+The canonical text of a document is exactly
+``json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True)`` plus a
+newline; ``tests/test_report.py`` checks ``export_structured`` against that
+expression on generated documents and on every result document.
 """
 
 from datetime import datetime, timezone
+from functools import cache
 import json
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring
 from pathlib import Path
 
 from .errors import InputError
@@ -102,15 +109,102 @@ def filters_document(filters: list[RangeFilter], inputs: list[dict]) -> dict:
 
 
 def export_structured(document: dict) -> str:
-    """Canonical JSON text for any result document."""
+    """Canonical JSON text for any result document.
+
+    The text is exactly ``json.dumps(document, indent=2, ensure_ascii=False,
+    sort_keys=True)`` plus a newline. Before Python 3.13, ``indent`` makes
+    ``json`` fall back to its pure-Python encoder, so the nesting is walked
+    here and every container that holds only scalars goes to the C encoder
+    in one call.
+    """
+    if c_make_encoder is None:
+        return _canonical_dumps(document)
+    out: list[str] = []
+    try:
+        _write(document, 0, out)
+    except RecursionError:  # a cycle or very deep nesting: json says which
+        return _canonical_dumps(document)
+    out.append("\n")
+    return "".join(out)
+
+
+def _canonical_dumps(document) -> str:
     return json.dumps(document, indent=2, ensure_ascii=False,
                       sort_keys=True) + "\n"
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@cache
+def _level(depth: int) -> tuple:
+    """The C encoder for containers at ``depth`` and the line breaks around them.
+
+    Its item separator carries the indentation of the members, which is
+    all ``indent`` adds inside a container of scalars: an encoded scalar
+    never holds a raw newline.
+    """
+    inner = "\n" + "  " * (depth + 1)
+    encoder = c_make_encoder(None, JSONEncoder().default, encode_basestring,
+                             None, ": ", "," + inner, True, False, True)
+    return encoder, inner, inner[:-2]
+
+
+def _write(value, depth: int, out: list[str]) -> None:
+    """Append ``value`` as json.dumps(indent=2) writes it at nesting ``depth``."""
+    if isinstance(value, dict):
+        members = value.values()
+    elif isinstance(value, (list, tuple)):
+        members = value
+    else:
+        out.append(_scalar(value))
+        return
+    if not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+        return
+    encoder, inner, outer = _level(depth)
+    for member in members:
+        if isinstance(member, _CONTAINERS):
+            break
+    else:  # scalars only: one call, then the breaks after the opener and before the closer
+        text = "".join(encoder(value, 0))
+        out.append(text[0] + inner + text[1:-1] + outer + text[-1])
+        return
+    separator = inner
+    if isinstance(value, dict):
+        out.append("{")
+        for key, member in sorted(value.items()):
+            out.append(separator + _key(key) + ": ")
+            _write(member, depth + 1, out)
+            separator = "," + inner
+        out.append(outer + "}")
+    else:
+        out.append("[")
+        for member in value:
+            out.append(separator)
+            _write(member, depth + 1, out)
+            separator = "," + inner
+        out.append(outer + "]")
+
+
+def _scalar(value) -> str:
+    return "".join(_level(0)[0](value, 0))
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: a string, or a quoted number, bool or null."""
+    if isinstance(key, str):
+        return encode_basestring(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _scalar(key) + '"'
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
 
 
 def import_structured(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid structured document: {exc}") from None
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InputError("structured document must be an object with a kind")

@@ -250,7 +250,8 @@ def project_means(records: list[MetricRecord] | tuple[MetricRecord, ...]) -> dic
     if not records:
         return {m: 0.0 for m in METRICS}
     n = len(records)
-    return {m: sum(rec.value(m) for rec in records) / n for m in METRICS}
+    sums = map(sum, zip(*[rec.values() for rec in records]))
+    return {m: total / n for m, total in zip(METRICS, sums)}
 
 
 def compute_all(model: ClassModel) -> ProjectMetrics:

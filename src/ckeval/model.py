@@ -245,7 +245,7 @@ def _parse_json(document: str | dict, what: str):
         return document
     try:
         return json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError("$", f"not valid JSON ({what}): {exc}") from None
 
 

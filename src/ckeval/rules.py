@@ -157,6 +157,31 @@ class KnowledgeBase:
         return [r for r in self.rules if r.metric == metric]
 
     def match(self, metric: str, value: float) -> Rule | None:
+        """The first rule of ``metric`` whose condition holds for ``value``.
+
+        Answers are memoized per (metric, value) in a dict kept on the base
+        (not a field, so == and repr are unchanged). Values that compare
+        equal match the same rules, so the memo is exact for any base;
+        values that are unhashable or not equal to themselves (NaN) are
+        scanned every time.
+        """
+        try:
+            memo = self._match_memo
+        except AttributeError:
+            memo = {}
+            object.__setattr__(self, "_match_memo", memo)
+        key = (metric, value)
+        try:
+            return memo[key]
+        except KeyError:
+            rule = self._scan(metric, value)
+            if value == value:
+                memo[key] = rule
+            return rule
+        except TypeError:  # unhashable value
+            return self._scan(metric, value)
+
+    def _scan(self, metric: str, value: float) -> Rule | None:
         for rule in self.rules:
             if rule.metric == metric and rule.matches(value):
                 return rule
@@ -228,7 +253,7 @@ def load_rules(document: str | dict) -> KnowledgeBase:
     if isinstance(document, str):
         try:
             doc = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SchemaError("$", f"not valid JSON (rules): {exc}") from None
     else:
         doc = document
@@ -361,20 +386,29 @@ def forward_chain(facts: list[Fact], kb: KnowledgeBase) -> list[Assessment]:
     fired rules conclude the same attribute, the later fact wins; every
     contributing rule id stays in the fired-rule trace.
     """
+    return _chain(((fact.scope, ((fact.metric, fact.value),)) for fact in facts), kb)
+
+
+def _chain(groups, kb: KnowledgeBase) -> list[Assessment]:
+    """forward_chain over (scope, [(metric, value), ...]) groups of facts."""
     assessments: dict[str, Assessment] = {}
-    for fact in facts:
-        if fact.value < 0:
-            raise RuleError(f"fact {fact.metric}={fact.value} is negative")
-        if fact.metric not in METRICS:
-            raise RuleError(f"fact has unknown metric {fact.metric!r}")
-        scope = assessments.setdefault(fact.scope, Assessment(scope=fact.scope))
-        rule = kb.match(fact.metric, fact.value)
-        if rule is None:
-            continue
-        scope.fired_rules.append(rule.id)
-        for attribute, level in rule.conclusions:
-            scope.derived[attribute] = level
-            scope.derived_by[attribute] = rule.id
+    match = kb.match
+    for scope, facts in groups:
+        assessment = assessments.get(scope)
+        for metric, value in facts:
+            if value < 0:
+                raise RuleError(f"fact {metric}={value} is negative")
+            if metric not in METRICS:
+                raise RuleError(f"fact has unknown metric {metric!r}")
+            if assessment is None:
+                assessment = assessments[scope] = Assessment(scope=scope)
+            rule = match(metric, value)
+            if rule is None:
+                continue
+            assessment.fired_rules.append(rule.id)
+            assessment.derived.update(rule.conclusions)
+            for attribute, _ in rule.conclusions:
+                assessment.derived_by[attribute] = rule.id
     return list(assessments.values())
 
 
@@ -388,13 +422,14 @@ def facts_for_record(values: dict[str, float], scope: str) -> list[Fact]:
 
 def evaluate_project(pm: ProjectMetrics, kb: KnowledgeBase,
                      scope: str = "class") -> list[Assessment]:
-    """Assess each class, or the project means rounded half-up to integers."""
+    """Assess each class, or the project means rounded half-up to integers.
+
+    At class scope this is forward_chain over six facts per class, in
+    METRICS order, taken straight from the records.
+    """
     if scope == "class":
-        facts: list[Fact] = []
-        for rec in pm.per_class:
-            facts.extend(facts_for_record(
-                {m: rec.value(m) for m in METRICS}, rec.class_name))
-        return forward_chain(facts, kb)
+        return _chain(((rec.class_name, zip(METRICS, rec.values()))
+                       for rec in pm.per_class), kb)
     if scope == "project":
         rounded = {m: round_half_up(pm.means[m]) for m in METRICS}
         return forward_chain(facts_for_record(rounded, "project"), kb)

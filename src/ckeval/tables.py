@@ -25,6 +25,10 @@ CLASS_HEADER = ("CLASS",) + METRICS
 VERSION_HEADER = ("VERSION",) + METRICS
 VERSION_PATH_HEADER = ("VERSION", "PATH") + METRICS
 
+# the least integer that float() cannot convert; metric values stay below it,
+# so means, reports and charts can handle every one of them
+_FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
+
 
 def read_number(raw: str | int | float, where: str,
                 error: type[CkevalError] = InputError) -> float:
@@ -98,6 +102,8 @@ def metrics_from_document(doc: dict, project_name: str = "") -> ProjectMetrics:
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise SchemaError(f"{path}.{m.lower()}",
                                   "must be a non-negative integer")
+            if v >= _FLOAT_OVERFLOW:
+                raise SchemaError(f"{path}.{m.lower()}", "is too large")
             values[m.lower()] = v
         records.append(MetricRecord(class_name=name, **values))
     records.sort(key=lambda r: r.class_name)
@@ -107,43 +113,71 @@ def metrics_from_document(doc: dict, project_name: str = "") -> ProjectMetrics:
 
 
 def metrics_from_csv(text: str, project_name: str = "") -> ProjectMetrics:
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
-    if not rows or tuple(cell.strip().upper() for cell in rows[0]) != CLASS_HEADER:
+    rows = _csv_rows(text)
+    first = next(rows, None)
+    if first is None or tuple(cell.strip().upper() for cell in first[1]) != CLASS_HEADER:
         raise InputError("metrics table must start with header "
                          + ",".join(CLASS_HEADER))
     records = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows:
         if len(row) != len(CLASS_HEADER):
             raise InputError(f"line {lineno}: expected {len(CLASS_HEADER)} columns")
         name = row[0].strip()
         if not name:
             raise InputError(f"line {lineno}: empty class name")
-        values = []
-        for m, cell in zip(METRICS, row[1:]):
-            try:
-                v = int(cell.strip())
-            except ValueError:
-                raise InputError(f"line {lineno}: {m} value {cell.strip()!r} "
-                                 "is not an integer") from None
-            if v < 0:
-                raise InputError(f"line {lineno}: {m} must be non-negative")
-            values.append(v)
-        records.append(MetricRecord(name, *values))
+        records.append(MetricRecord(name, *_metric_cells(row, lineno)))
     records.sort(key=lambda r: r.class_name)
     return ProjectMetrics(project_name=project_name, per_class=tuple(records),
                           means=project_means(records))
+
+
+def _metric_cells(row: list[str], lineno: int) -> list[int]:
+    """The six metric cells of a table row as non-negative integers."""
+    try:
+        values = [int(cell) for cell in row[1:]]
+        if min(values) >= 0 and max(values) < _FLOAT_OVERFLOW:
+            return values
+    except ValueError:
+        pass
+    # the exact error, or cells with edge characters (\x1c-\x1f) that
+    # str.strip removes and int() does not
+    values = []
+    for m, cell in zip(METRICS, row[1:]):
+        try:
+            v = int(cell.strip())
+        except ValueError:
+            raise InputError(f"line {lineno}: {m} value {cell.strip()!r} "
+                             "is not an integer") from None
+        if v < 0:
+            raise InputError(f"line {lineno}: {m} must be non-negative")
+        if v >= _FLOAT_OVERFLOW:
+            raise InputError(f"line {lineno}: {m} value {cell.strip()!r} is too large")
+        values.append(v)
+    return values
+
+
+def _csv_rows(text: str):
+    """(line, row) for each non-blank row, line being where the row starts."""
+    reader = csv.reader(io.StringIO(text))
+    lineno = 1
+    try:
+        for row in reader:
+            if "".join(row).strip():
+                yield lineno, row
+            lineno = reader.line_num + 1
+    except csv.Error as exc:  # a cell over the csv module's field size limit
+        raise InputError(f"line {lineno}: {exc}") from None
 
 
 # --- version mean tables -----------------------------------------------------
 
 def versions_from_csv(text: str) -> list[dict]:
     """Rows of {version, path, means} from a VERSION[,PATH] table."""
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
-    if not rows:
+    rows = _csv_rows(text)
+    first = next(rows, None)
+    if first is None:
         raise InputError("empty versions table")
-    header = tuple(cell.strip().upper() for cell in rows[0])
+    header = tuple(cell.strip().upper() for cell in first[1])
     if header == VERSION_PATH_HEADER:
         has_path = True
     elif header == VERSION_HEADER:
@@ -153,9 +187,9 @@ def versions_from_csv(text: str) -> list[dict]:
                          + ",".join(VERSION_HEADER) + " (PATH column optional)")
     out = []
     offset = 2 if has_path else 1
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise InputError(f"line {lineno}: expected {len(rows[0])} columns")
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise InputError(f"line {lineno}: expected {len(header)} columns")
         name = row[0].strip()
         if not name:
             raise InputError(f"line {lineno}: empty version name")
@@ -224,7 +258,7 @@ def sniff(text: str, label: str) -> tuple[str, str | dict]:
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
             raise InputError(f"{label}: invalid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise InputError(f"{label}: top-level JSON value must be an object")

@@ -9,8 +9,11 @@ import pytest
 
 import ckeval
 from ckeval.cli import cli_main
+from ckeval.errors import InputError, SchemaError
+from ckeval.export import import_structured
 from ckeval.metrics import compute_all
 from ckeval.model import load_class_model
+from ckeval.rules import load_rules
 from ckeval.tables import load_metrics_input
 
 
@@ -507,3 +510,153 @@ def test_rule_file_rejects_non_finite_bounds(fixtures, tmp_path, capsys,
     assert code == 2
     assert out == "" and f"rules[1].{where}" in err
 
+
+
+# --- huge integers, line numbers after blank rows ------------------------------
+
+HUGE = "1" + "0" * 400  # an integer beyond float range
+
+
+def test_metrics_table_rejects_integer_beyond_float(tmp_path, capsys):
+    table = tmp_path / "m.csv"
+    table.write_text("CLASS,WMC,DIT,NOC,CBO,RFC,LCOM\n"
+                     "A,1,0,0,0,1,0\n"
+                     f"B,1,0,0,{HUGE},1,0\n", encoding="utf-8")
+    code, out, err = run_cli(["evaluate", str(table)], capsys)
+    assert code == 2, err
+    assert out == ""
+    assert "line 3: CBO" in err and "too large" in err
+    assert "internal error" not in err
+
+
+def test_metrics_document_rejects_integer_beyond_float(tmp_path, capsys):
+    row = '{"class": "A", "wmc": 1, "dit": 0, "noc": 0, "cbo": 0, "rfc": 1, "lcom": 0}'
+    doc = tmp_path / "m.json"
+    doc.write_text('{"schemaVersion": 1, "metrics": ['
+                   + row + ", " + row.replace('"A"', '"B"').replace('"rfc": 1', f'"rfc": {HUGE}')
+                   + "]}", encoding="utf-8")
+    code, out, err = run_cli(["evaluate", str(doc)], capsys)
+    assert code == 2, err
+    assert out == ""
+    assert "metrics[1].rfc" in err and "too large" in err
+
+
+def test_metric_cells_just_inside_float_range_evaluate(tmp_path, capsys):
+    largest = 2 ** 1024 - 2 ** 970 - 1  # float() rounds it down to the largest float
+    assert float(largest) == sys.float_info.max
+    table = tmp_path / "m.csv"
+    table.write_text("CLASS,WMC,DIT,NOC,CBO,RFC,LCOM\n"
+                     f"A,{largest},0,0,0,1,0\n", encoding="utf-8")
+    code, out, err = run_cli(["evaluate", str(table), "--format", "structured"], capsys)
+    assert code == 0, err
+    table.write_text("CLASS,WMC,DIT,NOC,CBO,RFC,LCOM\n"
+                     f"A,{largest + 1},0,0,0,1,0\n", encoding="utf-8")
+    code, out, err = run_cli(["evaluate", str(table)], capsys)
+    assert code == 2 and "line 2: WMC" in err
+
+
+# JSON values that json.loads refuses with a ValueError or a RecursionError
+BEYOND_PARSER_LIMITS = [
+    pytest.param("1" * 5000, id="5000-digit-integer"),  # over the int-string limit
+    pytest.param("[" * 100_000 + "]" * 100_000, id="deeply-nested-array"),
+]
+
+
+@pytest.mark.parametrize("value", BEYOND_PARSER_LIMITS)
+@pytest.mark.parametrize("command, document", [
+    ("evaluate", '{"schemaVersion": 1, "metrics": [{"class": "A", "wmc": %s}]}'),
+    ("evaluate", '{"schemaVersion": 1, "projectName": "p", "classes": '
+                 '[{"name": "p.A", "methods": [{"name": "m", "arity": %s}]}]}'),
+    ("compare", '{"schemaVersion": 1, "versions": [{"version": "v1", '
+                '"means": {"wmc": %s}}]}'),
+], ids=["metrics", "model", "versions"])
+def test_json_beyond_parser_limits_is_an_input_error(tmp_path, capsys,
+                                                     command, document, value):
+    path = tmp_path / "in.json"
+    path.write_text(document % value, encoding="utf-8")
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert code == 2, err
+    assert out == ""
+    assert "internal error" not in err and "invalid JSON" in err
+
+
+@pytest.mark.parametrize("value", BEYOND_PARSER_LIMITS)
+def test_rule_file_beyond_parser_limits_is_an_input_error(
+        fixtures, tmp_path, capsys, value):
+    rules = tmp_path / "rules.json"
+    rules.write_text('{"schemaVersion": 1, "name": "n", "rules": [{"id": "r", '
+                     f'"metric": "WMC", "range": [0, {value}], '
+                     '"conclusions": [{"attribute": "quality", "level": "Low"}]}]}',
+                     encoding="utf-8")
+    for argv in (["rules", "check", str(rules)],
+                 ["evaluate", str(fixtures / "moreunit_classes.csv"), "--rules", str(rules)]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2, err
+        assert "internal error" not in err and "not valid JSON" in err
+
+
+@pytest.mark.parametrize("value", BEYOND_PARSER_LIMITS)
+def test_json_readers_turn_parser_limits_into_input_errors(value):
+    with pytest.raises(InputError, match="invalid structured document"):
+        import_structured('{"kind": "verdicts", "n": %s}' % value)
+    with pytest.raises(SchemaError, match="not valid JSON"):
+        load_class_model('{"schemaVersion": 1, "classes": [], "n": %s}' % value)
+    with pytest.raises(SchemaError, match="not valid JSON"):
+        load_rules('{"name": "n", "rules": [], "n": %s}' % value)
+
+
+@pytest.mark.parametrize("command, header", [
+    ("evaluate", "CLASS,WMC,DIT,NOC,CBO,RFC,LCOM"),
+    ("compare", "VERSION,WMC,DIT,NOC,CBO,RFC,LCOM"),
+])
+def test_cell_over_csv_field_limit_is_an_input_error(tmp_path, capsys, command, header):
+    table = tmp_path / "t.csv"
+    table.write_text(f"{header}\nA,1,0,0,0,1,0\n\n" + "B" * 200_000 + ",1,0,0,0,1,0\n",
+                     encoding="utf-8")
+    code, out, err = run_cli([command, str(table)], capsys)
+    assert code == 2, err
+    assert out == ""
+    assert "line 4: field larger than field limit" in err
+
+
+def test_metrics_table_errors_name_the_physical_line(tmp_path, capsys):
+    table = tmp_path / "m.csv"
+    table.write_text("CLASS,WMC,DIT,NOC,CBO,RFC,LCOM\n"
+                     "A,1,0,0,0,1,0\n"
+                     "\n"
+                     " , \n"
+                     "B,1,x,0,0,1,0\n", encoding="utf-8")
+    code, _, err = run_cli(["evaluate", str(table)], capsys)
+    assert code == 2
+    assert "line 5: DIT" in err
+
+
+def test_metrics_table_error_after_multiline_cell_names_its_first_line(
+        tmp_path, capsys):
+    table = tmp_path / "m.csv"
+    table.write_text("\n"
+                     "CLASS,WMC,DIT,NOC,CBO,RFC,LCOM\n"
+                     '"A\nB",1,0,0,0,1,0\n'
+                     '"C\nD",1,0,-1,0,1,0\n', encoding="utf-8")
+    code, _, err = run_cli(["evaluate", str(table)], capsys)
+    assert code == 2
+    assert "line 5: NOC must be non-negative" in err
+
+
+def test_versions_table_errors_name_the_physical_line(tmp_path, capsys):
+    table = tmp_path / "v.csv"
+    table.write_text("\n"
+                     "VERSION,WMC,DIT,NOC,CBO,RFC,LCOM\n"
+                     "v1,1,1,1,1,1,1\n"
+                     "\n"
+                     ",,,\n"
+                     "v2,2,1,x,1,1,1\n"
+                     "v3,2,1\n", encoding="utf-8")
+    code, _, err = run_cli(["compare", str(table)], capsys)
+    assert code == 2
+    assert "line 6: NOC" in err
+    table.write_text(table.read_text(encoding="utf-8").replace(",x,", ",1,"),
+                     encoding="utf-8")
+    code, _, err = run_cli(["compare", str(table)], capsys)
+    assert code == 2
+    assert "line 7: expected 7 columns" in err

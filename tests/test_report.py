@@ -1,5 +1,8 @@
+import json
+import math
 import xml.etree.ElementTree as ET
 
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from ckeval.chart import ChartSpec, build_chart_svg, emit_chart
@@ -12,7 +15,7 @@ from ckeval.export import (
     input_provenance,
     verdicts_document,
 )
-from ckeval.metrics import METRICS
+from ckeval.metrics import METRICS, compute_all
 from ckeval.report import (
     Report,
     Section,
@@ -28,11 +31,13 @@ from ckeval.rules import (
     Interval,
     Level,
     ValueSet,
+    default_rule_base,
+    evaluate_project,
     filter_by_ranges,
     forward_chain,
     paper_rule_preset,
 )
-from ckeval.tables import metrics_from_csv
+from ckeval.tables import metrics_from_csv, metrics_to_document
 from ckeval.versions import compare_versions
 from test_version_compare import FIVE_VERSIONS
 
@@ -176,6 +181,90 @@ def test_provenance_has_path_and_timestamp(tmp_path):
     entries = input_provenance([target])
     assert entries[0]["path"] == str(target)
     assert entries[0]["modified"].endswith("+00:00")
+
+
+# --- canonical JSON: export_structured against json.dumps ------------------------
+
+def dumps_oracle(document) -> str:
+    return json.dumps(document, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+def assert_same_as_oracle(document):
+    try:
+        expected = dumps_oracle(document)
+    except (TypeError, ValueError) as exc:  # unsortable keys, say
+        with pytest.raises(type(exc)):
+            export_structured(document)
+        return
+    assert export_structured(document) == expected
+
+
+class Mapping(dict):
+    pass
+
+
+class Items(list):
+    pass
+
+
+TRICKY_STRINGS = ["", "{", "}", ",", "\n", "{\n}", '{"a": 1,\n  "b"', "[],{}",
+                  "çğıİöşü", "\x00\x1f\x7f", '"\\', "\u2028\u2029", "\ud800", "🙂"]
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e308, 5e-324]),
+    st.sampled_from(list(Level)), st.sampled_from(TRICKY_STRINGS), st.text(),
+)
+# keys of one dict mostly share a kind, so sort_keys can order them; a mixed
+# dict checks that both sides refuse it alike
+number_keys = st.one_of(st.integers(), st.floats(), st.booleans(),
+                        st.sampled_from(list(Level)))
+key_kinds = [st.one_of(st.text(), st.sampled_from(TRICKY_STRINGS)), number_keys,
+             st.none(), st.one_of(st.text(max_size=2), number_keys, st.none())]
+
+
+def containers(children):
+    members = st.lists(children, max_size=5)
+    dicts = st.one_of(*[st.dictionaries(k, children, max_size=5) for k in key_kinds])
+    return st.one_of(members, members.map(tuple), members.map(Items),
+                     dicts, dicts.map(Mapping))
+
+
+json_values = st.recursive(scalars, containers, max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values)
+@example({"a": [], "b": {}, "c": [1, [], {}, "x"], "d": ({"e": ()},)})
+@example(Mapping(z=Items([Level.HIGH, (True, None)]), a={1: -0.0, 2.5: math.nan}))
+@example({None: {"k": math.inf}, "s": ["{\n}", ",", "\u00e7\x01"]})
+@example({True: [1], False: {"x": -math.inf}, 3: []})
+def test_export_structured_is_json_dumps(document):
+    assert_same_as_oracle(document)
+
+
+def test_export_structured_refuses_what_json_refuses():
+    for document in ({"a": {1, 2}}, {(1,): [1]}, {"a": {(1,): 2}}, {"a": [object()]}):
+        assert_same_as_oracle(document)
+    cyclic = {"a": []}
+    cyclic["a"].append(cyclic)
+    with pytest.raises(ValueError, match="Circular reference"):
+        export_structured(cyclic)
+
+
+def test_export_structured_is_json_dumps_on_result_documents(fixtures, corpus_model, tmp_path):
+    pm = metrics_from_csv((fixtures / "moreunit_classes.csv").read_text(encoding="utf-8"))
+    inputs = input_provenance([fixtures / "moreunit_classes.csv", tmp_path / "missing.csv"])
+    documents = [metrics_to_document(pm), metrics_to_document(compute_all(corpus_model)),
+                 verdicts_document(compare_versions(FIVE_VERSIONS), inputs),
+                 filters_document(filter_by_ranges(pm, {"WMC": Interval(2, 5),
+                                                        "LCOM": ValueSet(frozenset({0, 1, 2}))}),
+                                  inputs)]
+    for kb in (default_rule_base(), paper_rule_preset()):
+        for scope in ("class", "project"):
+            documents.append(assessments_document(evaluate_project(pm, kb, scope),
+                                                  kb, scope, inputs))
+    for document in documents:
+        assert export_structured(document) == dumps_oracle(document)
 
 
 # --- SVG chart -------------------------------------------------------------------

@@ -1,14 +1,19 @@
 import json
+import math
 import random
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from ckeval.errors import RuleError, RuleOverlapError, UsageError
-from ckeval.metrics import METRICS
+from ckeval.metrics import METRICS, MetricRecord, ProjectMetrics
 from ckeval.rules import (
+    Assessment,
     Fact,
     Interval,
+    KnowledgeBase,
     Level,
+    Rule,
     ValueSet,
     default_rule_base,
     evaluate_project,
@@ -361,3 +366,129 @@ def test_accepted_bases_fire_at_most_one_rule_per_value():
         rules = kb.rules_for(metric)
         for v in range(0, 120):
             assert sum(1 for r in rules if r.matches(v)) <= 1
+
+
+# --- memoized matching and class-scope chaining against the linear scan --------
+
+def scan_oracle(kb: KnowledgeBase, metric: str, value) -> Rule | None:
+    for rule in kb.rules:
+        if rule.metric == metric and rule.matches(value):
+            return rule
+    return None
+
+
+def chain_oracle(facts: list[Fact], kb: KnowledgeBase) -> list[Assessment]:
+    """forward_chain as first written: a Fact at a time, each rule scanned."""
+    assessments: dict[str, Assessment] = {}
+    for fact in facts:
+        if fact.value < 0:
+            raise RuleError(f"fact {fact.metric}={fact.value} is negative")
+        if fact.metric not in METRICS:
+            raise RuleError(f"fact has unknown metric {fact.metric!r}")
+        scope = assessments.setdefault(fact.scope, Assessment(scope=fact.scope))
+        rule = scan_oracle(kb, fact.metric, fact.value)
+        if rule is None:
+            continue
+        scope.fired_rules.append(rule.id)
+        for attribute, level in rule.conclusions:
+            scope.derived[attribute] = level
+            scope.derived_by[attribute] = rule.id
+    return list(assessments.values())
+
+
+def outcome(run):
+    """What a chaining run gives, dict orders included, or the error it raises."""
+    try:
+        result = run()
+    except (RuleError, TypeError) as exc:  # TypeError: an unhashable value in a value set
+        return (type(exc).__name__, str(exc))
+    return [(a.scope, list(a.derived.items()), list(a.derived_by.items()), a.fired_rules)
+            for a in result]
+
+
+class Unhashable(float):
+    __hash__ = None
+
+
+ATTRIBUTE_NAMES = ["quality", "coupling", "complexity", "testability"]
+bounds = st.integers(0, 30)
+conditions = st.one_of(
+    st.tuples(bounds, st.one_of(st.none(), bounds)).map(
+        lambda b: Interval(b[0]) if b[1] is None else Interval(min(b), max(b))),
+    st.tuples(bounds, st.floats(0, 30)).map(lambda b: Interval(b[1], b[1] + b[0] / 4)),
+    st.frozensets(st.one_of(bounds, st.floats(0, 30)), min_size=1, max_size=4).map(ValueSet),
+)
+hand_built_rules = st.lists(
+    st.tuples(st.sampled_from(METRICS), conditions,
+              st.lists(st.tuples(st.sampled_from(ATTRIBUTE_NAMES), st.sampled_from(list(Level))),
+                       min_size=1, max_size=4)),
+    max_size=14)
+
+
+@st.composite
+def knowledge_bases(draw):
+    kind = draw(st.sampled_from(["hand-built", "default", "paper", "bands"]))
+    if kind == "default":
+        return default_rule_base()
+    if kind == "paper":
+        return paper_rule_preset()
+    if kind == "bands":
+        return load_rules(_random_band_doc(random.Random(draw(st.integers(0, 999)))))
+    # overlapping and unordered: the first rule in storage order wins
+    rules = [Rule(f"r{i}", metric, condition, tuple(conclusions))
+             for i, (metric, condition, conclusions) in enumerate(draw(hand_built_rules))]
+    return KnowledgeBase(name="hand", rules=tuple(rules))
+
+
+values = st.one_of(st.integers(0, 40), st.integers(0, 40).map(float),
+                   st.floats(0, 40), st.sampled_from([math.nan, math.inf, True, 1e30]),
+                   st.integers(0, 40).map(Unhashable))
+facts = st.lists(st.builds(Fact, st.sampled_from(METRICS),
+                           st.one_of(values, st.integers(-3, -1)),
+                           st.sampled_from(["p.A", "p.B", "p.C", "project"])),
+                 max_size=40)
+
+
+@st.composite
+def records(draw):
+    """Metric rows with repeated class names and, now and then, a negative value."""
+    rows = draw(st.lists(st.tuples(st.sampled_from(["p.A", "p.B", "p.C", "p.D"]),
+                                   st.lists(st.integers(0, 40), min_size=6, max_size=6)),
+                         max_size=12))
+    if rows and draw(st.integers(0, 4)) == 0:
+        row, column = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 5))
+        rows[row][1][column] = -1
+    return [MetricRecord(name, *cells) for name, cells in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(knowledge_bases(), st.lists(st.tuples(st.sampled_from(METRICS), values), max_size=60))
+def test_memoized_match_is_the_linear_scan(kb, queries):
+    before = repr(kb)
+    for metric, value in queries + queries:  # the second pass reads the memo
+        try:
+            expected = scan_oracle(kb, metric, value)
+        except TypeError:  # an unhashable value against a value set
+            with pytest.raises(TypeError):
+                kb.match(metric, value)
+            continue
+        assert kb.match(metric, value) is expected
+    assert repr(kb) == before
+    assert kb == KnowledgeBase(name=kb.name, rules=kb.rules)
+
+
+@settings(max_examples=200, deadline=None)
+@given(knowledge_bases(), facts)
+def test_forward_chain_matches_oracle(kb, fact_list):
+    assert outcome(lambda: forward_chain(fact_list, kb)) \
+        == outcome(lambda: chain_oracle(fact_list, kb))
+
+
+@settings(max_examples=200, deadline=None)
+@given(knowledge_bases(), records())
+def test_class_scope_chaining_matches_forward_chain(kb, rows):
+    pm = ProjectMetrics(project_name="p", per_class=tuple(rows), means={})
+    as_facts = [Fact(m, rec.value(m), rec.class_name) for rec in rows for m in METRICS]
+    expected = outcome(lambda: chain_oracle(as_facts, kb))
+    assert outcome(lambda: evaluate_project(pm, kb, "class")) == expected
+    assert outcome(lambda: forward_chain(as_facts, kb)) == expected
