@@ -6,7 +6,6 @@ identical specs produce identical bytes.
 
 from dataclasses import dataclass
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .errors import InputError
 from .tables import format_value
@@ -32,6 +31,15 @@ class ChartSpec:
                 raise InputError(f"series {name!r} contains a negative value")
         if self.width <= 0 or self.height <= 0:
             raise InputError("chart dimensions must be positive")
+
+
+def escape(text: str) -> str:
+    """Markup-safe text: ``&``, ``<`` and ``>`` become entities.
+
+    Written out here because ``xml.sax.saxutils`` imports ``urllib`` and
+    through it ``http``, ``email`` and ``ssl``, which every CLI run would pay for.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(x: float) -> str:

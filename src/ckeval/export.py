@@ -114,8 +114,9 @@ def export_structured(document: dict) -> str:
     The text is exactly ``json.dumps(document, indent=2, ensure_ascii=False,
     sort_keys=True)`` plus a newline. Before Python 3.13, ``indent`` makes
     ``json`` fall back to its pure-Python encoder, so the nesting is walked
-    here and every container that holds only scalars goes to the C encoder
-    in one call.
+    here, and every container that holds only scalars, and every list of
+    non-empty dicts that hold only scalars, goes to the C encoder in one
+    call.
     """
     if c_make_encoder is None:
         return _canonical_dumps(document)
@@ -163,12 +164,20 @@ def _write(value, depth: int, out: list[str]) -> None:
         out.append("{}" if isinstance(value, dict) else "[]")
         return
     encoder, inner, outer = _level(depth)
-    for member in members:
-        if isinstance(member, _CONTAINERS):
-            break
-    else:  # scalars only: one call, then the breaks after the opener and before the closer
+    if _scalars(members):  # one call, then the breaks after the opener and before the closer
         text = "".join(encoder(value, 0))
         out.append(text[0] + inner + text[1:-1] + outer + text[-1])
+        return
+    if not isinstance(value, dict) and _records(value):
+        # one call at the members' depth gives '[{a,<in1>b},<in1>{c}]'; the
+        # text "},<in1>{" falls only between members, as a key opens with '"'
+        # and a scalar ends in no '}', so the member breaks replace it
+        record_encoder, record_inner, _ = _level(depth + 1)
+        text = "".join(record_encoder(value, 0))
+        between = inner + "}," + inner + "{" + record_inner
+        out.append("[" + inner + "{" + record_inner
+                   + text[2:-2].replace("}," + record_inner + "{", between)
+                   + inner + "}" + outer + "]")
         return
     separator = inner
     if isinstance(value, dict):
@@ -185,6 +194,21 @@ def _write(value, depth: int, out: list[str]) -> None:
             _write(member, depth + 1, out)
             separator = "," + inner
         out.append(outer + "]")
+
+
+def _scalars(members) -> bool:
+    for member in members:
+        if isinstance(member, _CONTAINERS):
+            return False
+    return True
+
+
+def _records(members) -> bool:
+    """Whether every member is a non-empty dict that holds only scalars."""
+    for member in members:
+        if not isinstance(member, dict) or not member or not _scalars(member.values()):
+            return False
+    return True
 
 
 def _scalar(value) -> str:

@@ -11,9 +11,9 @@ All functions are pure; per-class results are independent of each other.
 
 DIT, NOC and CBO need the whole model. They read a per-model index, built
 in linear time on first use and kept on the model: the internal class
-names, the reverse use sets (who uses each name), child counts, and the
-extends forest with each class's DIT and its preorder interval, so "A is an
-ancestor of B" is two comparisons. All six metrics over a model then cost
+names, each internal class's use set and the reverse use sets (who uses
+each name), child counts, and the extends forest with each class's DIT and
+its preorder interval, so "A is an ancestor of B" is two comparisons. All six metrics over a model then cost
 O(classes + references + inheritance edges), whatever the inheritance depth.
 """
 
@@ -97,22 +97,42 @@ def cbo(cls: ClassInfo, model: ClassModel) -> int:
     """
     index = _index(model)
     name = cls.qualified_name
-    partners = (_uses(cls) | index.used_by.get(name, set())) & index.internal
-    return sum(1 for other in partners if not index.related(name, other))
+    uses = index.uses.get(name) if model.get(name) is cls else None
+    if uses is None:  # a stand-in for the model's entry, or an external class
+        uses = _uses(cls)
+    partners = (uses | index.used_by.get(name, _NO_NAMES)) & index.internal
+    if index.cycle_root:  # only in a model that was never validated
+        return sum(1 for other in partners if not index.related(name, other))
+    enter, last = index.enter, index.last
+    low = enter.get(name)
+    if low is None:  # a stand-in whose name is not in the model
+        return len(partners)
+    high = last[name]
+    coupled = 0
+    for other in partners:
+        at = enter[other]
+        if not (low <= at <= high or at <= low <= last[other]):
+            coupled += 1
+    return coupled
+
+
+_NO_NAMES: frozenset[str] = frozenset()
 
 
 class _Index:
     """Whole-model lookups behind DIT, NOC and CBO; read-only once built.
 
-    Names resolve as ``ClassModel.get`` resolves them. The extends forest
-    follows each name's superclass while it names a class in the model; an
-    extends cycle, possible only in a model that was never validated, is cut
-    at one member, and every class that reaches the cycle counts all of its
-    members as ancestors, as a walk up the chain would.
+    Names resolve as ``ClassModel.get`` resolves them, and ``uses`` holds
+    the use set of each internal class that ``get`` returns. The extends
+    forest follows each name's superclass while it names a class in the
+    model; an extends cycle, possible only in a model that was never
+    validated, is cut at one member, and every class that reaches the cycle
+    counts all of its members as ancestors, as a walk up the chain would.
     """
 
     def __init__(self, model: ClassModel):
         self.internal = {c.qualified_name for c in model.classes if not c.is_external}
+        self.uses: dict[str, set[str]] = {}
         self.used_by: dict[str, set[str]] = {}
         self.children: dict[str, int] = {}
         parent: dict[str, str | None] = {}
@@ -120,7 +140,10 @@ class _Index:
             if c.superclass is not None:
                 self.children[c.superclass] = self.children.get(c.superclass, 0) + 1
             if not c.is_external:
-                for used in _uses(c):
+                uses = _uses(c)
+                if model.get(c.qualified_name) is c:
+                    self.uses[c.qualified_name] = uses
+                for used in uses:
                     self.used_by.setdefault(used, set()).add(c.qualified_name)
             sup = model.get(c.qualified_name).superclass
             parent[c.qualified_name] = sup if sup in model else None

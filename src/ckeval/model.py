@@ -4,10 +4,18 @@ A model is a set of classes with their methods, fields, inheritance edges
 and member references. Models come from the Java frontend or from class
 model documents (JSON, ``schemaVersion: 1``); both paths normalize and
 validate before anything downstream sees the data.
+
+The document reader checks each class, method and call entry in one pass,
+in a fixed order, and spells out an entry's location (such as
+``classes[3].methods[0].calls[2].arity``) only when a check fails. It sorts
+members as ``build_model`` normalizes them, so ``build_model`` keeps the
+classes it is given instead of copying them; it still normalizes any other
+input, and ``_check`` is the one validation pass for both paths.
 """
 
 from dataclasses import dataclass
 import json
+from operator import attrgetter
 
 from .errors import DuplicateClassError, InheritanceCycleError, SchemaError
 
@@ -138,10 +146,11 @@ def _check(model: ClassModel) -> tuple[list[Diagnostic], list[str] | None]:
                 diags.append(Diagnostic("DUPLICATE_METHOD", f"{loc}.{m.name}/{m.arity}",
                                         "method signature (name, arity) declared more than once"))
             signatures.add(sig)
-            for used in sorted(m.used_fields):
-                if used not in field_names:
-                    diags.append(Diagnostic("UNKNOWN_FIELD", f"{loc}.{m.name}/{m.arity}",
-                                            f"method uses undeclared field {used!r}"))
+            if not field_names.issuperset(m.used_fields):
+                for used in sorted(m.used_fields):
+                    if used not in field_names:
+                        diags.append(Diagnostic("UNKNOWN_FIELD", f"{loc}.{m.name}/{m.arity}",
+                                                f"method uses undeclared field {used!r}"))
 
     cycle = _find_cycle(seen)
     if cycle is not None:
@@ -171,8 +180,9 @@ def _find_cycle(classes: dict[str, ClassInfo]) -> list[str] | None:
     return None
 
 
-def find_inheritance_cycle(model: ClassModel) -> list[str] | None:
-    return _find_cycle({c.qualified_name: c for c in model.classes})
+_QUALIFIED_NAME = attrgetter("qualified_name")
+_FIELD_KEY = attrgetter("name")
+_METHOD_KEY = attrgetter("name", "arity")
 
 
 def build_model(project_name: str, classes: list[ClassInfo]) -> ClassModel:
@@ -190,8 +200,10 @@ def build_model(project_name: str, classes: list[ClassInfo]) -> ClassModel:
             if cls.superclass != cls.qualified_name:
                 known.add(cls.superclass)
                 stubs.append(ClassInfo(qualified_name=cls.superclass, is_external=True))
-    model = ClassModel(project_name=project_name,
-                       classes=_normalize_classes(list(classes) + stubs))
+    normalized = [_normalize(cls) for cls in classes]
+    normalized.extend(stubs)
+    normalized.sort(key=_QUALIFIED_NAME)
+    model = ClassModel(project_name=project_name, classes=tuple(normalized))
 
     diags, cycle = _check(model)
     for d in diags:
@@ -205,19 +217,21 @@ def build_model(project_name: str, classes: list[ClassInfo]) -> ClassModel:
     return model
 
 
-def _normalize_classes(classes: list[ClassInfo]) -> tuple[ClassInfo, ...]:
-    normalized = []
-    for cls in classes:
-        normalized.append(ClassInfo(
-            qualified_name=cls.qualified_name,
-            superclass=cls.superclass,
-            interfaces=tuple(sorted(set(cls.interfaces))),
-            fields=tuple(sorted(cls.fields, key=lambda f: f.name)),
-            methods=tuple(sorted(cls.methods, key=lambda m: (m.name, m.arity))),
-            is_external=cls.is_external,
-        ))
-    normalized.sort(key=lambda c: c.qualified_name)
-    return tuple(normalized)
+def _normalize(cls: ClassInfo) -> ClassInfo:
+    """``cls`` with sorted, de-duplicated interfaces and fields and methods in
+    name (then arity) order; ``cls`` itself when it is already in that form.
+
+    Sorting members that are already in order costs one comparison per
+    member, so a class read from a document is checked, not copied.
+    """
+    interfaces = tuple(sorted(set(cls.interfaces)))
+    fields = tuple(sorted(cls.fields, key=_FIELD_KEY))
+    methods = tuple(sorted(cls.methods, key=_METHOD_KEY))
+    if interfaces == cls.interfaces and fields == cls.fields and methods == cls.methods:
+        return cls
+    return ClassInfo(qualified_name=cls.qualified_name, superclass=cls.superclass,
+                     interfaces=interfaces, fields=fields, methods=methods,
+                     is_external=cls.is_external)
 
 
 # --- document loading -------------------------------------------------------
@@ -236,7 +250,7 @@ def load_class_model(document: str | dict) -> ClassModel:
     if not isinstance(raw_classes, list):
         raise SchemaError("classes", "must be an array")
 
-    classes = [_read_class(entry, f"classes[{i}]") for i, entry in enumerate(raw_classes)]
+    classes = [_read_class(entry, i) for i, entry in enumerate(raw_classes)]
     return build_model(project, classes)
 
 
@@ -249,87 +263,109 @@ def _parse_json(document: str | dict, what: str):
         raise SchemaError("$", f"not valid JSON ({what}): {exc}") from None
 
 
-def _read_class(entry, path: str) -> ClassInfo:
-    if not isinstance(entry, dict):
-        raise SchemaError(path, "class entry must be an object")
-    name = _req_str(entry, "name", path)
-    external = entry.get("external", False)
-    if not isinstance(external, bool):
-        raise SchemaError(f"{path}.external", "must be a boolean")
-    extends = entry.get("extends")
-    if extends is not None and not isinstance(extends, str):
-        raise SchemaError(f"{path}.extends", "must be a string")
-    if extends == name:
-        raise SchemaError(f"{path}.extends", "class must not extend itself")
+_NON_EMPTY = "must be a non-empty string"
+_STRINGS = "must be an array of strings"
 
-    implements = entry.get("implements", [])
-    if not isinstance(implements, list) or any(not isinstance(x, str) for x in implements):
-        raise SchemaError(f"{path}.implements", "must be an array of strings")
+
+def _read_class(entry, i: int) -> ClassInfo:
+    """``classes[i]`` of a document, checked key by key in one pass.
+
+    Checks run in a fixed order: name, external, extends, self-extends,
+    implements, fields (each entry's type, then its name), methods, then the
+    external-stub rule; the first that fails raises, and only then is its
+    location spelled out. Members come out
+    sorted as ``build_model`` keeps them, so it need not copy the class.
+    """
+    if not isinstance(entry, dict):
+        raise SchemaError(f"classes[{i}]", "class entry must be an object")
+    get = entry.get
+    name = get("name")
+    if not isinstance(name, str) or not name:
+        raise SchemaError(f"classes[{i}].name", _NON_EMPTY)
+    external = get("external", False)
+    if not isinstance(external, bool):
+        raise SchemaError(f"classes[{i}].external", "must be a boolean")
+    extends = get("extends")
+    if extends is not None and not isinstance(extends, str):
+        raise SchemaError(f"classes[{i}].extends", "must be a string")
+    if extends == name:
+        raise SchemaError(f"classes[{i}].extends", "class must not extend itself")
+
+    implements = get("implements", [])
+    if not isinstance(implements, list) or not _all_strings(implements):
+        raise SchemaError(f"classes[{i}].implements", _STRINGS)
 
     fields = []
-    for i, f in enumerate(entry.get("fields", [])):
-        fpath = f"{path}.fields[{i}]"
+    for k, f in enumerate(get("fields", [])):
         if not isinstance(f, dict):
-            raise SchemaError(fpath, "field entry must be an object")
+            raise SchemaError(f"classes[{i}].fields[{k}]", "field entry must be an object")
         ftype = f.get("type")
         if ftype is not None and not isinstance(ftype, str):
-            raise SchemaError(f"{fpath}.type", "must be a string or null")
-        fields.append(FieldInfo(name=_req_str(f, "name", fpath), declared_type=ftype))
+            raise SchemaError(f"classes[{i}].fields[{k}].type", "must be a string or null")
+        fname = f.get("name")
+        if not isinstance(fname, str) or not fname:
+            raise SchemaError(f"classes[{i}].fields[{k}].name", _NON_EMPTY)
+        fields.append(FieldInfo(fname, ftype))
 
-    methods = []
-    for i, m in enumerate(entry.get("methods", [])):
-        methods.append(_read_method(m, f"{path}.methods[{i}]"))
+    methods = [_read_method(m, i, j) for j, m in enumerate(get("methods", []))]
 
     if external and (fields or methods or extends):
-        raise SchemaError(path, "external stub must not carry members or extends")
+        raise SchemaError(f"classes[{i}]", "external stub must not carry members or extends")
 
-    return ClassInfo(qualified_name=name, superclass=extends,
-                     interfaces=tuple(implements), fields=tuple(fields),
-                     methods=tuple(methods), is_external=external)
+    fields.sort(key=_FIELD_KEY)
+    methods.sort(key=_METHOD_KEY)
+    return ClassInfo(name, extends, tuple(sorted(set(implements))) if implements else (),
+                     tuple(fields), tuple(methods), external)
 
 
-def _read_method(m, path: str) -> MethodInfo:
+def _read_method(m, i: int, j: int) -> MethodInfo:
+    """``classes[i].methods[j]``: name, arity, usesFields, each call in
+    order (class, arity, method), then touchesClasses."""
     if not isinstance(m, dict):
-        raise SchemaError(path, "method entry must be an object")
-    name = _req_str(m, "name", path)
-    arity = m.get("arity")
+        raise SchemaError(f"classes[{i}].methods[{j}]", "method entry must be an object")
+    get = m.get
+    name = get("name")
+    if not isinstance(name, str) or not name:
+        raise SchemaError(f"classes[{i}].methods[{j}].name", _NON_EMPTY)
+    arity = get("arity")
     if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
-        raise SchemaError(f"{path}.arity", "must be a non-negative integer")
+        raise SchemaError(f"classes[{i}].methods[{j}].arity", "must be a non-negative integer")
 
-    uses = m.get("usesFields", [])
-    if not isinstance(uses, list) or any(not isinstance(x, str) for x in uses):
-        raise SchemaError(f"{path}.usesFields", "must be an array of strings")
+    uses = get("usesFields", [])
+    if not isinstance(uses, list) or not _all_strings(uses):
+        raise SchemaError(f"classes[{i}].methods[{j}].usesFields", _STRINGS)
 
     calls = []
-    for i, c in enumerate(m.get("calls", [])):
-        cpath = f"{path}.calls[{i}]"
+    for k, c in enumerate(get("calls", [])):
         if not isinstance(c, dict):
-            raise SchemaError(cpath, "call entry must be an object")
+            raise SchemaError(f"classes[{i}].methods[{j}].calls[{k}]",
+                              "call entry must be an object")
         target = c.get("class")
         if target is not None and not isinstance(target, str):
-            raise SchemaError(f"{cpath}.class", "must be a string or null (unresolved)")
+            raise SchemaError(f"classes[{i}].methods[{j}].calls[{k}].class",
+                              "must be a string or null (unresolved)")
         call_arity = c.get("arity")
         if call_arity is not None and (not isinstance(call_arity, int)
                                        or isinstance(call_arity, bool) or call_arity < 0):
-            raise SchemaError(f"{cpath}.arity", "must be a non-negative integer when present")
-        calls.append(CallRef(class_name=target,
-                             method=_req_str(c, "method", cpath),
-                             arity=call_arity))
+            raise SchemaError(f"classes[{i}].methods[{j}].calls[{k}].arity",
+                              "must be a non-negative integer when present")
+        method = c.get("method")
+        if not isinstance(method, str) or not method:
+            raise SchemaError(f"classes[{i}].methods[{j}].calls[{k}].method", _NON_EMPTY)
+        calls.append(CallRef(target, method, call_arity))
 
-    touches = m.get("touchesClasses", [])
-    if not isinstance(touches, list) or any(not isinstance(x, str) for x in touches):
-        raise SchemaError(f"{path}.touchesClasses", "must be an array of strings")
+    touches = get("touchesClasses", [])
+    if not isinstance(touches, list) or not _all_strings(touches):
+        raise SchemaError(f"classes[{i}].methods[{j}].touchesClasses", _STRINGS)
 
-    return MethodInfo(name=name, arity=arity, used_fields=frozenset(uses),
-                      called_methods=frozenset(calls),
-                      referenced_classes=frozenset(touches))
+    return MethodInfo(name, arity, frozenset(uses), frozenset(calls), frozenset(touches))
 
 
-def _req_str(obj: dict, key: str, path: str) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str) or not value:
-        raise SchemaError(f"{path}.{key}", "must be a non-empty string")
-    return value
+def _all_strings(items: list) -> bool:
+    for item in items:
+        if not isinstance(item, str):
+            return False
+    return True
 
 
 def model_to_document(model: ClassModel) -> dict:

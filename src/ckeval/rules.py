@@ -14,6 +14,7 @@ rules files, not in code, and users may load their own.
 from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 from enum import IntEnum
+from functools import cache
 from importlib import resources
 import itertools
 import json
@@ -352,7 +353,12 @@ def serialize_rules(kb: KnowledgeBase) -> str:
     return json.dumps(rules_to_document(kb), indent=2, ensure_ascii=False) + "\n"
 
 
+@cache
 def _load_builtin(name: str) -> KnowledgeBase:
+    """A packaged base, read and validated once per process.
+
+    Bases are frozen, so every caller can share the one object.
+    """
     text = (resources.files("ckeval") / "data" / f"{name}_rules.json").read_text("utf-8")
     kb = load_rules(text)
     return KnowledgeBase(name=name, rules=kb.rules)

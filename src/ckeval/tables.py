@@ -89,6 +89,7 @@ def metrics_from_document(doc: dict, project_name: str = "") -> ProjectMetrics:
     if not isinstance(rows, list):
         raise SchemaError("metrics", "must be an array")
     records = []
+    first: dict[str, int] = {}
     for i, row in enumerate(rows):
         path = f"metrics[{i}]"
         if not isinstance(row, dict):
@@ -96,6 +97,9 @@ def metrics_from_document(doc: dict, project_name: str = "") -> ProjectMetrics:
         name = row.get("class")
         if not isinstance(name, str) or not name:
             raise SchemaError(f"{path}.class", "must be a non-empty string")
+        if first.setdefault(name, i) != i:
+            raise SchemaError(f"{path}.class", f"duplicate class {name!r}, "
+                              f"first at metrics[{first[name]}]")
         values = {}
         for m in METRICS:
             v = row.get(m.lower())
@@ -119,12 +123,16 @@ def metrics_from_csv(text: str, project_name: str = "") -> ProjectMetrics:
         raise InputError("metrics table must start with header "
                          + ",".join(CLASS_HEADER))
     records = []
+    first: dict[str, int] = {}
     for lineno, row in rows:
         if len(row) != len(CLASS_HEADER):
             raise InputError(f"line {lineno}: expected {len(CLASS_HEADER)} columns")
         name = row[0].strip()
         if not name:
             raise InputError(f"line {lineno}: empty class name")
+        if first.setdefault(name, lineno) != lineno:
+            raise InputError(f"line {lineno}: duplicate class {name!r}, "
+                             f"first on line {first[name]}")
         records.append(MetricRecord(name, *_metric_cells(row, lineno)))
     records.sort(key=lambda r: r.class_name)
     return ProjectMetrics(project_name=project_name, per_class=tuple(records),

@@ -2,6 +2,7 @@ import json
 import random
 from time import perf_counter
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from ckeval.errors import DuplicateClassError, InheritanceCycleError, SchemaError
@@ -10,14 +11,16 @@ from ckeval.model import (
     ClassInfo,
     ClassModel,
     Diagnostic,
+    FieldInfo,
     MethodInfo,
     build_model,
-    find_inheritance_cycle,
     load_class_model,
     serialize_model,
     validate_model,
 )
+from ckeval.metrics import compute_all
 from conftest import random_model
+import model_reader_oracle as oracle
 
 
 def doc(classes, project="demo"):
@@ -55,9 +58,12 @@ def test_two_class_cycle_is_rejected_naming_both():
 def test_cycle_search_runs_up_a_deep_chain_without_recursion():
     # the walk from p.C0000 climbs 700 classes before it enters the cycle
     chain = [ClassInfo(f"p.C{i:04d}", superclass=f"p.C{i + 1:04d}") for i in range(1500)]
-    model = ClassModel("x", tuple(chain + [ClassInfo("p.C1500", superclass="p.C0700")]))
+    classes = chain + [ClassInfo("p.C1500", superclass="p.C0700")]
+    model = ClassModel("x", tuple(classes))
     cycle = [f"p.C{i:04d}" for i in range(700, 1501)]
-    assert find_inheritance_cycle(model) == cycle
+    with pytest.raises(InheritanceCycleError) as err:
+        build_model("x", classes)
+    assert err.value.cycle == cycle
     assert validate_model(model)[-1] == Diagnostic(
         "INHERITANCE_CYCLE", "p.C0700", "extends cycle: " + " -> ".join(cycle))
 
@@ -247,3 +253,228 @@ def test_ancestors_keep_order_and_stop_on_a_cycle():
                              ClassInfo("D", superclass="B")))
     assert model.ancestors("D") == ["B", "C", "A"]
     assert model.ancestors("A") == ["B", "C", "A"]
+
+
+# --- the one-pass reader against the old reader (tests/model_reader_oracle.py) ------
+
+NAMES = [f"p.C{i}" for i in range(8)]
+
+
+def random_document(rng: random.Random) -> dict:
+    """A class model document in any member order; names may repeat and fields
+    may go undeclared, so some documents fail validation."""
+    names = rng.sample(NAMES, rng.randint(0, 6))
+    if names and rng.random() < 0.05:
+        names.append(rng.choice(names))
+    classes = []
+    for name in names:
+        entry: dict = {"name": name}
+        if rng.random() < 0.1:
+            entry["external"] = True
+            classes.append(entry)
+            continue
+        if rng.random() < 0.1:
+            entry["external"] = False
+        roll = rng.random()
+        if roll < 0.4:
+            entry["extends"] = rng.choice(NAMES + ["lib.Base"])
+        elif roll < 0.45:
+            entry["extends"] = None
+        if entry.get("extends") == name:
+            del entry["extends"]
+        if rng.random() < 0.4:
+            entry["implements"] = rng.choices(["api.B", "api.A", "api.C"], k=rng.randint(0, 3))
+        fields = [f"f{k}" for k in rng.sample(range(6), rng.randint(0, 4))]
+        if fields and rng.random() < 0.05:
+            fields.append(fields[0])
+        if fields or rng.random() < 0.5:
+            entry["fields"] = [{"name": f, "type": rng.choice([None, "int", "p.C1"])}
+                               if rng.random() < 0.7 else {"name": f} for f in fields]
+        methods = []
+        for _ in range(rng.randint(0, 5)):
+            method: dict = {"name": rng.choice(["run", "get", "m"]), "arity": rng.randint(0, 2)}
+            if rng.random() < 0.7:
+                used = rng.sample(fields, rng.randint(0, len(fields)))
+                if rng.random() < 0.05:
+                    used += rng.sample(["zeta", "ghost", "alpha"], rng.randint(1, 3))
+                method["usesFields"] = used
+            if rng.random() < 0.8:
+                method["calls"] = [
+                    {"class": rng.choice(NAMES + [None, "ext.Lib"]),
+                     "method": rng.choice(["a", "b", "run"]),
+                     **({"arity": rng.choice([None, 0, 1, 2])} if rng.random() < 0.8 else {})}
+                    for _ in range(rng.randint(0, 4))]
+            if rng.random() < 0.6:
+                method["touchesClasses"] = rng.sample(NAMES, rng.randint(0, 2))
+            methods.append(method)
+        if methods or rng.random() < 0.5:
+            entry["methods"] = methods
+        classes.append(entry)
+    return {"schemaVersion": 1, "projectName": "demo", "classes": classes}
+
+
+def entries(document: dict, kind: str) -> list[tuple[list, int]]:
+    """(list, index) of every class, field, method or call entry that sits in
+    a list; earlier mutations may have put other values in their place."""
+    def listed(items) -> list[tuple[list, int]]:
+        return [(items, k) for k in range(len(items))] if isinstance(items, list) else []
+
+    if kind == "class":
+        return listed(document["classes"])
+    found = []
+    for cls in document["classes"]:
+        if not isinstance(cls, dict):
+            continue
+        if kind in ("field", "method"):
+            found += listed(cls.get(kind + "s"))
+            continue
+        methods = cls.get("methods")
+        for method in methods if isinstance(methods, list) else ():
+            if isinstance(method, dict):
+                found += listed(method.get("calls"))
+    return found
+
+
+WRONG_TYPES = {
+    "class": {"name": [5, None, ["p.C0"]], "external": ["yes", 1, None],
+              "extends": [3, ["p.C0"], {}], "implements": ["api.A", [1], [None, "a"], {}],
+              "fields": [{"f": 1}, "ab"], "methods": [{"m": 1}, "m"]},
+    "field": {"name": [1, None], "type": [3, ["int"], False]},
+    "method": {"name": [0, None], "usesFields": ["f0", [1], {}, [None]],
+               "calls": [{"class": "p.C0"}, "c"], "touchesClasses": ["p.C0", [2], [None]]},
+    "call": {"class": [7, ["p.C0"], True], "method": [None, 3], "arity": ["1", 1.0, [1]]},
+}
+
+
+def mutate(document: dict, rng: random.Random) -> None:
+    """One of the listed faults, at a random entry; a no-op when none fits."""
+    kind = rng.choice(["wrong type", "empty name", "bad arity", "not a dict",
+                       "bad call", "external with members", "self-extends"])
+    if kind in ("wrong type", "empty name", "not a dict"):
+        level = rng.choice(["class", "field", "method", "call"])
+    elif kind == "bad arity":
+        level = rng.choice(["method", "call"])
+    elif kind == "bad call":
+        level = "call"
+    else:
+        level = "class"
+    targets = entries(document, level)
+    if not targets:
+        return
+    owner, k = rng.choice(targets)
+    entry = owner[k]
+    if kind not in ("not a dict", "bad call") and not isinstance(entry, dict):
+        return
+    if kind == "not a dict":
+        owner[k] = rng.choice([None, "x", 3, ["name"], True])
+    elif kind == "empty name":
+        entry["method" if level == "call" else "name"] = ""
+    elif kind == "wrong type":
+        key = rng.choice(sorted(WRONG_TYPES[level]))
+        entry[key] = rng.choice(WRONG_TYPES[level][key])
+    elif kind == "bad arity":
+        entry["arity"] = rng.choice([-1, -7, True, False, 1.5, None if level == "method" else -2])
+    elif kind == "bad call":
+        owner[k] = rng.choice([{"class": 1, "method": "a"}, {"class": "p.C0", "arity": -1},
+                               {"class": None}, {"method": ""}, [], {"class": "p.C0", "method": 2}])
+    elif kind == "external with members":
+        entry["external"] = True
+        member = rng.choice(["as is", "fields", "methods", "extends"])
+        if member != "as is":
+            for key in ("fields", "methods", "extends"):
+                entry.pop(key, None)
+            entry[member] = {"fields": [{"name": "x"}], "methods": [{"name": "m", "arity": 0}],
+                             "extends": "lib.Base"}[member]
+    else:
+        entry["extends"] = entry["name"]
+
+
+def outcome(load, document):
+    try:
+        model = load(document)
+    except Exception as exc:  # the oracle and the reader must fail alike
+        return ("raised", type(exc), str(exc), getattr(exc, "path", None),
+                getattr(exc, "cycle", None))
+    return ("model", model, compute_all(model), serialize_model(model))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
+def test_reader_matches_oracle_on_generated_documents(rng, mutated, as_text):
+    document = random_document(rng)
+    if mutated:
+        for _ in range(rng.randint(1, 2)):
+            mutate(document, rng)
+    expected = outcome(oracle.load, document)
+    text = json.dumps(document)
+    assert outcome(load_class_model, text if as_text else document) == expected
+    assert json.loads(text) == document  # neither reader touched the document
+
+
+def test_reader_oracle_comparison_reaches_every_outcome():
+    # the generator and mutations above reach a model and each kind of error
+    rng = random.Random(5)
+    seen = set()
+    for i in range(2000):
+        document = random_document(rng)
+        if i % 4:
+            mutate(document, rng)
+        result = outcome(oracle.load, document)
+        seen.add(result[0] if result[0] == "model" else result[1].__name__)
+        if result[0] == "raised" and result[1] is SchemaError:
+            seen.add(result[3].rsplit(".", 1)[-1].split("[")[0])
+    assert {"model", "SchemaError", "DuplicateClassError", "InheritanceCycleError",
+            "name", "external", "extends", "implements", "type", "arity", "usesFields",
+            "class", "method", "touchesClasses", "classes", "fields", "methods",
+            "calls"} <= seen
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_build_model_matches_oracle_on_hand_built_classes(rng):
+    # members in any order, interfaces repeated, lists for tuples: build_model
+    # copies what is not canonical, exactly as the old one copied everything
+    classes = []
+    for cls in random_model(rng, max_classes=6).classes:
+        interfaces = rng.choices(["api.B", "api.A"], k=rng.randint(0, 3))
+        fields = rng.sample(cls.fields, len(cls.fields))
+        methods = rng.sample(cls.methods, len(cls.methods))
+        if rng.random() < 0.3 and cls.fields:
+            methods.append(MethodInfo("ghost", 9, used_fields=frozenset({"f0", "zz"})))
+        pick = rng.choice([tuple, list])
+        classes.append(ClassInfo(cls.qualified_name, cls.superclass, pick(interfaces),
+                                 pick(fields), pick(methods), cls.is_external))
+    assert outcome(lambda c: build_model("x", c), classes) \
+        == outcome(lambda c: oracle.build_model("x", c), classes)
+    model = ClassModel("x", tuple(classes))
+    assert validate_model(model) == oracle.check(model)[0]
+
+
+def test_build_model_keeps_classes_already_in_canonical_form():
+    model = load_class_model(doc([
+        {"name": "p.B", "extends": "p.A", "implements": ["api.Z", "api.A", "api.Z"],
+         "fields": [{"name": "y"}, {"name": "x"}],
+         "methods": [{"name": "m", "arity": 1}, {"name": "a", "arity": 2},
+                     {"name": "m", "arity": 0}]},
+        {"name": "p.A"},
+    ]))
+    again = build_model("demo", list(model.classes))
+    assert again == model
+    assert all(a is b for a, b in zip(again.classes, model.classes))
+    b = model.get("p.B")
+    assert b.interfaces == ("api.A", "api.Z")
+    assert [f.name for f in b.fields] == ["x", "y"]
+    assert [(m.name, m.arity) for m in b.methods] == [("a", 2), ("m", 0), ("m", 1)]
+
+    shuffled = ClassInfo("p.B", "p.A", b.interfaces, b.fields[::-1], b.methods)
+    copy = build_model("demo", [shuffled, model.get("p.A")]).get("p.B")
+    assert copy is not shuffled and copy == b
+
+
+def test_unknown_fields_are_reported_in_name_order():
+    unknown = [f"u{i:02d}" for i in range(20)]
+    cls = ClassInfo("A", fields=(FieldInfo("b"),), methods=(
+        MethodInfo("m", 0, used_fields=frozenset(unknown + ["b"])),))
+    diags = validate_model(ClassModel("x", (cls,)))
+    assert [d.message for d in diags] == [f"method uses undeclared field {u!r}"
+                                          for u in unknown]

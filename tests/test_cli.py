@@ -660,3 +660,51 @@ def test_versions_table_errors_name_the_physical_line(tmp_path, capsys):
     code, _, err = run_cli(["compare", str(table)], capsys)
     assert code == 2
     assert "line 7: expected 7 columns" in err
+
+
+# --- duplicate class rows ----------------------------------------------------------
+
+DUPLICATE_ROWS_CSV = ("CLASS,WMC,DIT,NOC,CBO,RFC,LCOM\n"
+                      "a.B,1,0,0,0,1,0\n"
+                      "a.C,2,0,0,0,2,0\n"
+                      "\n"
+                      " a.B ,9,1,0,3,12,4\n")
+
+
+def duplicate_rows_document() -> str:
+    rows = [{"class": name, "wmc": 1, "dit": 0, "noc": 0, "cbo": 0, "rfc": 1, "lcom": 0}
+            for name in ("a.B", "a.C", "a.D", "a.C")]
+    return json.dumps({"schemaVersion": 1, "metrics": rows})
+
+
+@pytest.mark.parametrize("suffix, text, message", [
+    (".csv", DUPLICATE_ROWS_CSV, "line 5: duplicate class 'a.B', first on line 2"),
+    (".json", duplicate_rows_document(),
+     "metrics[3].class: duplicate class 'a.C', first at metrics[1]"),
+], ids=["csv", "json"])
+@pytest.mark.parametrize("command", [
+    ["evaluate"],
+    ["evaluate", "--select", "WMC=0-5"],
+    ["compare", "{other}"],
+], ids=["evaluate", "select", "compare"])
+def test_duplicate_class_rows_are_rejected(tmp_path, capsys, fixtures, suffix, text,
+                                           message, command):
+    table = tmp_path / f"m{suffix}"
+    table.write_text(text, encoding="utf-8")
+    other = str(fixtures / "moreunit_classes.csv")
+    argv = [command[0], str(table)] + [a.format(other=other) for a in command[1:]]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2, out
+    assert out == ""
+    assert message in err
+
+
+def test_duplicate_class_rows_raise_from_the_table_readers():
+    from ckeval.tables import metrics_from_csv, metrics_from_document
+
+    with pytest.raises(InputError, match="line 5: duplicate class 'a.B', first on line 2"):
+        metrics_from_csv(DUPLICATE_ROWS_CSV)
+    with pytest.raises(SchemaError) as err:
+        metrics_from_document(json.loads(duplicate_rows_document()))
+    assert err.value.path == "metrics[3].class"
+    assert str(err.value) == "metrics[3].class: duplicate class 'a.C', first at metrics[1]"

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
-from ckeval.chart import ChartSpec, build_chart_svg, emit_chart
+import ckeval
+from ckeval.chart import ChartSpec, build_chart_svg, emit_chart, escape
 from ckeval.errors import InputError
 from ckeval.export import (
     assessments_document,
@@ -231,6 +236,30 @@ def containers(children):
 
 json_values = st.recursive(scalars, containers, max_leaves=40)
 
+# lists of flat records, the shape one encoder call writes whole: strings that
+# look like the member break, empty dicts and dict subclasses mixed in
+RECORD_STRINGS = TRICKY_STRINGS + ["},", '{"', "}, {", "},\n    {", '"},\n  {"a": ', "}]"]
+record_scalars = st.one_of(scalars, st.sampled_from(RECORD_STRINGS))
+records = st.one_of(*[st.dictionaries(k, record_scalars, min_size=1, max_size=4)
+                      for k in key_kinds[:3]])
+record_lists = st.lists(st.one_of(records, records.map(Mapping),
+                                  st.just({}), st.just(Mapping())),
+                        min_size=1, max_size=5)
+record_documents = st.recursive(
+    st.one_of(record_lists, record_lists.map(tuple), record_lists.map(Items)),
+    lambda children: st.one_of(st.dictionaries(st.text(max_size=3), children, max_size=3),
+                               st.lists(children, max_size=3)),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_documents)
+@example([{"a": "},\n    {", "b": 1}, {"a": '{"'}])
+@example({"x": [{"attribute": "}", "level": "{", "rule": "},"}, {}, Mapping(z=None)]})
+@example([Mapping(a=1), {"b": [], "c": 2}])
+def test_export_structured_is_json_dumps_on_record_lists(document):
+    assert_same_as_oracle(document)
+
 
 @settings(max_examples=400, deadline=None)
 @given(json_values)
@@ -326,3 +355,21 @@ def test_chart_legend_lists_all_series():
     svg = build_chart_svg(spec_from_records(FIVE_VERSIONS))
     for metric in METRICS:
         assert f">{metric}</text>" in svg
+
+
+def test_cli_import_leaves_xml_sax_and_its_network_modules_out():
+    # saxutils pulls in urllib.request, http.client, email and ssl on every run
+    package_root = str(Path(ckeval.__file__).parent.parent)
+    code = ("import sys, ckeval.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('xml', 'http', 'email', 'ssl') or m == 'urllib.request'))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": package_root}, check=True)
+    assert proc.stdout == "[]\n"
+
+
+@given(st.text())
+@example("a & b < c > d &amp; \"q\" 'r'")
+def test_chart_escape_is_saxutils_escape(text):
+    from xml.sax.saxutils import escape as sax_escape
+
+    assert escape(text) == sax_escape(text)

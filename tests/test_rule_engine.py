@@ -8,6 +8,7 @@ import pytest
 from ckeval.errors import RuleError, RuleOverlapError, UsageError
 from ckeval.metrics import METRICS, MetricRecord, ProjectMetrics
 from ckeval.rules import (
+    BUILTIN_BASES,
     Assessment,
     Fact,
     Interval,
@@ -21,9 +22,11 @@ from ckeval.rules import (
     forward_chain,
     load_rules,
     paper_rule_preset,
+    resolve_rule_base,
     round_half_up,
     serialize_rules,
 )
+from ckeval.rules import _load_builtin
 from ckeval.tables import metrics_from_csv
 
 # The three published example rules, written out pair by pair.
@@ -492,3 +495,21 @@ def test_class_scope_chaining_matches_forward_chain(kb, rows):
     expected = outcome(lambda: chain_oracle(as_facts, kb))
     assert outcome(lambda: evaluate_project(pm, kb, "class")) == expected
     assert outcome(lambda: forward_chain(as_facts, kb)) == expected
+
+
+def test_builtin_bases_are_loaded_once_and_files_on_every_call(tmp_path):
+    for name in BUILTIN_BASES:
+        first = resolve_rule_base(name)
+        assert resolve_rule_base(name) is first
+        assert _load_builtin.__wrapped__(name) == first  # a fresh read of the package data
+    assert default_rule_base() is resolve_rule_base("default")
+    assert paper_rule_preset() is resolve_rule_base("paper")
+
+    path = tmp_path / "rules.json"
+    document = json.loads(serialize_rules(paper_rule_preset()))
+    path.write_text(json.dumps(document), encoding="utf-8")
+    before = resolve_rule_base(str(path))
+    document["rules"] = document["rules"][:1]
+    path.write_text(json.dumps(document), encoding="utf-8")
+    after = resolve_rule_base(str(path))
+    assert len(before.rules) == 3 and len(after.rules) == 1
