@@ -158,7 +158,6 @@ class _Extractor:
         """Argument count for the '(' at index i; i stays unconsumed."""
         depth = 0
         commas = 0
-        saw_tokens = False
         j = i
         while j < len(self.tokens):
             tok = self.tokens[j]
@@ -168,12 +167,12 @@ class _Extractor:
                 depth -= 1
                 if depth == 0:
                     break
-            elif depth == 1:
-                saw_tokens = True
-                if tok.kind == "punct" and tok.text == ",":
-                    commas += 1
+            elif depth == 1 and tok.kind == "punct" and tok.text == ",":
+                commas += 1
             j += 1
-        if not saw_tokens:
+        # any token before the closer is an argument, even a bracket: the
+        # sole argument of step((n)) is (n)
+        if j == i + 1:
             return 0
         return commas + 1
 

@@ -225,6 +225,21 @@ def test_string_literal_commas_do_not_inflate_arity():
     assert calls == frozenset({CallRef("B", "log", 1)})
 
 
+@pytest.mark.parametrize("statement, call", [
+    ("step((n));", CallRef("p.A", "step", 1)),
+    ("this.step(((n)));", CallRef("p.A", "step", 1)),
+    ("x.log((a));", CallRef("B", "log", 1)),
+    ("new B((n));", CallRef("B", "B", 1)),
+    ("x.log((a), (n));", CallRef("B", "log", 2)),
+    ("x.log();", CallRef("B", "log", 0)),
+])
+def test_parenthesized_argument_counts_as_one(statement, call):
+    # the arity is part of RFC's (class, name, arity) call identity
+    source = f"package p; class A {{ B x; int a; void m(int n){{ {statement} }} }}"
+    model = lower_to_model([parse_source(source, "A.java")])
+    assert model.get("p.A").methods[0].called_methods == frozenset({call})
+
+
 # --- generated well-formed sources ------------------------------------------
 
 def _generate_source(rng: random.Random, index: int, class_names: list[str]):
