@@ -8,31 +8,57 @@ same-package classes, imported classes, then the unresolved marker.
 
 Static members couple like instance members; uses of a class's own static
 fields stay out of the cohesion sets. Field initializers are not scanned.
-"""
 
-from dataclasses import dataclass
+Each body is scanned once, left to right, over a copy padded with
+end-of-file tokens, so every look-ahead is a direct index. An identifier's
+dotted chain is collected once and serves both the local-declaration check
+and the reference patterns. A call's arity is the number of arguments
+between its parentheses, and any token there makes at least one, so the
+sole argument of ``step((n))`` is ``(n)``. One stack scan per body
+records the arity of every ``(``: brackets of all three kinds nest on one
+stack, commas count for the innermost open bracket, and a bracket still
+open at the end of the body closes there. Nested calls are then lookups,
+and lowering stays linear in the body however deeply calls nest. The
+field tables each body resolves against are built once per class.
+"""
 
 from ..model import CallRef, ClassInfo, ClassModel, FieldInfo, MethodInfo, build_model
 from .lexer import PRIMITIVES, Token
-from .parser import ClassDecl, MethodDecl, SourceUnit, TypeRef
+from .parser import ClassDecl, MethodDecl, SourceUnit
+
+# the longest look-ahead past a body token is three tokens (this . x ()
+_PAD = (Token("eof", "", 0, 0),) * 3
+# tokens that may start a pattern, besides identifiers; only keyword
+# tokens have these texts
+_PATTERN_KEYWORDS = frozenset({"this", "new"}) | PRIMITIVES
+# what may follow the name in a local declaration `Type name`; only
+# punctuation tokens have these texts
+_DECLARATOR_END = frozenset("=;,:)")
+_OPENERS = frozenset("([{")
+_CLOSERS = frozenset(")]}")
 
 
-@dataclass(frozen=True)
 class _Env:
     """Name resolution context for one source unit."""
 
-    package: str
-    imports: dict[str, str]              # simple name -> qualified name
-    package_classes: dict[str, str]      # simple name -> qualified (same package)
+    def __init__(self, package: str, imports: dict[str, str],
+                 package_classes: dict[str, str]):
+        self.package = package
+        # simple name -> qualified name; a same-package class hides an
+        # import of the same simple name
+        self.classes = {**imports, **package_classes}
 
     def resolve_type(self, written: str) -> str:
-        if "." in written:
-            return written
-        if written in self.package_classes:
-            return self.package_classes[written]
-        if written in self.imports:
-            return self.imports[written]
-        return written
+        # a dotted name is never a key, so it stays as written
+        return self.classes.get(written, written)
+
+
+class _CallRefs(dict):
+    """(class, name, arity) -> CallRef, made once per key."""
+
+    def __missing__(self, key: tuple[str | None, str, int]) -> CallRef:
+        ref = self[key] = CallRef(*key)
+        return ref
 
 
 def qualified_name(package: str, simple: str) -> str:
@@ -47,6 +73,7 @@ def lower_to_model(units: list[SourceUnit], project_name: str = "") -> ClassMode
         for decl in unit.classes:
             bucket[decl.name] = qualified_name(unit.package_name, decl.name)
 
+    call_refs = _CallRefs()
     classes: list[ClassInfo] = []
     for unit in units:
         env = _Env(
@@ -56,213 +83,187 @@ def lower_to_model(units: list[SourceUnit], project_name: str = "") -> ClassMode
             package_classes=package_index.get(unit.package_name, {}),
         )
         for decl in unit.classes:
-            classes.append(_lower_class(decl, env))
+            classes.append(_lower_class(decl, env, call_refs))
     return build_model(project_name, classes)
 
 
-def _lower_class(decl: ClassDecl, env: _Env) -> ClassInfo:
+def _lower_class(decl: ClassDecl, env: _Env, call_refs: _CallRefs) -> ClassInfo:
     own_name = qualified_name(env.package, decl.name)
+    # field name -> the class its type names, None for a primitive type
+    field_types = [None if f.type.is_primitive else env.resolve_type(f.type.text)
+                   for f in decl.fields]
+    scope = _ClassScope(own_name, env, decl, field_types, call_refs)
+    methods = tuple(_lower_method(m, scope) for m in decl.methods)
 
     if decl.kind == "interface":
         # interfaces carry abstract methods only; their extends list is
         # interface inheritance, which stays off the class tree
         interfaces = tuple(sorted(env.resolve_type(n)
                                   for n in decl.extends + decl.implements))
-        methods = tuple(_lower_method(m, own_name, decl, env) for m in decl.methods)
         return ClassInfo(qualified_name=own_name, superclass=None,
                          interfaces=interfaces, fields=(), methods=methods)
 
     superclass = env.resolve_type(decl.extends[0]) if decl.extends else None
     interfaces = tuple(sorted(env.resolve_type(n) for n in decl.implements))
-    fields = tuple(
-        FieldInfo(name=f.name,
-                  declared_type=None if f.type.is_primitive
-                  else env.resolve_type(f.type.text))
-        for f in decl.fields
-    )
-    methods = tuple(_lower_method(m, own_name, decl, env) for m in decl.methods)
+    fields = tuple(FieldInfo(name=f.name, declared_type=t)
+                   for f, t in zip(decl.fields, field_types))
     return ClassInfo(qualified_name=own_name, superclass=superclass,
                      interfaces=interfaces, fields=fields, methods=methods)
 
 
-def _lower_method(method: MethodDecl, own_name: str, decl: ClassDecl,
-                  env: _Env) -> MethodInfo:
+class _ClassScope:
+    """What every method body of one class resolves against."""
+
+    def __init__(self, own_name: str, env: _Env, decl: ClassDecl,
+                 field_types: list[str | None], call_refs: _CallRefs):
+        self.own_name = own_name
+        self.call_refs = call_refs
+        self.classes = env.classes
+        self.instance_fields = frozenset(f.name for f in decl.fields if not f.is_static)
+        self.field_types = {f.name: t for f, t in zip(decl.fields, field_types)}
+
+
+def _lower_method(method: MethodDecl, scope: _ClassScope) -> MethodInfo:
     if method.body is None:
         return MethodInfo(name=method.name, arity=method.arity)
-    extractor = _Extractor(method, own_name, decl, env)
-    extractor.run()
+    used_fields, calls, referenced = _scan_body(method, scope)
     return MethodInfo(
         name=method.name,
         arity=method.arity,
-        used_fields=frozenset(extractor.used_fields),
-        called_methods=frozenset(extractor.calls),
-        referenced_classes=frozenset(extractor.referenced),
+        used_fields=frozenset(used_fields),
+        called_methods=frozenset(map(scope.call_refs.__getitem__, calls)),
+        referenced_classes=frozenset(referenced),
     )
 
 
-class _Extractor:
-    def __init__(self, method: MethodDecl, own_name: str, decl: ClassDecl,
-                 env: _Env):
-        self.tokens: tuple[Token, ...] = method.body or ()
-        self.own_name = own_name
-        self.env = env
-        self.instance_fields = {f.name for f in decl.fields if not f.is_static}
-        self.field_types = {f.name: f.type for f in decl.fields}
-        self.locals: dict[str, TypeRef] = {name: t for t, name in method.params}
-        self.used_fields: set[str] = set()
-        self.calls: set[CallRef] = set()
-        self.referenced: set[str] = set()
+def _scan_body(method: MethodDecl, scope: _ClassScope):
+    """The used fields, (class, name, arity) calls and referenced classes
+    of one method body."""
+    body = method.body
+    tokens = body + _PAD
+    n = len(body)
+    own_name = scope.own_name
+    classes = scope.classes
+    instance_fields = scope.instance_fields
+    field_types = scope.field_types
+    # local name -> the class its type names, None for a primitive type
+    local_types = {name: None if t.is_primitive else classes.get(t.text, t.text)
+                   for t, name in method.params}
+    used_fields: set[str] = set()
+    calls: set[tuple[str | None, str, int]] = set()
+    referenced: set[str] = set()
+    # the open brackets, innermost last, as [index, commas directly inside,
+    # class and name of the call it opens]; the name is None if no call
+    brackets: list[list] = []
 
-    # --- scanning ---
+    i = 0
+    while i < n:
+        tok = tokens[i]
+        kind = tok.kind
+        if kind == "punct":
+            text = tok.text
+            if text == ",":
+                if brackets:
+                    brackets[-1][1] += 1
+            elif text in _OPENERS:
+                brackets.append([i, 0, None, None])
+            elif text in _CLOSERS and brackets:
+                start, commas, target, name = brackets.pop()
+                if name is not None:
+                    calls.add((target, name, commas + 1 if i > start + 1 else 0))
+            i += 1
 
-    def run(self) -> None:
-        i = 0
-        n = len(self.tokens)
-        while i < n:
-            tok = self.tokens[i]
-            if tok.kind == "keyword":
-                if tok.text == "this":
-                    i = self.this_chain(i)
-                elif tok.text == "new":
-                    i = self.new_expression(i)
-                elif tok.text in PRIMITIVES:
-                    i = self.try_declaration(i)
-                else:
-                    i += 1
-            elif tok.kind == "ident" and not self.prev_is_dot(i):
-                declared = self.try_declaration(i)
-                i = declared if declared != i else self.chain(i)
-            else:
+        elif kind == "ident":
+            # tokens[-1] is padding, so the first token needs no check
+            if tokens[i - 1].text == ".":
                 i += 1
-
-    def prev_is_dot(self, i: int) -> bool:
-        prev = self.tokens[i - 1] if i > 0 else None
-        return prev is not None and prev.kind == "punct" and prev.text == "."
-
-    def tok_is(self, i: int, kind: str, text: str | None = None) -> bool:
-        if i >= len(self.tokens):
-            return False
-        tok = self.tokens[i]
-        return tok.kind == kind and (text is None or tok.text == text)
-
-    def collect_chain(self, i: int) -> tuple[list[str], int]:
-        """Idents joined by dots starting at i; returns (parts, next index)."""
-        parts = [self.tokens[i].text]
-        i += 1
-        while self.tok_is(i, "punct", ".") and self.tok_is(i + 1, "ident"):
-            parts.append(self.tokens[i + 1].text)
-            i += 2
-        return parts, i
-
-    def arity_at(self, i: int) -> int:
-        """Argument count for the '(' at index i; i stays unconsumed."""
-        depth = 0
-        commas = 0
-        j = i
-        while j < len(self.tokens):
-            tok = self.tokens[j]
-            if tok.kind == "punct" and tok.text in "([{":
-                depth += 1
-            elif tok.kind == "punct" and tok.text in ")]}":
-                depth -= 1
-                if depth == 0:
-                    break
-            elif depth == 1 and tok.kind == "punct" and tok.text == ",":
-                commas += 1
-            j += 1
-        # any token before the closer is an argument, even a bracket: the
-        # sole argument of step((n)) is (n)
-        if j == i + 1:
-            return 0
-        return commas + 1
-
-    # --- patterns ---
-
-    def try_declaration(self, i: int) -> int:
-        """Recognize ``Type name`` followed by '=', ';', ',', ':' or ')'.
-
-        Returns the index after the variable name on success, i otherwise.
-        """
-        tok = self.tokens[i]
-        if tok.kind == "keyword" and tok.text in PRIMITIVES:
-            type_ref = TypeRef(tok.text, True)
+                continue
+            # the chain tokens[i], tokens[i + 2], ..., tokens[j - 1]
             j = i + 1
-        elif tok.kind == "ident":
-            parts, j = self.collect_chain(i)
-            type_ref = TypeRef(".".join(parts), False)
-        else:
-            return i + 1 if tok.kind == "keyword" else i
-        while self.tok_is(j, "punct", "[") and self.tok_is(j + 1, "punct", "]"):
-            j += 2
-        if not self.tok_is(j, "ident"):
-            return i if tok.kind == "ident" else i + 1
-        name = self.tokens[j].text
-        after = self.tokens[j + 1] if j + 1 < len(self.tokens) else None
-        if after is not None and after.kind == "punct" and after.text in "=;,:)":
-            self.locals[name] = type_ref
-            return j + 1
-        return i if tok.kind == "ident" else i + 1
+            while tokens[j].text == "." and tokens[j + 1].kind == "ident":
+                j += 2
+            # a local declaration: the chain is its type
+            k = j
+            while tokens[k].text == "[" and tokens[k + 1].text == "]":
+                k += 2
+            if tokens[k].kind == "ident" and tokens[k + 1].text in _DECLARATOR_END:
+                written = tok.text if j == i + 1 else \
+                    ".".join(t.text for t in tokens[i:j:2])
+                local_types[tokens[k].text] = classes.get(written, written)
+                i = k + 1
+                continue
 
-    def this_chain(self, i: int) -> int:
-        if not (self.tok_is(i + 1, "punct", ".") and self.tok_is(i + 2, "ident")):
-            return i + 1
-        member = self.tokens[i + 2].text
-        if self.tok_is(i + 3, "punct", "("):
-            self.calls.add(CallRef(self.own_name, member, self.arity_at(i + 3)))
-            return i + 4
-        if member in self.instance_fields:
-            self.used_fields.add(member)
-        return i + 3
+            name = tok.text
+            is_call = tokens[j].text == "("
+            if j == i + 1:
+                if is_call:
+                    brackets.append([j, 0, own_name, name])
+                    i = j + 1
+                    continue
+                if name in instance_fields and name not in local_types:
+                    used_fields.add(name)
+                i = j
+                continue
 
-    def new_expression(self, i: int) -> int:
-        if not self.tok_is(i + 1, "ident"):
-            return i + 1
-        parts, j = self.collect_chain(i + 1)
-        if self.tok_is(j, "punct", "("):
-            resolved = self.env.resolve_type(".".join(parts))
-            self.calls.add(CallRef(resolved, parts[-1], self.arity_at(j)))
-            if resolved != self.own_name:
-                self.referenced.add(resolved)
-            return j + 1
-        return j  # array allocation or similar: nothing to record
-
-    def chain(self, i: int) -> int:
-        parts, j = self.collect_chain(i)
-        is_call = self.tok_is(j, "punct", "(")
-
-        if len(parts) == 1:
-            name = parts[0]
+            # name is the receiver of a chain
+            if name in local_types:
+                target = local_types[name]
+            else:
+                if name in instance_fields:
+                    used_fields.add(name)
+                target = field_types[name] if name in field_types else classes.get(name)
+            if target is not None and target != own_name:
+                referenced.add(target)
             if is_call:
-                self.calls.add(CallRef(self.own_name, name, self.arity_at(j)))
-                return j + 1
-            if name not in self.locals and name in self.instance_fields:
-                self.used_fields.add(name)
-            return j
+                # chains deeper than recv.member lose the receiver type
+                brackets.append([j, 0, target if j == i + 3 else None,
+                                 tokens[j - 1].text])
+                i = j + 1
+            else:
+                i = j
 
-        receiver = parts[0]
-        target = self.resolve_receiver(receiver)
-        if receiver not in self.locals and receiver in self.instance_fields:
-            self.used_fields.add(receiver)
-        if target is not None and target != self.own_name:
-            self.referenced.add(target)
-        if is_call:
-            method = parts[-1]
-            # chains deeper than recv.member lose the receiver type
-            call_target = target if len(parts) == 2 else None
-            self.calls.add(CallRef(call_target, method, self.arity_at(j)))
-            return j + 1
-        return j
+        elif kind == "keyword" and tok.text in _PATTERN_KEYWORDS:
+            text = tok.text
+            if text == "this":
+                if tokens[i + 1].text == "." and tokens[i + 2].kind == "ident":
+                    member = tokens[i + 2].text
+                    if tokens[i + 3].text == "(":
+                        brackets.append([i + 3, 0, own_name, member])
+                        i += 4
+                        continue
+                    if member in instance_fields:
+                        used_fields.add(member)
+                    i += 3
+                    continue
+            elif text == "new":
+                if tokens[i + 1].kind == "ident":
+                    j = i + 2
+                    while tokens[j].text == "." and tokens[j + 1].kind == "ident":
+                        j += 2
+                    if tokens[j].text == "(":
+                        written = ".".join(t.text for t in tokens[i + 1:j:2])
+                        resolved = classes.get(written, written)
+                        brackets.append([j, 0, resolved, tokens[j - 1].text])
+                        if resolved != own_name:
+                            referenced.add(resolved)
+                        i = j + 1
+                    else:
+                        i = j  # array allocation or similar: nothing to record
+                    continue
+            else:  # a primitive type, perhaps of a local declaration
+                k = i + 1
+                while tokens[k].text == "[" and tokens[k + 1].text == "]":
+                    k += 2
+                if tokens[k].kind == "ident" and tokens[k + 1].text in _DECLARATOR_END:
+                    local_types[tokens[k].text] = None
+                    i = k + 1
+                    continue
+            i += 1
+        else:
+            i += 1
 
-    def resolve_receiver(self, name: str) -> str | None:
-        local = self.locals.get(name)
-        if local is not None:
-            return None if local.is_primitive else self.env.resolve_type(local.text)
-        field_type = self.field_types.get(name)
-        if field_type is not None:
-            return None if field_type.is_primitive \
-                else self.env.resolve_type(field_type.text)
-        if name in self.env.package_classes:
-            return self.env.package_classes[name]
-        if name in self.env.imports:
-            return self.env.imports[name]
-        return None
+    # brackets still open close at the end of the body
+    for start, commas, target, name in brackets:
+        if name is not None:
+            calls.add((target, name, commas + 1 if n > start + 1 else 0))
+    return used_fields, calls, referenced

@@ -9,7 +9,8 @@ extraction. Annotations are skipped. Generics, enums and nested types are
 outside the subset and reported as syntax errors.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NoReturn
 
 from .lexer import LexError, MODIFIERS, PRIMITIVES, Token, tokenize
 
@@ -119,8 +120,19 @@ def parse_source(text: str, path: str) -> SourceUnit:
 
 
 class _Parser:
+    """Recursive descent over a token list.
+
+    The grammar rules index ``self.tokens`` directly on their success path
+    and keep the position in a local, storing it back in ``self.pos``
+    before they call another rule. A check that fails goes through
+    ``expected`` or ``fail``, whose diagnostics are the ones ``expect``
+    gives. A keyword or punctuation token is recognized by its text alone:
+    no identifier, literal or end-of-file token has such a text.
+    """
+
     def __init__(self, tokens: list[Token], path: str):
-        # one more eof, so peek(1) on the final eof needs no bounds check
+        # one more eof, so the token after any token but the last eof is
+        # there to look at
         self.tokens = (*tokens, tokens[-1])
         self.pos = 0
         self.path = path
@@ -142,13 +154,16 @@ class _Parser:
 
     def expect(self, kind: str, text: str | None = None) -> Token:
         if not self.at(kind, text):
-            found = self.peek()
-            wanted = text if text is not None else kind
-            self.fail(f"expected {wanted!r}, found {found.text or found.kind!r}",
-                      found)
+            self.expected(text if text is not None else kind, self.pos)
         return self.take()
 
-    def fail(self, message: str, tok: Token | None = None) -> None:
+    def expected(self, wanted: str, pos: int) -> NoReturn:
+        """Fail as ``expect`` does when the token at pos is not wanted."""
+        self.pos = pos
+        found = self.tokens[pos]
+        self.fail(f"expected {wanted!r}, found {found.text or found.kind!r}", found)
+
+    def fail(self, message: str, tok: Token | None = None) -> NoReturn:
         tok = tok or self.peek()
         raise ParseError([ParseDiagnostic(self.path, tok.line, tok.column,
                                           "SYNTAX_ERROR", message)])
@@ -156,28 +171,40 @@ class _Parser:
     # --- grammar ---
 
     def parse_unit(self) -> SourceUnit:
+        tokens = self.tokens
         package = ""
-        if self.at("keyword", "package"):
-            self.take()
+        if tokens[self.pos].text == "package":
+            self.pos += 1
             package = self.qualified_name()
             self.expect("punct", ";")
 
         imports: list[tuple[str, bool]] = []
-        while self.at("keyword", "import"):
-            self.take()
-            if self.at("keyword", "static"):
-                self.take()
-            name_parts = [self.expect("ident").text]
+        pos = self.pos
+        while tokens[pos].text == "import":
+            pos += 1
+            if tokens[pos].text == "static":
+                pos += 1
+            tok = tokens[pos]
+            if tok.kind != "ident":
+                self.expected("ident", pos)
+            name_parts = [tok.text]
+            pos += 1
             on_demand = False
-            while self.at("punct", "."):
-                self.take()
-                if self.at("punct", "*"):
-                    self.take()
+            while tokens[pos].text == ".":
+                tok = tokens[pos + 1]
+                if tok.text == "*":
+                    pos += 2
                     on_demand = True
                     break
-                name_parts.append(self.expect("ident").text)
-            self.expect("punct", ";")
+                if tok.kind != "ident":
+                    self.expected("ident", pos + 1)
+                name_parts.append(tok.text)
+                pos += 2
+            if tokens[pos].text != ";":
+                self.expected(";", pos)
+            pos += 1
             imports.append((".".join(name_parts), on_demand))
+        self.pos = pos
 
         classes = []
         while not self.at("eof"):
@@ -186,10 +213,17 @@ class _Parser:
                           imports=tuple(imports), classes=tuple(classes))
 
     def qualified_name(self) -> str:
-        parts = [self.expect("ident").text]
-        while self.at("punct", ".") and self.peek(1).kind == "ident":
-            self.take()
-            parts.append(self.take().text)
+        tokens = self.tokens
+        pos = self.pos
+        tok = tokens[pos]
+        if tok.kind != "ident":
+            self.expected("ident", pos)
+        parts = [tok.text]
+        pos += 1
+        while tokens[pos].text == "." and tokens[pos + 1].kind == "ident":
+            parts.append(tokens[pos + 1].text)
+            pos += 2
+        self.pos = pos
         return ".".join(parts)
 
     def skip_annotations(self) -> None:
@@ -221,12 +255,18 @@ class _Parser:
         return tokens[first:i]
 
     def modifiers(self) -> set[str]:
+        """Modifiers and annotations, in any order."""
         mods: set[str] = set()
-        self.skip_annotations()
-        while self.peek().kind == "keyword" and self.peek().text in MODIFIERS:
-            mods.add(self.take().text)
-            self.skip_annotations()
-        return mods
+        tokens = self.tokens
+        while True:
+            text = tokens[self.pos].text
+            if text in MODIFIERS:
+                mods.add(text)
+                self.pos += 1
+            elif text == "@":
+                self.skip_annotations()
+            else:
+                return mods
 
     def type_declaration(self) -> ClassDecl:
         self.modifiers()
@@ -263,11 +303,12 @@ class _Parser:
         self.expect("punct", "{")
         fields: list[FieldDecl] = []
         methods: list[MethodDecl] = []
-        while not self.at("punct", "}"):
-            if self.at("eof"):
+        tokens = self.tokens
+        while tokens[self.pos].text != "}":
+            if tokens[self.pos].kind == "eof":
                 self.fail("unexpected end of file inside type body")
-            self.member(name_tok.text, kind, fields, methods)
-        self.expect("punct", "}")
+            self.member(name_tok.text, fields, methods)
+        self.pos += 1
         if name_tok.text == ".".join(extends[:1]):
             self.fail("class must not extend itself", name_tok)
         return ClassDecl(name=name_tok.text, kind=kind,
@@ -275,37 +316,42 @@ class _Parser:
                          fields=tuple(fields), methods=tuple(methods),
                          line=name_tok.line, column=name_tok.column)
 
-    def member(self, class_name: str, class_kind: str,
-               fields: list[FieldDecl], methods: list[MethodDecl]) -> None:
-        if self.at("punct", ";"):  # stray semicolon
-            self.take()
+    def member(self, class_name: str, fields: list[FieldDecl],
+               methods: list[MethodDecl]) -> None:
+        tokens = self.tokens
+        if tokens[self.pos].text == ";":  # stray semicolon
+            self.pos += 1
             return
         mods = self.modifiers()
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text in ("class", "interface", "enum"):
+        pos = self.pos
+        tok = tokens[pos]
+        if tok.text in ("class", "interface", "enum"):
             self.fail("nested type declarations are not supported", tok)
 
         # constructor: ClassName '('
-        if (tok.kind == "ident" and tok.text == class_name
-                and self.peek(1).kind == "punct" and self.peek(1).text == "("):
-            name_tok = self.take()
+        if tok.text == class_name and tokens[pos + 1].text == "(" and tok.kind == "ident":
+            self.pos = pos + 1
             params = self.parameters()
             self.skip_throws()
             body = self.skip_balanced("{", "}")
             methods.append(MethodDecl(
-                name=name_tok.text, params=params, is_constructor=True,
+                name=tok.text, params=params, is_constructor=True,
                 is_static=False, is_abstract=False, body=body,
-                line=name_tok.line, column=name_tok.column))
+                line=tok.line, column=tok.column))
             return
 
-        declared = self.type_ref()
-        name_tok = self.expect("ident")
+        base, primitive, dims = self.type_ref()
+        pos = self.pos
+        name_tok = tokens[pos]
+        if name_tok.kind != "ident":
+            self.expected("ident", pos)
+        self.pos = pos + 1
 
-        if self.at("punct", "("):
+        if tokens[pos + 1].text == "(":
             params = self.parameters()
             self.skip_throws()
-            if self.at("punct", ";"):
-                self.take()
+            if tokens[self.pos].text == ";":
+                self.pos += 1
                 body: tuple[Token, ...] | None = None
             else:
                 body = self.skip_balanced("{", "}")
@@ -319,67 +365,86 @@ class _Parser:
         # field declaration, possibly with comma declarators
         is_static = "static" in mods
         while True:
-            dims = declared.dims + self.array_dims()
             fields.append(FieldDecl(
                 name=name_tok.text,
-                type=TypeRef(declared.text, declared.is_primitive, dims),
+                type=TypeRef(base, primitive, dims + self.array_dims()),
                 is_static=is_static,
                 line=name_tok.line, column=name_tok.column))
-            if self.at("punct", "="):
-                self.take()
+            if tokens[self.pos].text == "=":
+                self.pos += 1
                 self.skip_initializer()
-            if self.at("punct", ","):
-                self.take()
-                name_tok = self.expect("ident")
+            pos = self.pos
+            if tokens[pos].text == ",":
+                name_tok = tokens[pos + 1]
+                if name_tok.kind != "ident":
+                    self.expected("ident", pos + 1)
+                self.pos = pos + 2
                 continue
-            self.expect("punct", ";")
+            if tokens[pos].text != ";":
+                self.expected(";", pos)
+            self.pos = pos + 1
             return
 
-    def type_ref(self) -> TypeRef:
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text in PRIMITIVES:
-            self.take()
-            base, primitive = tok.text, True
-        elif tok.kind == "ident":
-            base, primitive = self.qualified_name(), False
+    def type_ref(self) -> tuple[str, bool, int]:
+        """The base name, primitiveness and array dims of a type."""
+        tok = self.tokens[self.pos]
+        if tok.kind == "ident":
+            base = self.qualified_name()
+        elif tok.text in PRIMITIVES:
+            self.pos += 1
+            base = tok.text
         else:
             self.fail(f"expected a type, found {tok.text or tok.kind!r}", tok)
-        if self.at("punct", "<"):
+        if self.tokens[self.pos].text == "<":
             self.fail("generic types are not supported")
-        return TypeRef(base, primitive, self.array_dims())
+        return base, tok.kind != "ident", self.array_dims()
 
     def array_dims(self) -> int:
-        dims = 0
-        while self.at("punct", "[") and self.peek(1).kind == "punct" \
-                and self.peek(1).text == "]":
-            self.take()
-            self.take()
-            dims += 1
-        return dims
+        tokens = self.tokens
+        pos = start = self.pos
+        while tokens[pos].text == "[" and tokens[pos + 1].text == "]":
+            pos += 2
+        self.pos = pos
+        return (pos - start) // 2
 
     def parameters(self) -> tuple[tuple[TypeRef, str], ...]:
-        self.expect("punct", "(")
+        tokens = self.tokens
+        pos = self.pos
+        if tokens[pos].text != "(":
+            self.expected("(", pos)
+        pos += 1
         params: list[tuple[TypeRef, str]] = []
-        if not self.at("punct", ")"):
+        if tokens[pos].text != ")":
             while True:
-                self.skip_annotations()
-                if self.at("keyword", "final"):
-                    self.take()
-                ptype = self.type_ref()
-                pname = self.expect("ident").text
-                ptype = TypeRef(ptype.text, ptype.is_primitive,
-                                ptype.dims + self.array_dims())
-                params.append((ptype, pname))
-                if self.at("punct", ","):
-                    self.take()
+                if tokens[pos].text == "@":
+                    self.pos = pos
+                    self.skip_annotations()
+                    pos = self.pos
+                if tokens[pos].text == "final":
+                    pos += 1
+                self.pos = pos
+                base, primitive, dims = self.type_ref()
+                pos = self.pos
+                name_tok = tokens[pos]
+                if name_tok.kind != "ident":
+                    self.expected("ident", pos)
+                pos += 1
+                while tokens[pos].text == "[" and tokens[pos + 1].text == "]":
+                    pos += 2
+                    dims += 1
+                params.append((TypeRef(base, primitive, dims), name_tok.text))
+                if tokens[pos].text == ",":
+                    pos += 1
                     continue
                 break
-        self.expect("punct", ")")
+        if tokens[pos].text != ")":
+            self.expected(")", pos)
+        self.pos = pos + 1
         return tuple(params)
 
     def skip_throws(self) -> None:
-        if self.at("keyword", "throws"):
-            self.take()
+        if self.tokens[self.pos].text == "throws":
+            self.pos += 1
             self.qualified_name()
             while self.at("punct", ","):
                 self.take()
@@ -405,3 +470,4 @@ class _Parser:
                     self.pos = i
                     return
             i += 1
+
