@@ -248,7 +248,7 @@ def load_class_model(document: str | dict) -> ClassModel:
         raise SchemaError("projectName", "must be a string")
     raw_classes = doc.get("classes")
     if not isinstance(raw_classes, list):
-        raise SchemaError("classes", "must be an array")
+        raise SchemaError("classes", _ARRAY)
 
     classes = [_read_class(entry, i) for i, entry in enumerate(raw_classes)]
     return build_model(project, classes)
@@ -264,6 +264,7 @@ def _parse_json(document: str | dict, what: str):
 
 
 _NON_EMPTY = "must be a non-empty string"
+_ARRAY = "must be an array"
 _STRINGS = "must be an array of strings"
 
 
@@ -271,8 +272,8 @@ def _read_class(entry, i: int) -> ClassInfo:
     """``classes[i]`` of a document, checked key by key in one pass.
 
     Checks run in a fixed order: name, external, extends, self-extends,
-    implements, fields (each entry's type, then its name), methods, then the
-    external-stub rule; the first that fails raises, and only then is its
+    implements, fields (an array, then each entry's type and name),
+    methods, then the external-stub rule; the first that fails raises, and only then is its
     location spelled out. Members come out
     sorted as ``build_model`` keeps them, so it need not copy the class.
     """
@@ -295,8 +296,11 @@ def _read_class(entry, i: int) -> ClassInfo:
     if not isinstance(implements, list) or not _all_strings(implements):
         raise SchemaError(f"classes[{i}].implements", _STRINGS)
 
+    raw_fields = get("fields", [])
+    if not isinstance(raw_fields, list):
+        raise SchemaError(f"classes[{i}].fields", _ARRAY)
     fields = []
-    for k, f in enumerate(get("fields", [])):
+    for k, f in enumerate(raw_fields):
         if not isinstance(f, dict):
             raise SchemaError(f"classes[{i}].fields[{k}]", "field entry must be an object")
         ftype = f.get("type")
@@ -307,7 +311,10 @@ def _read_class(entry, i: int) -> ClassInfo:
             raise SchemaError(f"classes[{i}].fields[{k}].name", _NON_EMPTY)
         fields.append(FieldInfo(fname, ftype))
 
-    methods = [_read_method(m, i, j) for j, m in enumerate(get("methods", []))]
+    raw_methods = get("methods", [])
+    if not isinstance(raw_methods, list):
+        raise SchemaError(f"classes[{i}].methods", _ARRAY)
+    methods = [_read_method(m, i, j) for j, m in enumerate(raw_methods)]
 
     if external and (fields or methods or extends):
         raise SchemaError(f"classes[{i}]", "external stub must not carry members or extends")
@@ -319,8 +326,8 @@ def _read_class(entry, i: int) -> ClassInfo:
 
 
 def _read_method(m, i: int, j: int) -> MethodInfo:
-    """``classes[i].methods[j]``: name, arity, usesFields, each call in
-    order (class, arity, method), then touchesClasses."""
+    """``classes[i].methods[j]``: name, arity, usesFields, calls (an array,
+    then each call's class, arity and method), then touchesClasses."""
     if not isinstance(m, dict):
         raise SchemaError(f"classes[{i}].methods[{j}]", "method entry must be an object")
     get = m.get
@@ -335,8 +342,11 @@ def _read_method(m, i: int, j: int) -> MethodInfo:
     if not isinstance(uses, list) or not _all_strings(uses):
         raise SchemaError(f"classes[{i}].methods[{j}].usesFields", _STRINGS)
 
+    raw_calls = get("calls", [])
+    if not isinstance(raw_calls, list):
+        raise SchemaError(f"classes[{i}].methods[{j}].calls", _ARRAY)
     calls = []
-    for k, c in enumerate(get("calls", [])):
+    for k, c in enumerate(raw_calls):
         if not isinstance(c, dict):
             raise SchemaError(f"classes[{i}].methods[{j}].calls[{k}]",
                               "call entry must be an object")

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 from time import perf_counter
@@ -106,6 +107,25 @@ def test_schema_violation_names_offending_path():
     with pytest.raises(SchemaError) as err:
         load_class_model(document)
     assert err.value.path == "classes[0].methods[0].arity"
+
+
+@pytest.mark.parametrize("value", [None, 5, "xy", {}, {"name": "x"}, True])
+@pytest.mark.parametrize("where, path", [
+    ("fields", "classes[0].fields"),
+    ("methods", "classes[0].methods"),
+    ("calls", "classes[0].methods[0].calls"),
+])
+def test_member_that_is_not_an_array_is_a_schema_error(where, path, value):
+    cls = {"name": "A", "fields": [{"name": "x"}],
+           "methods": [{"name": "m", "arity": 0, "calls": []}]}
+    if where == "calls":
+        cls["methods"][0]["calls"] = value
+    else:
+        cls[where] = value
+    with pytest.raises(SchemaError) as err:
+        load_class_model(doc([cls]))
+    assert err.value.path == path
+    assert str(err.value) == f"{path}: must be an array"
 
 
 def test_unknown_superclass_becomes_external_stub():
@@ -398,6 +418,42 @@ def outcome(load, document):
     return ("model", model, compute_all(model), serialize_model(model))
 
 
+NOT_AN_ARRAY = "\0 stands for a member that is not an array"
+
+
+def expected_outcome(document: dict):
+    """The oracle's outcome, except where the reader refuses a fields,
+    methods or calls member that is not an array, which the oracle iterated.
+
+    Each such member is given to the oracle as ``[NOT_AN_ARRAY]``. When the
+    oracle's first error is at that entry, the reader's first error is at
+    the member; any other outcome is the reader's as well.
+    """
+    marked = copy.deepcopy(document)
+    members = set()
+
+    def mark(entry: dict, key: str, path: str) -> None:
+        if key in entry and not isinstance(entry[key], list):
+            entry[key] = [NOT_AN_ARRAY]
+            members.add(path)
+
+    for i, cls in enumerate(marked["classes"]):
+        if not isinstance(cls, dict):
+            continue
+        mark(cls, "fields", f"classes[{i}].fields")
+        mark(cls, "methods", f"classes[{i}].methods")
+        for j, method in enumerate(cls["methods"] if isinstance(cls.get("methods"), list) else ()):
+            if isinstance(method, dict):
+                mark(method, "calls", f"classes[{i}].methods[{j}].calls")
+
+    result = outcome(oracle.load, marked)
+    if result[0] == "raised" and result[3] is not None and result[3].endswith("[0]") \
+            and result[3][:-3] in members:
+        path = result[3][:-3]
+        return ("raised", SchemaError, f"{path}: must be an array", path, None)
+    return result
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
 def test_reader_matches_oracle_on_generated_documents(rng, mutated, as_text):
@@ -405,7 +461,7 @@ def test_reader_matches_oracle_on_generated_documents(rng, mutated, as_text):
     if mutated:
         for _ in range(rng.randint(1, 2)):
             mutate(document, rng)
-    expected = outcome(oracle.load, document)
+    expected = expected_outcome(document)
     text = json.dumps(document)
     assert outcome(load_class_model, text if as_text else document) == expected
     assert json.loads(text) == document  # neither reader touched the document
