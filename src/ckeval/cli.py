@@ -240,7 +240,8 @@ def _cmd_evaluate(args) -> int:
         _write_output(export_mod.export_structured(doc), args.out)
     else:
         report = report_mod.assessment_report(assessments, locale=args.locale,
-                                              project_name=pm.project_name)
+                                              project_name=pm.project_name,
+                                              scope=args.scope)
         _write_output(report_mod.render_text(report), args.out)
     return 0
 

@@ -211,11 +211,13 @@ def comparison_report(verdicts: list[VersionVerdict], locale: str = "en") -> Rep
 
 
 def assessment_report(assessments: list[Assessment], locale: str = "en",
-                      project_name: str = "") -> Report:
+                      project_name: str = "", scope: str = "class") -> Report:
+    """Report assessments made at ``scope``, as ``evaluate_project`` takes
+    it: one section per class, or the one project section."""
     s = STRINGS[locale]
     sections = []
     for a in assessments:
-        if a.scope == "project":
+        if scope == "project":
             heading = s["project_heading"]
             name_line: Line = (s["project_key"], project_name or "project")
         else:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -358,6 +359,36 @@ def test_unrecognized_input_format_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["evaluate", str(path)], capsys)
     assert code == 2
     assert "unrecognized" in err
+
+
+def test_class_named_project_is_reported_as_a_class(tmp_path, capsys):
+    table = tmp_path / "shop.csv"
+    table.write_text("CLASS,WMC,DIT,NOC,CBO,RFC,LCOM\n"
+                     "project,1,0,0,0,1,0\n"
+                     "Cart,2,0,0,1,3,0\n", encoding="utf-8")
+    code, out, err = run_cli(["evaluate", str(table)], capsys)
+    assert code == 0, err
+    assert "PROJECT ASSESSMENT" not in out and "Project :" not in out
+    assert out.count("CLASS ASSESSMENT") == 2
+    assert re.search(r"^Class +: project$", out, re.MULTILINE)
+    code, out, err = run_cli(["evaluate", str(table), "--scope", "project"], capsys)
+    assert code == 0, err
+    assert "PROJECT ASSESSMENT" in out and "CLASS ASSESSMENT" not in out
+
+
+@pytest.mark.parametrize("method, where", [
+    ('{"name": "m", "arity": 0, "calls": null}', "classes[0].methods[0].calls"),
+    ("5", "classes[0].methods"),
+])
+def test_class_model_member_that_is_not_an_array_exits_2(tmp_path, capsys, method, where):
+    path = tmp_path / "model.json"
+    methods = method if method == "5" else f"[{method}]"
+    path.write_text('{"schemaVersion": 1, "projectName": "p", "classes": '
+                    f'[{{"name": "A", "methods": {methods}}}]}}', encoding="utf-8")
+    code, out, err = run_cli(["evaluate", str(path)], capsys)
+    assert code == 2, err
+    assert out == ""
+    assert f"{where}: must be an array" in err and "internal error" not in err
 
 
 def test_module_entry_point(fixtures):
