@@ -225,6 +225,23 @@ def test_string_literal_commas_do_not_inflate_arity():
     assert calls == frozenset({CallRef("B", "log", 1)})
 
 
+def test_local_that_shadows_a_field_is_not_a_field_use():
+    source = """package p; class A {
+        int x; int y; Log log;
+        void m() { int x = 1; x = 2; y = x; }
+        void n() { int x = 1; this.x = x; }
+        void k(int x, Log log) { x = 3; log.write(x); }
+        void r() { Log log = null; log.write(1); }
+    }"""
+    methods = {m.name: m for m in lower_to_model([parse_source(source, "A.java")])
+               .get("p.A").methods}
+    assert methods["m"].used_fields == frozenset({"y"})
+    assert methods["n"].used_fields == frozenset({"x"})   # this.x is the field
+    assert methods["k"].used_fields == frozenset()
+    assert methods["r"].used_fields == frozenset()
+    assert methods["r"].called_methods == frozenset({CallRef("Log", "write", 1)})
+
+
 @pytest.mark.parametrize("statement, call", [
     ("step((n));", CallRef("p.A", "step", 1)),
     ("this.step(((n)));", CallRef("p.A", "step", 1)),
