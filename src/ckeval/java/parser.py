@@ -122,18 +122,20 @@ def parse_source(text: str, path: str) -> SourceUnit:
 class _Parser:
     """Recursive descent over a token list.
 
-    The grammar rules index ``self.tokens`` directly on their success path
-    and keep the position in a local, storing it back in ``self.pos``
-    before they call another rule. A check that fails goes through
-    ``expected`` or ``fail``, whose diagnostics are the ones ``expect``
-    gives. A keyword or punctuation token is recognized by its text alone:
-    no identifier, literal or end-of-file token has such a text.
+    The grammar rules index ``self.tokens`` and their texts ``self.texts``
+    directly on their success path and keep the position in a local,
+    storing it back in ``self.pos`` before they call another rule. A check
+    that fails goes through ``expected`` or ``fail``, whose diagnostics are
+    the ones ``expect`` gives. A keyword or punctuation token is recognized
+    by its text alone: no identifier, literal or end-of-file token has such
+    a text.
     """
 
     def __init__(self, tokens: list[Token], path: str):
         # one more eof, so the token after any token but the last eof is
         # there to look at
         self.tokens = (*tokens, tokens[-1])
+        self.texts = [tok.text for tok in self.tokens]
         self.pos = 0
         self.path = path
 
@@ -171,18 +173,18 @@ class _Parser:
     # --- grammar ---
 
     def parse_unit(self) -> SourceUnit:
-        tokens = self.tokens
+        tokens, texts = self.tokens, self.texts
         package = ""
-        if tokens[self.pos].text == "package":
+        if texts[self.pos] == "package":
             self.pos += 1
             package = self.qualified_name()
             self.expect("punct", ";")
 
         imports: list[tuple[str, bool]] = []
         pos = self.pos
-        while tokens[pos].text == "import":
+        while texts[pos] == "import":
             pos += 1
-            if tokens[pos].text == "static":
+            if texts[pos] == "static":
                 pos += 1
             tok = tokens[pos]
             if tok.kind != "ident":
@@ -190,7 +192,7 @@ class _Parser:
             name_parts = [tok.text]
             pos += 1
             on_demand = False
-            while tokens[pos].text == ".":
+            while texts[pos] == ".":
                 tok = tokens[pos + 1]
                 if tok.text == "*":
                     pos += 2
@@ -200,7 +202,7 @@ class _Parser:
                     self.expected("ident", pos + 1)
                 name_parts.append(tok.text)
                 pos += 2
-            if tokens[pos].text != ";":
+            if texts[pos] != ";":
                 self.expected(";", pos)
             pos += 1
             imports.append((".".join(name_parts), on_demand))
@@ -213,15 +215,15 @@ class _Parser:
                           imports=tuple(imports), classes=tuple(classes))
 
     def qualified_name(self) -> str:
-        tokens = self.tokens
+        tokens, texts = self.tokens, self.texts
         pos = self.pos
         tok = tokens[pos]
         if tok.kind != "ident":
             self.expected("ident", pos)
         parts = [tok.text]
         pos += 1
-        while tokens[pos].text == "." and tokens[pos + 1].kind == "ident":
-            parts.append(tokens[pos + 1].text)
+        while texts[pos] == "." and tokens[pos + 1].kind == "ident":
+            parts.append(texts[pos + 1])
             pos += 2
         self.pos = pos
         return ".".join(parts)
@@ -234,32 +236,34 @@ class _Parser:
                 self.skip_balanced("(", ")")
 
     def skip_balanced(self, opener: str, closer: str) -> tuple[Token, ...]:
-        """The tokens between a balanced opener and closer, both consumed."""
+        """The tokens between a balanced opener and closer, both consumed.
+
+        Openers only deepen the nesting, so the match is the first closer
+        at which the openers passed are one fewer than the closers; the
+        list methods find each closer and count the openers before it.
+        """
         start = self.expect("punct", opener)
-        tokens = self.tokens
+        texts = self.texts
         first = i = self.pos
         depth = 1
         while True:
-            tok = tokens[i]
-            text = tok.text  # only punctuation tokens have a bracket as text
-            if text == opener:
-                depth += 1
-            elif text == closer:
-                depth -= 1
-                if depth == 0:
-                    break
-            elif tok.kind == "eof":
+            try:
+                end = texts.index(closer, i)
+            except ValueError:
                 self.fail(f"unbalanced {opener!r}", start)
-            i += 1
-        self.pos = i + 1
-        return tokens[first:i]
+            depth += texts[i:end].count(opener) - 1
+            if depth == 0:
+                break
+            i = end + 1
+        self.pos = end + 1
+        return self.tokens[first:end]
 
     def modifiers(self) -> set[str]:
         """Modifiers and annotations, in any order."""
         mods: set[str] = set()
-        tokens = self.tokens
+        texts = self.texts
         while True:
-            text = tokens[self.pos].text
+            text = texts[self.pos]
             if text in MODIFIERS:
                 mods.add(text)
                 self.pos += 1
@@ -303,9 +307,9 @@ class _Parser:
         self.expect("punct", "{")
         fields: list[FieldDecl] = []
         methods: list[MethodDecl] = []
-        tokens = self.tokens
-        while tokens[self.pos].text != "}":
-            if tokens[self.pos].kind == "eof":
+        texts = self.texts
+        while texts[self.pos] != "}":
+            if self.at("eof"):
                 self.fail("unexpected end of file inside type body")
             self.member(name_tok.text, fields, methods)
         self.pos += 1
@@ -318,8 +322,8 @@ class _Parser:
 
     def member(self, class_name: str, fields: list[FieldDecl],
                methods: list[MethodDecl]) -> None:
-        tokens = self.tokens
-        if tokens[self.pos].text == ";":  # stray semicolon
+        tokens, texts = self.tokens, self.texts
+        if texts[self.pos] == ";":  # stray semicolon
             self.pos += 1
             return
         mods = self.modifiers()
@@ -329,7 +333,7 @@ class _Parser:
             self.fail("nested type declarations are not supported", tok)
 
         # constructor: ClassName '('
-        if tok.text == class_name and tokens[pos + 1].text == "(" and tok.kind == "ident":
+        if tok.text == class_name and texts[pos + 1] == "(" and tok.kind == "ident":
             self.pos = pos + 1
             params = self.parameters()
             self.skip_throws()
@@ -347,10 +351,10 @@ class _Parser:
             self.expected("ident", pos)
         self.pos = pos + 1
 
-        if tokens[pos + 1].text == "(":
+        if texts[pos + 1] == "(":
             params = self.parameters()
             self.skip_throws()
-            if tokens[self.pos].text == ";":
+            if texts[self.pos] == ";":
                 self.pos += 1
                 body: tuple[Token, ...] | None = None
             else:
@@ -370,17 +374,17 @@ class _Parser:
                 type=TypeRef(base, primitive, dims + self.array_dims()),
                 is_static=is_static,
                 line=name_tok.line, column=name_tok.column))
-            if tokens[self.pos].text == "=":
+            if texts[self.pos] == "=":
                 self.pos += 1
                 self.skip_initializer()
             pos = self.pos
-            if tokens[pos].text == ",":
+            if texts[pos] == ",":
                 name_tok = tokens[pos + 1]
                 if name_tok.kind != "ident":
                     self.expected("ident", pos + 1)
                 self.pos = pos + 2
                 continue
-            if tokens[pos].text != ";":
+            if texts[pos] != ";":
                 self.expected(";", pos)
             self.pos = pos + 1
             return
@@ -395,32 +399,32 @@ class _Parser:
             base = tok.text
         else:
             self.fail(f"expected a type, found {tok.text or tok.kind!r}", tok)
-        if self.tokens[self.pos].text == "<":
+        if self.texts[self.pos] == "<":
             self.fail("generic types are not supported")
         return base, tok.kind != "ident", self.array_dims()
 
     def array_dims(self) -> int:
-        tokens = self.tokens
+        texts = self.texts
         pos = start = self.pos
-        while tokens[pos].text == "[" and tokens[pos + 1].text == "]":
+        while texts[pos] == "[" and texts[pos + 1] == "]":
             pos += 2
         self.pos = pos
         return (pos - start) // 2
 
     def parameters(self) -> tuple[tuple[TypeRef, str], ...]:
-        tokens = self.tokens
+        tokens, texts = self.tokens, self.texts
         pos = self.pos
-        if tokens[pos].text != "(":
+        if texts[pos] != "(":
             self.expected("(", pos)
         pos += 1
         params: list[tuple[TypeRef, str]] = []
-        if tokens[pos].text != ")":
+        if texts[pos] != ")":
             while True:
-                if tokens[pos].text == "@":
+                if texts[pos] == "@":
                     self.pos = pos
                     self.skip_annotations()
                     pos = self.pos
-                if tokens[pos].text == "final":
+                if texts[pos] == "final":
                     pos += 1
                 self.pos = pos
                 base, primitive, dims = self.type_ref()
@@ -429,21 +433,21 @@ class _Parser:
                 if name_tok.kind != "ident":
                     self.expected("ident", pos)
                 pos += 1
-                while tokens[pos].text == "[" and tokens[pos + 1].text == "]":
+                while texts[pos] == "[" and texts[pos + 1] == "]":
                     pos += 2
                     dims += 1
                 params.append((TypeRef(base, primitive, dims), name_tok.text))
-                if tokens[pos].text == ",":
+                if texts[pos] == ",":
                     pos += 1
                     continue
                 break
-        if tokens[pos].text != ")":
+        if texts[pos] != ")":
             self.expected(")", pos)
         self.pos = pos + 1
         return tuple(params)
 
     def skip_throws(self) -> None:
-        if self.tokens[self.pos].text == "throws":
+        if self.texts[self.pos] == "throws":
             self.pos += 1
             self.qualified_name()
             while self.at("punct", ","):
