@@ -12,21 +12,23 @@ fields stay out of the cohesion sets. Field initializers are not scanned.
 Each body is scanned once, left to right, over a copy padded with
 end-of-file tokens, so every look-ahead is a direct index. An identifier's
 dotted chain is collected once and serves both the local-declaration check
-and the reference patterns. A call's arity is the number of arguments
-between its parentheses, and any token there makes at least one, so the
-sole argument of ``step((n))`` is ``(n)``. One stack scan per body
-records the arity of every ``(``: brackets of all three kinds nest on one
-stack, commas count for the innermost open bracket, and a bracket still
-open at the end of the body closes there. Nested calls are then lookups,
-and lowering stays linear in the body however deeply calls nest. The
-field tables each body resolves against are built once per class.
+and the reference patterns. The field tables each body resolves against
+are built once per class.
+
+A call's arity is the number of arguments between its parentheses, and
+any token there makes at least one, so the sole argument of ``step((n))``
+is ``(n)``. The same scan keeps a stack of open brackets, all three kinds
+on one stack: a comma counts for the innermost one, and a call is recorded
+with its arity when the bracket that closes its ``(`` pops it, or at the
+end of the body if none does. No argument list is scanned twice, so
+lowering stays linear in the body however deeply calls nest.
 """
 
 from ..model import CallRef, ClassInfo, ClassModel, FieldInfo, MethodInfo, build_model
 from .lexer import PRIMITIVES, Token
 from .parser import ClassDecl, MethodDecl, SourceUnit
 
-# the longest look-ahead past a body token is three tokens (this . x ()
+# the longest look-ahead past a body token is three tokens: this . x (
 _PAD = (Token("eof", "", 0, 0),) * 3
 # tokens that may start a pattern, besides identifiers; only keyword
 # tokens have these texts

@@ -141,8 +141,8 @@ class _Parser:
 
     # --- token plumbing ---
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[self.pos + offset]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def at(self, kind: str, text: str | None = None) -> bool:
         tok = self.tokens[self.pos]

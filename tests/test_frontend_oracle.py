@@ -26,7 +26,7 @@ def outcome(function, *args):
         return function(*args)
     except ParseError as exc:
         return ("ParseError", exc.diagnostics)
-    except Exception as exc:  # noqa: BLE001 - any difference is a failure
+    except Exception as exc:  # the two must fail alike
         return (type(exc).__name__, str(exc))
 
 
@@ -85,6 +85,8 @@ GRAMMAR_WORDS = ["package", "import", "static", "p", "a.b", ".", "*", ";", "clas
 @example("class A { void m(int a b) {} }")
 @example("class A { @X public @Y(1) static int x; void m(@X final int a) {} }")
 @example("class A implements B, { }")
+@example("class A { void m() { { f(); } ")
+@example("class A { @X(1 void m() {} }")
 def test_word_soups_match_oracle(text):
     assert_same_frontend([text])
 
