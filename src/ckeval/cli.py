@@ -19,7 +19,7 @@ from . import tables
 from . import versions as versions_mod
 from .errors import InputError, UsageError
 from .java import ParseError, decode_source, lower_to_model, parse_source
-from .metrics import METRICS, compute_all
+from .metrics import METRICS, check_metric, compute_all
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -42,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write output to FILE instead of stdout")
     common.add_argument("--locale", choices=report_mod.LOCALES, default="en",
                         help="report language (default: en)")
-    common.add_argument("--strict", action="store_true",
-                        help="fail instead of skipping files that do not parse")
 
     p_analyze = sub.add_parser(
         "analyze", parents=[common],
@@ -53,6 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "recursively for .java files")
     p_analyze.add_argument("--project", default="", metavar="NAME",
                            help="project name recorded in structured output")
+    p_analyze.add_argument("--strict", action="store_true",
+                           help="fail instead of skipping files that do not parse")
 
     p_eval = sub.add_parser(
         "evaluate", parents=[common],
@@ -184,47 +184,11 @@ def _cmd_analyze(args) -> int:
 
 # --- evaluate ----------------------------------------------------------------
 
-def _parse_selection(specs: list[str]) -> dict[str, rules_mod.Condition]:
-    selection: dict[str, rules_mod.Condition] = {}
-    for spec in specs:
-        if "=" not in spec:
-            raise UsageError(f"bad selection {spec!r}; expected METRIC=RANGE")
-        metric, _, rest = spec.partition("=")
-        metric = metric.strip().upper()
-        if metric not in METRICS:
-            raise UsageError(f"unknown metric {metric!r}; expected one of "
-                             + ", ".join(METRICS))
-        if metric in selection:
-            raise UsageError(f"metric {metric} selected twice")
-        selection[metric] = _parse_condition(rest.strip(), spec)
-    if not selection:
-        raise UsageError("at least one --select is required")
-    return selection
-
-
-def _parse_condition(text: str, origin: str) -> rules_mod.Condition:
-    def number(raw: str) -> float:
-        return tables.read_number(raw, f"selection {origin!r}", UsageError)
-
-    if "," in text:
-        return rules_mod.ValueSet(frozenset(number(part) for part in text.split(",")))
-    if "-" in text:
-        lo_text, _, hi_text = text.partition("-")
-        lo = number(lo_text.strip())
-        hi = None if not hi_text.strip() else number(hi_text.strip())
-        if hi is not None and hi < lo:
-            raise UsageError(f"empty range in selection {origin!r}")
-        return rules_mod.Interval(lo, hi)
-    if not text:
-        raise UsageError(f"empty condition in selection {origin!r}")
-    return rules_mod.ValueSet(frozenset([number(text)]))
-
-
 def _cmd_evaluate(args) -> int:
     pm = tables.load_metrics_input(args.input)
     inputs = export_mod.input_provenance([args.input])
     if args.select:
-        filters = rules_mod.filter_by_ranges(pm, _parse_selection(args.select))
+        filters = rules_mod.filter_by_ranges(pm, rules_mod.parse_selection(args.select))
         if args.format == "structured":
             doc = export_mod.filters_document(filters, inputs)
             _write_output(export_mod.export_structured(doc), args.out)
@@ -251,11 +215,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_compare(args) -> int:
     selected = None
     if args.metrics:
-        selected = [m.strip().upper() for m in args.metrics.split(",") if m.strip()]
-        for m in selected:
-            if m not in METRICS:
-                raise UsageError(f"unknown metric {m!r}; expected one of "
-                                 + ", ".join(METRICS))
+        selected = [check_metric(m.strip().upper(), UsageError)
+                    for m in args.metrics.split(",") if m.strip()]
         if not selected:
             raise UsageError("--metrics must select at least one metric")
 

@@ -121,7 +121,9 @@ class _ClassScope:
         self.own_name = own_name
         self.call_refs = call_refs
         self.classes = env.classes
-        self.instance_fields = frozenset(f.name for f in decl.fields if not f.is_static)
+        # interface fields are implicitly static
+        self.instance_fields = frozenset() if decl.kind == "interface" else frozenset(
+            f.name for f in decl.fields if not f.is_static)
         self.field_types = {f.name: t for f, t in zip(decl.fields, field_types)}
 
 

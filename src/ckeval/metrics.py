@@ -20,9 +20,17 @@ O(classes + references + inheritance edges), whatever the inheritance depth.
 from dataclasses import dataclass
 from typing import Callable
 
-from .model import ClassInfo, ClassModel, MethodInfo
+from .errors import CkevalError, InheritanceCycleError, InputError
+from .model import ClassInfo, ClassModel, MethodInfo, _find_cycle
 
 METRICS = ("WMC", "DIT", "NOC", "CBO", "RFC", "LCOM")
+
+
+def check_metric(name: str, error: type[CkevalError] = InputError) -> str:
+    """``name`` if it is one of METRICS; otherwise ``error`` says so."""
+    if name not in METRICS:
+        raise error(f"unknown metric {name!r}; expected one of " + ", ".join(METRICS))
+    return name
 
 
 @dataclass(frozen=True)
@@ -101,8 +109,6 @@ def cbo(cls: ClassInfo, model: ClassModel) -> int:
     if uses is None:  # a stand-in for the model's entry, or an external class
         uses = _uses(cls)
     partners = (uses | index.used_by.get(name, _NO_NAMES)) & index.internal
-    if index.cycle_root:  # only in a model that was never validated
-        return sum(1 for other in partners if not index.related(name, other))
     enter, last = index.enter, index.last
     low = enter.get(name)
     if low is None:  # a stand-in whose name is not in the model
@@ -125,9 +131,8 @@ class _Index:
     Names resolve as ``ClassModel.get`` resolves them, and ``uses`` holds
     the use set of each internal class that ``get`` returns. The extends
     forest follows each name's superclass while it names a class in the
-    model; an extends cycle, possible only in a model that was never
-    validated, is cut at one member, and every class that reaches the cycle
-    counts all of its members as ancestors, as a walk up the chain would.
+    model. A hand-built model that was never validated may hold an extends
+    cycle; its index raises InheritanceCycleError, as ``build_model`` does.
     """
 
     def __init__(self, model: ClassModel):
@@ -148,42 +153,11 @@ class _Index:
             sup = model.get(c.qualified_name).superclass
             parent[c.qualified_name] = sup if sup in model else None
 
-        def external(name: str) -> bool:
-            return model.get(name).is_external
-
-        # a cycle, where cycle[i] extends cycle[i + 1], is cut at cycle[0];
-        # a member's depth is the run of non-external members after it, and
-        # a walk counts each member once, so depth stops growing at a cycle
-        # of internal classes
-        self.depth: dict[str, int] = {}
-        self.cycle_root: dict[str, str] = {}
-        closed: set[str] = set()
-        walked: dict[str, str] = {}
-        for start in parent:
-            trail = []
-            name = start
-            while name is not None and name not in walked:
-                walked[name] = start
-                trail.append(name)
-                name = parent[name]
-            if name is None or walked[name] != start:
-                continue
-            cycle = trail[trail.index(name):]
-            parent[name] = None
-            self.cycle_root.update(dict.fromkeys(cycle, name))
-            ext = next((i for i, member in enumerate(cycle) if external(member)), None)
-            if ext is None:
-                closed.update(cycle)
-                self.depth.update(dict.fromkeys(cycle, len(cycle)))
-                continue
-            for i in range(ext - 1, ext - 1 - len(cycle), -1):
-                nxt = cycle[(i + 1) % len(cycle)]
-                self.depth[cycle[i]] = 0 if external(nxt) else self.depth[nxt] + 1
-
         kids: dict[str, list[str]] = {}
         for name, sup in parent.items():
             if sup is not None:
                 kids.setdefault(sup, []).append(name)
+        self.depth: dict[str, int] = {}
         self.enter: dict[str, int] = {}
         self.last: dict[str, int] = {}
         order = []
@@ -193,23 +167,15 @@ class _Index:
             self.enter[name] = self.last[name] = len(order)
             order.append(name)
             sup = parent[name]
-            if name not in self.depth:
-                self.depth[name] = (0 if sup is None or external(sup)
-                                    else self.depth[sup] + (sup not in closed))
+            self.depth[name] = (0 if sup is None or model.get(sup).is_external
+                                else self.depth[sup] + 1)
             stack.extend(kids.get(name, ()))
+        if len(order) < len(parent):  # the missed classes hang off a cycle
+            raise InheritanceCycleError(_find_cycle({n: model.get(n) for n in parent}))
         for name in reversed(order):
             sup = parent[name]
             if sup is not None and self.last[name] > self.last[sup]:
                 self.last[sup] = self.last[name]
-
-    def _above(self, a: str, b: str) -> bool:
-        """Whether ``a`` is among the ancestors of ``b`` (a != b)."""
-        top = self.cycle_root.get(a, a)
-        return (top in self.enter and b in self.enter
-                and self.enter[top] <= self.enter[b] <= self.last[top])
-
-    def related(self, a: str, b: str) -> bool:
-        return self._above(a, b) or self._above(b, a)
 
 
 def _index(model: ClassModel) -> _Index:

@@ -243,15 +243,21 @@ def load_class_model(document: str | dict) -> ClassModel:
         raise SchemaError("$", "document must be an object")
     if doc.get("schemaVersion") != SCHEMA_VERSION:
         raise SchemaError("schemaVersion", f"expected {SCHEMA_VERSION}")
-    project = doc.get("projectName", "")
-    if not isinstance(project, str):
-        raise SchemaError("projectName", "must be a string")
+    project = read_project_name(doc)
     raw_classes = doc.get("classes")
     if not isinstance(raw_classes, list):
         raise SchemaError("classes", _ARRAY)
 
     classes = [_read_class(entry, i) for i, entry in enumerate(raw_classes)]
     return build_model(project, classes)
+
+
+def read_project_name(doc: dict, default: str = "") -> str:
+    """A document's ``projectName``; ``default`` when it has none."""
+    project = doc.get("projectName", default)
+    if not isinstance(project, str):
+        raise SchemaError("projectName", "must be a string")
+    return project
 
 
 def _parse_json(document: str | dict, what: str):

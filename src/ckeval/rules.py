@@ -20,7 +20,7 @@ import itertools
 import json
 
 from .errors import RuleError, RuleOverlapError, SchemaError, UsageError
-from .metrics import METRICS, ProjectMetrics
+from .metrics import METRICS, ProjectMetrics, check_metric
 from .tables import format_value, read_number, read_text
 
 BUILTIN_BASES = ("default", "paper")
@@ -321,6 +321,41 @@ def _read_condition(entry: dict, path: str) -> Condition:
         raise SchemaError(f"{path}.values", "must be a non-empty number array")
     return ValueSet(values=frozenset(
         read_number(v, f"{path}.values[{i}]", RuleError) for i, v in enumerate(raw)))
+
+
+def parse_selection(specs: list[str]) -> dict[str, Condition]:
+    """Conditions from ``METRIC=RANGE`` specs: ``lo-hi``, ``lo-``, ``a,b,c``
+    or one value. A bad spec raises UsageError."""
+    selection: dict[str, Condition] = {}
+    for spec in specs:
+        if "=" not in spec:
+            raise UsageError(f"bad selection {spec!r}; expected METRIC=RANGE")
+        metric, _, rest = spec.partition("=")
+        metric = check_metric(metric.strip().upper(), UsageError)
+        if metric in selection:
+            raise UsageError(f"metric {metric} selected twice")
+        selection[metric] = _parse_condition(rest.strip(), spec)
+    if not selection:
+        raise UsageError("at least one --select is required")
+    return selection
+
+
+def _parse_condition(text: str, origin: str) -> Condition:
+    def number(raw: str) -> float:
+        return read_number(raw, f"selection {origin!r}", UsageError)
+
+    if "," in text:
+        return ValueSet(frozenset(number(part) for part in text.split(",")))
+    if "-" in text:
+        lo_text, _, hi_text = text.partition("-")
+        lo = number(lo_text.strip())
+        hi = None if not hi_text.strip() else number(hi_text.strip())
+        if hi is not None and hi < lo:
+            raise UsageError(f"empty range in selection {origin!r}")
+        return Interval(lo, hi)
+    if not text:
+        raise UsageError(f"empty condition in selection {origin!r}")
+    return ValueSet(frozenset([number(text)]))
 
 
 def _is_number(v) -> bool:

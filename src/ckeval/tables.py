@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import CkevalError, InputError, SchemaError
 from .metrics import METRICS, MetricRecord, ProjectMetrics, project_means
-from .model import SCHEMA_VERSION, load_class_model
+from .model import SCHEMA_VERSION, load_class_model, read_project_name
 from . import metrics as _metrics
 
 CLASS_HEADER = ("CLASS",) + METRICS
@@ -111,7 +111,7 @@ def metrics_from_document(doc: dict, project_name: str = "") -> ProjectMetrics:
             values[m.lower()] = v
         records.append(MetricRecord(class_name=name, **values))
     records.sort(key=lambda r: r.class_name)
-    return ProjectMetrics(project_name=doc.get("projectName", project_name),
+    return ProjectMetrics(project_name=read_project_name(doc, project_name),
                           per_class=tuple(records),
                           means=project_means(records))
 
@@ -245,19 +245,34 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 at byte {exc.start}: "
+                         f"{exc.reason}") from None
+
+
+def read_input(path: str | Path,
+               versions: bool = True) -> ProjectMetrics | list[dict]:
+    """Read, sniff and parse one input file.
+
+    A metrics table or class model gives a ProjectMetrics named after the
+    file, a versions table its rows as ``versions_from_csv`` gives them. With
+    ``versions`` false a versions table is refused before it is parsed.
+    """
+    kind, payload = sniff(read_text(path), str(path))
+    if kind == "model":
+        return _metrics.compute_all(load_class_model(payload))
+    document = isinstance(payload, dict)
+    if kind == "metrics":
+        read = metrics_from_document if document else metrics_from_csv
+        return read(payload, project_name=Path(path).stem)
+    if not versions:
+        raise InputError(f"{path}: expected a metrics table or class model document")
+    return versions_from_document(payload) if document else versions_from_csv(payload)
 
 
 def load_metrics_input(path: str | Path) -> ProjectMetrics:
     """Load a ProjectMetrics from a metrics table or a class model file."""
-    text = read_text(path)
-    kind, payload = sniff(text, str(path))
-    if kind == "model":
-        return _metrics.compute_all(load_class_model(payload))
-    if kind == "metrics":
-        if isinstance(payload, dict):
-            return metrics_from_document(payload, project_name=Path(path).stem)
-        return metrics_from_csv(payload, project_name=Path(path).stem)
-    raise InputError(f"{path}: expected a metrics table or class model document")
+    return read_input(path, versions=False)
 
 
 def sniff(text: str, label: str) -> tuple[str, str | dict]:

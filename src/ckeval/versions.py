@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InputError
-from .metrics import METRICS
-from .model import load_class_model
-from . import metrics as _metrics
+from .metrics import METRICS, ProjectMetrics, check_metric
+# not called here; bench/layers.py traces the model layer at this name too
+from .model import load_class_model  # noqa: F401
 from . import tables
 
 
@@ -46,11 +46,7 @@ def compare_versions(records: list[VersionRecord],
     """Exact min/max per metric over the version means, with full ties."""
     if len(records) < 2:
         raise InputError("version comparison needs at least 2 versions")
-    selected = list(metrics) if metrics else list(METRICS)
-    for m in selected:
-        if m not in METRICS:
-            raise InputError(f"unknown metric {m!r}; expected one of "
-                             + ", ".join(METRICS))
+    selected = [check_metric(m) for m in metrics] if metrics else list(METRICS)
 
     names = [r.version_name for r in records]
     dupes = {n for n in names if names.count(n) > 1}
@@ -85,35 +81,16 @@ def load_versions(paths: list[str | Path],
     are computed and the version is named ``{name_prefix}-k`` by position.
     """
     records: list[VersionRecord] = []
-    position = 0
     for path in paths:
-        text = tables.read_text(path)
-        kind, payload = tables.sniff(text, str(path))
-        if kind == "versions":
-            rows = (tables.versions_from_document(payload)
-                    if isinstance(payload, dict)
-                    else tables.versions_from_csv(payload))
-            for row in rows:
-                position += 1
-                records.append(VersionRecord(
-                    version_name=row["version"],
-                    source_path=row["path"] or str(path),
-                    means=row["means"]))
-            continue
-        position += 1
-        if kind == "model":
-            pm = _metrics.compute_all(load_class_model(payload))
+        loaded = tables.read_input(path)
+        if isinstance(loaded, ProjectMetrics):
+            records.append(VersionRecord(
+                version_name=f"{name_prefix}-{len(records) + 1}",
+                source_path=str(path),
+                means=dict(loaded.means)))
         else:
-            pm = (tables.metrics_from_document(payload)
-                  if isinstance(payload, dict)
-                  else tables.metrics_from_csv(payload))
-        records.append(VersionRecord(
-            version_name=f"{name_prefix}-{position}",
-            source_path=str(path),
-            means=dict(pm.means)))
-
-    names = [r.version_name for r in records]
-    dupes = sorted({n for n in names if names.count(n) > 1})
-    if dupes:
-        raise InputError("duplicate version name: " + ", ".join(dupes))
+            records.extend(VersionRecord(version_name=row["version"],
+                                         source_path=row["path"] or str(path),
+                                         means=row["means"])
+                           for row in loaded)
     return records

@@ -403,7 +403,9 @@ class _Extractor:
         self.tokens: tuple[Token, ...] = method.body or ()
         self.own_name = own_name
         self.env = env
-        self.instance_fields = {f.name for f in decl.fields if not f.is_static}
+        # interface fields are implicitly static
+        self.instance_fields = set() if decl.kind == "interface" else {
+            f.name for f in decl.fields if not f.is_static}
         self.field_types = {f.name: f.type for f in decl.fields}
         self.locals: dict[str, TypeRef] = {name: t for t, name in method.params}
         self.used_fields: set[str] = set()

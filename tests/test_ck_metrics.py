@@ -4,8 +4,10 @@ import threading
 from dataclasses import replace
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from ckeval.errors import InheritanceCycleError
 from ckeval.metrics import (
     METRICS,
     MetricRecord,
@@ -451,7 +453,8 @@ def test_index_metrics_match_oracles_deep_chain():
 
 
 def test_index_terminates_on_unvalidated_cycle():
-    # A and B extend each other; C and D hang below the cycle, E beside it
+    # A and B extend each other; C and D hang below the cycle, E beside it.
+    # The index raises, naming the cycle as build_model does.
     model = ClassModel("t", (
         cls_of([method("m", refs=["C", "E"])], name="A", superclass="B"),
         cls_of(name="B", superclass="A"),
@@ -459,19 +462,37 @@ def test_index_terminates_on_unvalidated_cycle():
         cls_of(name="D", superclass="C"),
         cls_of([method("m", refs=["D"])], name="E"),
     ))
-    assert [dit(c, model) for c in model.classes] == [2, 2, 2, 3, 0]
-    assert [noc(c, model) for c in model.classes] == [2, 1, 1, 0, 0]
-    assert [cbo(c, model) for c in model.classes] == [1, 0, 1, 1, 3]
+    for metric in (dit, noc, cbo):
+        for cls in model.classes:
+            with pytest.raises(InheritanceCycleError) as err:
+                metric(cls, model)
+            assert err.value.cycle == ["A", "B"]
+    with pytest.raises(InheritanceCycleError):
+        compute_all(model)
+    with pytest.raises(InheritanceCycleError) as err:
+        build_model("t", list(model.classes))
+    assert err.value.cycle == ["A", "B"]
+
+
+def has_extends_cycle(model: ClassModel) -> bool:
     for cls in model.classes:
-        assert dit(cls, model) == dit_walk_oracle(cls, model)
-        assert cbo(cls, model) == cbo_oracle(cls, model)
+        seen = set()
+        node = model.get(cls.qualified_name)
+        while node is not None and node.superclass is not None:
+            if node.qualified_name in seen:
+                return True
+            seen.add(node.qualified_name)
+            node = model.get(node.superclass)
+    return False
 
 
 def test_index_matches_chain_walk_on_unvalidated_models():
     # cycles through internal and external classes, self-extends, dangling
     # superclasses and duplicate names: models only a hand-built ClassModel
-    # can hold
+    # can hold. A model with a cycle raises; every other one matches the
+    # oracles.
     rng = random.Random(21)
+    cycles = 0
     for _ in range(300):
         names = [f"p.C{i}" for i in range(rng.randint(1, 12))]
         classes = []
@@ -482,10 +503,17 @@ def test_index_matches_chain_walk_on_unvalidated_models():
                 superclass=rng.choice(names + [None, "gone.X"]),
                 external=rng.random() < 0.15))
         model = ClassModel("t", tuple(classes))
+        if has_extends_cycle(model):
+            cycles += 1
+            for metric in (dit, noc, cbo):
+                with pytest.raises(InheritanceCycleError):
+                    metric(model.classes[0], model)
+            continue
         for cls in model.classes:
             assert dit(cls, model) == dit_walk_oracle(cls, model)
             assert noc(cls, model) == noc_oracle(cls, model)
             assert cbo(cls, model) == cbo_oracle(cls, model)
+    assert 0 < cycles < 300
 
 
 def test_index_shared_across_threads():

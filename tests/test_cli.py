@@ -739,3 +739,42 @@ def test_duplicate_class_rows_raise_from_the_table_readers():
         metrics_from_document(json.loads(duplicate_rows_document()))
     assert err.value.path == "metrics[3].class"
     assert str(err.value) == "metrics[3].class: duplicate class 'a.C', first at metrics[1]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "{table}"],
+    ["compare", "{table}", "{other}"],
+    ["rules", "check", "{table}"],
+], ids=["evaluate", "compare", "rules-check"])
+def test_non_utf8_input_is_an_input_error(tmp_path, capsys, fixtures, argv):
+    table = tmp_path / "m.csv"
+    table.write_bytes(b"CLASS,WMC,DIT,NOC,CBO,RFC,LCOM\nA\xff,1,0,0,0,1,0\n")
+    other = str(fixtures / "moreunit_classes.csv")
+    code, out, err = run_cli([a.format(table=table, other=other) for a in argv], capsys)
+    assert code == 2, err
+    assert out == ""
+    assert "internal error" not in err
+    assert f"cannot read {table}: not UTF-8" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "{table}"],
+    ["compare", "{table}", "{table}"],
+    ["rules", "list"],
+], ids=["evaluate", "compare", "rules"])
+def test_strict_is_an_analyze_option_only(fixtures, capsys, argv):
+    table = str(fixtures / "moreunit_classes.csv")
+    code, out, err = run_cli([a.format(table=table) for a in argv] + ["--strict"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --strict" in err
+
+
+def test_metrics_document_project_name_must_be_a_string(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"schemaVersion": 1, "projectName": ["x"], "metrics": []}',
+                    encoding="utf-8")
+    code, out, err = run_cli(["evaluate", str(path), "--scope", "project"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "projectName: must be a string" in err

@@ -61,6 +61,10 @@ def test_edited_sources_match_oracle(texts):
     assert_same_frontend(texts)
 
 
+def test_interface_fields_match_oracle():
+    assert_same_frontend(["package p; interface I { int Y = 1; static int m() { return Y; } }"])
+
+
 # words of the declaration grammar, with the ways each rule can fail
 GRAMMAR_WORDS = ["package", "import", "static", "p", "a.b", ".", "*", ";", "class",
                  "interface", "A", "B", "extends", "implements", ",", "{", "}", "(",

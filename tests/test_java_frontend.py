@@ -150,6 +150,16 @@ def test_interface_lowering():
     assert i.methods[0].arity == 1
 
 
+def test_interface_fields_are_static():
+    # a field declared in an interface is implicitly static, so a method
+    # that reads it uses no instance field
+    source = "package p; interface I { int Y = 1; static int m() { return Y; } }"
+    model = lower_to_model([parse_source(source, "I.java")])
+    i = model.get("p.I")
+    assert i.fields == ()
+    assert i.methods[0].used_fields == frozenset()
+
+
 def test_parse_determinism():
     source = "package p; class A { int x; void m(){ x = x + 1; } }"
     assert parse_source(source, "A.java") == parse_source(source, "A.java")

@@ -155,8 +155,8 @@ def test_load_versions_duplicate_names_rejected(tmp_path):
              "v1,2,0,0,0,2,0\n")
     (tmp_path / "v.csv").write_text(table, encoding="utf-8")
     with pytest.raises(InputError) as err:
-        load_versions([tmp_path / "v.csv"])
-    assert "v1" in str(err.value)
+        compare_versions(load_versions([tmp_path / "v.csv"]))
+    assert str(err.value) == "duplicate version name: v1"
 
 
 def test_load_versions_unreadable_path(tmp_path):
