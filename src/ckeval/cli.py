@@ -220,8 +220,8 @@ def _cmd_compare(args) -> int:
         if not selected:
             raise UsageError("--metrics must select at least one metric")
 
-    records = versions_mod.load_versions(
-        args.inputs, name_prefix=report_mod.version_prefix(args.locale))
+    strings = report_mod.STRINGS[args.locale]
+    records = versions_mod.load_versions(args.inputs, strings["version_prefix"])
     verdicts = versions_mod.compare_versions(
         records, metrics=selected,
         noc_higher_is_worse=(args.noc_direction == "higher-worse"))
@@ -231,9 +231,7 @@ def _cmd_compare(args) -> int:
             groups=tuple(r.version_name for r in records),
             series=tuple((m, tuple(r.mean(m) for r in records))
                          for m in (selected or METRICS)))
-        title = ("Metrik Değerlerine Göre Sürümler" if args.locale == "tr"
-                 else "Versions by Metric Values")
-        chart_mod.emit_chart(spec, args.chart, title=title)
+        chart_mod.emit_chart(spec, args.chart, title=strings["chart_title"])
 
     if args.format == "structured":
         doc = export_mod.verdicts_document(
@@ -252,7 +250,7 @@ def _cmd_rules(args) -> int:
         if not args.file:
             raise UsageError("rules check requires a FILE argument")
         kb = rules_mod.load_rules(tables.read_text(args.file))
-        complete = "complete" if kb.is_complete(1000) else "incomplete"
+        complete = "complete" if kb.is_complete() else "incomplete"
         _write_output(f"OK: {len(kb.rules)} rules, {complete} cover\n", args.out)
         return 0
 

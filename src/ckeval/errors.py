@@ -42,10 +42,6 @@ class DuplicateClassError(InputError):
         self.name = name
 
 
-class ModelError(InputError):
-    """A class model violates an invariant that cannot be represented."""
-
-
 class RuleError(InputError):
     """A rules document is malformed or internally inconsistent."""
 

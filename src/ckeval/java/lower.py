@@ -40,21 +40,6 @@ _OPENERS = frozenset("([{")
 _CLOSERS = frozenset(")]}")
 
 
-class _Env:
-    """Name resolution context for one source unit."""
-
-    def __init__(self, package: str, imports: dict[str, str],
-                 package_classes: dict[str, str]):
-        self.package = package
-        # simple name -> qualified name; a same-package class hides an
-        # import of the same simple name
-        self.classes = {**imports, **package_classes}
-
-    def resolve_type(self, written: str) -> str:
-        # a dotted name is never a key, so it stays as written
-        return self.classes.get(written, written)
-
-
 class _CallRefs(dict):
     """(class, name, arity) -> CallRef, made once per key."""
 
@@ -78,35 +63,36 @@ def lower_to_model(units: list[SourceUnit], project_name: str = "") -> ClassMode
     call_refs = _CallRefs()
     classes: list[ClassInfo] = []
     for unit in units:
-        env = _Env(
-            package=unit.package_name,
-            imports={q.rsplit(".", 1)[-1]: q
-                     for q, on_demand in unit.imports if not on_demand},
-            package_classes=package_index.get(unit.package_name, {}),
-        )
+        # simple name -> qualified name; a same-package class hides an
+        # import of the same simple name. A written type name n resolves
+        # to names.get(n, n): a dotted name is never a key, so it stays.
+        names = {**{q.rsplit(".", 1)[-1]: q
+                    for q, on_demand in unit.imports if not on_demand},
+                 **package_index.get(unit.package_name, {})}
         for decl in unit.classes:
-            classes.append(_lower_class(decl, env, call_refs))
+            own_name = qualified_name(unit.package_name, decl.name)
+            classes.append(_lower_class(decl, own_name, names, call_refs))
     return build_model(project_name, classes)
 
 
-def _lower_class(decl: ClassDecl, env: _Env, call_refs: _CallRefs) -> ClassInfo:
-    own_name = qualified_name(env.package, decl.name)
+def _lower_class(decl: ClassDecl, own_name: str, names: dict[str, str],
+                 call_refs: _CallRefs) -> ClassInfo:
     # field name -> the class its type names, None for a primitive type
-    field_types = [None if f.type.is_primitive else env.resolve_type(f.type.text)
+    field_types = [None if f.type.is_primitive else names.get(f.type.text, f.type.text)
                    for f in decl.fields]
-    scope = _ClassScope(own_name, env, decl, field_types, call_refs)
+    scope = _ClassScope(own_name, names, decl, field_types, call_refs)
     methods = tuple(_lower_method(m, scope) for m in decl.methods)
 
     if decl.kind == "interface":
         # interfaces carry abstract methods only; their extends list is
         # interface inheritance, which stays off the class tree
-        interfaces = tuple(sorted(env.resolve_type(n)
+        interfaces = tuple(sorted(names.get(n, n)
                                   for n in decl.extends + decl.implements))
         return ClassInfo(qualified_name=own_name, superclass=None,
                          interfaces=interfaces, fields=(), methods=methods)
 
-    superclass = env.resolve_type(decl.extends[0]) if decl.extends else None
-    interfaces = tuple(sorted(env.resolve_type(n) for n in decl.implements))
+    superclass = names.get(decl.extends[0], decl.extends[0]) if decl.extends else None
+    interfaces = tuple(sorted(names.get(n, n) for n in decl.implements))
     fields = tuple(FieldInfo(name=f.name, declared_type=t)
                    for f, t in zip(decl.fields, field_types))
     return ClassInfo(qualified_name=own_name, superclass=superclass,
@@ -116,11 +102,11 @@ def _lower_class(decl: ClassDecl, env: _Env, call_refs: _CallRefs) -> ClassInfo:
 class _ClassScope:
     """What every method body of one class resolves against."""
 
-    def __init__(self, own_name: str, env: _Env, decl: ClassDecl,
+    def __init__(self, own_name: str, names: dict[str, str], decl: ClassDecl,
                  field_types: list[str | None], call_refs: _CallRefs):
         self.own_name = own_name
         self.call_refs = call_refs
-        self.classes = env.classes
+        self.classes = names
         # interface fields are implicitly static
         self.instance_fields = frozenset() if decl.kind == "interface" else frozenset(
             f.name for f in decl.fields if not f.is_static)

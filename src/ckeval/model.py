@@ -61,9 +61,6 @@ class ClassInfo:
     methods: tuple[MethodInfo, ...] = ()
     is_external: bool = False
 
-    def field_names(self) -> frozenset[str]:
-        return frozenset(f.name for f in self.fields)
-
 
 @dataclass(frozen=True)
 class ClassModel:
@@ -82,20 +79,6 @@ class ClassModel:
 
     def internal_classes(self) -> tuple[ClassInfo, ...]:
         return tuple(c for c in self.classes if not c.is_external)
-
-    def ancestors(self, qualified_name: str) -> list[str]:
-        """Names along the extends chain, nearest first; stops at externals."""
-        chain: list[str] = []
-        seen: set[str] = set()
-        current = self.get(qualified_name)
-        while current is not None and current.superclass is not None:
-            parent = self.get(current.superclass)
-            if parent is None or current.superclass in seen:
-                break
-            seen.add(current.superclass)
-            chain.append(current.superclass)
-            current = parent
-        return chain
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,7 @@ STRINGS = {
         "out_of_range": "Out of range",
         "none": "none",
         "version_prefix": "VERSION",
+        "chart_title": "Versions by Metric Values",
     },
     "tr": {
         "title": "DEĞERLENDİRME SONUÇLARI",
@@ -103,6 +104,7 @@ STRINGS = {
         "out_of_range": "Aralık dışında",
         "none": "yok",
         "version_prefix": "SÜRÜM",
+        "chart_title": "Metrik Değerlerine Göre Sürümler",
     },
 }
 
@@ -181,10 +183,6 @@ def level_text(attribute: str, level: Level, locale: str) -> str:
 
 def attribute_text(attribute: str, locale: str) -> str:
     return ATTRIBUTE_TEXT[locale].get(attribute, attribute)
-
-
-def version_prefix(locale: str) -> str:
-    return STRINGS[locale]["version_prefix"]
 
 
 # --- report builders ---------------------------------------------------------

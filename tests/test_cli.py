@@ -177,6 +177,27 @@ def test_rules_check_valid_and_invalid(tmp_path, capsys):
     assert "overlap" in err
 
 
+@pytest.mark.parametrize("bands, cover", [
+    ([{"range": [0, 1000]}, {"range": [2000, None]}], "incomplete"),
+    ([{"range": [0, 1000]}, {"range": [1001, None]}], "complete"),
+    ([{"values": [0, 1]}, {"range": [1.5, 2.5]}, {"range": [3, None]}], "complete"),
+    ([{"range": [0, 9.5]}, {"range": [10.5, None]}], "incomplete"),
+    ([{"range": [0, 5]}, {"range": [6, 7]}], "incomplete"),
+], ids=["gap-above-1000", "adjacent", "values-and-fractions", "gap-at-10",
+        "bounded"])
+def test_rules_check_decides_cover_of_every_integer(tmp_path, capsys, bands, cover):
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({
+        "schemaVersion": 1, "name": "banded",
+        "rules": [{"id": f"{m}-{i}", "metric": m, **band,
+                   "conclusions": [{"attribute": "quality", "level": "Low"}]}
+                  for m in ckeval.METRICS for i, band in enumerate(bands)],
+    }), encoding="utf-8")
+    code, out, _ = run_cli(["rules", "check", str(rules)], capsys)
+    assert code == 0
+    assert out == f"OK: {len(bands) * 6} rules, {cover} cover\n"
+
+
 def test_compare_writes_chart_and_out(fixtures, tmp_path, capsys):
     chart = tmp_path / "chart.svg"
     out_file = tmp_path / "report.txt"

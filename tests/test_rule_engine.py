@@ -82,7 +82,7 @@ def test_level_total_order():
 def test_load_one_rule_per_metric():
     kb = load_rules(json.dumps(one_band_per_metric_doc()))
     assert len(kb.rules) == 6
-    assert kb.is_complete(100)
+    assert kb.is_complete()
 
 
 def test_boundary_overlap_rejected():
@@ -152,7 +152,7 @@ def test_paper_preset_encodes_rules_verbatim():
     assert list(kb.match("DIT", 5).conclusions) == PAPER_DIT_5
     assert list(kb.match("WMC", 18).conclusions) == PAPER_WMC_18
     assert list(kb.match("CBO", 1).conclusions) == PAPER_CBO_1
-    assert not kb.is_complete(50)
+    assert not kb.is_complete()
 
 
 def test_paper_preset_single_fact_assessments():

@@ -1,4 +1,5 @@
 import random
+from time import perf_counter
 
 import pytest
 
@@ -157,6 +158,24 @@ def test_load_versions_duplicate_names_rejected(tmp_path):
     with pytest.raises(InputError) as err:
         compare_versions(load_versions([tmp_path / "v.csv"]))
     assert str(err.value) == "duplicate version name: v1"
+
+
+def test_duplicate_version_check_is_linear_and_names_each_duplicate_once():
+    def seconds(n: int) -> float:
+        records = [record(f"v{i:05d}", wmc=i) for i in range(n)]
+        records += [record("v00007"), record("v00003"), record("v00007")]
+        best = float("inf")
+        for _ in range(5):
+            start = perf_counter()
+            with pytest.raises(InputError) as err:
+                compare_versions(records)
+            best = min(best, perf_counter() - start)
+        assert str(err.value) == "duplicate version name: v00003, v00007"
+        return best
+
+    # four times the versions cost about four times the time; counting each
+    # name in the list of all names would cost sixteen
+    assert seconds(8000) < 8 * seconds(2000)
 
 
 def test_load_versions_unreadable_path(tmp_path):
