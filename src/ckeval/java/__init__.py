@@ -1,6 +1,6 @@
 """Java-subset frontend: lexing, parsing, and lowering to a class model."""
 
-from .lexer import LexError, Token, tokenize
+from .lexer import LexError, Token, Tokens, tokenize
 from .parser import (
     ClassDecl,
     FieldDecl,
@@ -22,6 +22,7 @@ __all__ = [
     "ParseError",
     "SourceUnit",
     "Token",
+    "Tokens",
     "decode_source",
     "lower_to_model",
     "parse_source",

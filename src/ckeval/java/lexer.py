@@ -1,14 +1,28 @@
 """Tokenizer for the supported Java subset.
 
-Comments and whitespace (space, tab, CR, LF) are skipped; every token keeps
-its 1-based line and column so diagnostics can point into the file. A column
+Comments and whitespace (space, tab, CR, LF) are skipped; every token has
+a 1-based line and column so diagnostics can point into the file. A column
 counts characters since the last line feed, so CR and tab advance it by one.
+
+``tokenize`` returns a ``Tokens``: the kinds and texts of the tokens as two
+parallel tuples, ``kinds`` and ``texts``, which the parser and lowering
+index directly. It is also a read-only sequence of ``Token``s. A token's
+line and column are worked out only when something asks for them, from the
+token's offset in the text, which is the length of the skipped spans and
+tokens before it. A cursor shared by a ``Tokens`` and its slices keeps the
+offset, line and line start of the last token asked for and moves from
+there with ``str.count`` and ``str.rfind``, so the positions of the tokens
+in order cost time linear in the text.
 
 One compiled pattern (``_SCAN``) does the work. Each match is a skipped span
 of whitespace and comments followed by one token, one character the
-pattern does not accept, or the end of the text. Line and column come from
-a running line-start offset that moves only when a skipped span holds a
-line feed; a token from the pattern never holds one.
+pattern does not accept, or the end of the text. One ``findall`` gives the
+rows, and C-level passes turn them into columns: ``map`` with
+``itemgetter`` takes out the skipped spans and the token texts, and
+``map`` looks up each kind by the token's text in a per-text table. The
+table starts with the keywords and punctuation and learns each other
+text by its first character the first time it appears, so Python code runs
+once per distinct token text, not per token.
 
 The pattern covers the ASCII language. Identifiers and numbers are defined
 by ``str.isalpha``/``isdigit``/``isalnum``, which accept non-ASCII letters
@@ -17,14 +31,16 @@ character neither continues it nor is non-ASCII. Everything the pattern
 declines goes to ``_exact_token``, which lexes one token with the
 character predicates: identifiers and numbers that start with or run into
 a non-ASCII character, literals holding a backslash-newline, and every
-error (unterminated literal or block comment, unexpected character). The
-first pass over a text uses ``findall``; after an exact token the rest of
-the text is scanned lazily, so each character is scanned a bounded number
-of times however many exact tokens there are.
+error (unterminated literal or block comment, unexpected character). After
+an exact token the rest of the text is scanned lazily, row by row, so each
+character is scanned a bounded number of times however many exact tokens
+there are.
 """
 
 import re
 import string
+from collections.abc import Sequence
+from operator import itemgetter, methodcaller
 from typing import NamedTuple
 
 KEYWORDS = {
@@ -64,81 +80,196 @@ class LexError(Exception):
         self.column = column
 
 
+def line_column(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of the character at text[offset]."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+class _Cursor:
+    """The line and column of each token row of one lexed text.
+
+    ``state`` is the row asked for last, with its offset, line and line
+    start. It is replaced as one tuple, so a cursor shared between threads
+    always moves from a consistent state.
+    """
+
+    __slots__ = ("text", "skips", "texts", "state")
+
+    def __init__(self, text: str, skips: tuple[str, ...], texts: tuple[str, ...]):
+        self.text = text
+        self.skips = skips  # the skipped span before each token
+        self.texts = texts
+        offset = len(skips[0])
+        line, column = line_column(text, offset)
+        self.state = (0, offset, line, offset - column + 1)
+
+    def __call__(self, row: int) -> tuple[int, int]:
+        at, offset, line, line_start = self.state
+        text, texts, skips = self.text, self.texts, self.skips
+        # a join measures the spans between two rows faster than their lengths summed
+        if row > at:
+            new = (offset + len("".join(texts[at:row]))
+                   + len("".join(skips[at + 1:row + 1])))
+            newlines = text.count("\n", offset, new)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", offset, new) + 1
+        elif row < at:
+            new = (offset - len("".join(texts[row:at]))
+                   - len("".join(skips[row + 1:at + 1])))
+            line -= text.count("\n", new, offset)
+            line_start = text.rfind("\n", 0, new) + 1
+        else:
+            return line, offset - line_start + 1
+        self.state = (row, new, line, line_start)
+        return line, new - line_start + 1
+
+
+class Tokens(Sequence[Token]):
+    """Lexed tokens as two columns, ``kinds`` and ``texts``, that reads as
+    a sequence of ``Token``s.
+
+    Indexing and iteration build each ``Token`` with its line and column; a
+    slice is a ``Tokens`` over the same text. A ``Tokens`` compares and
+    hashes equal to the tuple of the same ``Token``s.
+    """
+
+    __slots__ = ("kinds", "texts", "_rows", "_cursor")
+
+    def __init__(self, kinds: tuple[str, ...], texts: tuple[str, ...],
+                 cursor: _Cursor, rows: range):
+        self.kinds = kinds
+        self.texts = texts
+        self._cursor = cursor
+        self._rows = rows  # the row in the lexed text of each token
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Tokens(self.kinds[index], self.texts[index], self._cursor,
+                          self._rows[index])
+        return Token(self.kinds[index], self.texts[index],
+                     *self._cursor(self._rows[index]))
+
+    def line_column(self, index: int) -> tuple[int, int]:
+        """The line and column of the token at index."""
+        return self._cursor(self._rows[index])
+
+    def __eq__(self, other):
+        if isinstance(other, (Tokens, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Tokens({tuple(self)!r})"
+
+
 _SCAN = re.compile(
     # skipped span: whitespace, line comments, terminated block comments
     r"((?:[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/)*)"
     r"(?:("
     # identifier or keyword, not followed by a character that could extend
-    # it; [^\x00-\x7f] is any non-ASCII character
-    r"[A-Za-z_$][A-Za-z0-9_$]*(?![A-Za-z0-9_$]|[^\x00-\x7f])"
+    # it: [A-Za-z0-9_$] or any non-ASCII character, as one negated class
+    r"[A-Za-z_$][A-Za-z0-9_$]*(?![^\x00-#%-/:-@\[-^`{-\x7f])"
     # punctuation; a '/' that opens a block comment here is unterminated
     r"|[(){}\[\];,.=+\-*%<>!&|^~?:@]|/(?!\*)"
-    # number: a '.' continues it only before a digit
+    # number: a '.' continues it only before a digit; it must not be
+    # followed by [A-Za-z0-9_], a non-ASCII character, or a '.' before
+    # either a digit or a non-ASCII character
     r"|[0-9](?:[A-Za-z0-9_]|\.(?=[0-9]))*"
-    r"(?![A-Za-z0-9_]|[^\x00-\x7f]|\.(?:[0-9]|[^\x00-\x7f]))"
+    r"(?![^\x00-/:-@\[-^`{-\x7f]|\.[^\x00-/:-\x7f])"
     # string and char literals without a line feed
     r'|"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*"'
     r"|'[^'\\\n]*(?:\\[^\n][^'\\\n]*)*'"
     r")|([\s\S])|\Z)")
 
+
+class _KindOf(dict):
+    """Token text -> kind, for one lexed text.
+
+    It starts from the texts that fix their kind alone: keywords,
+    punctuation and the empty text of the end. Any other text is learned
+    from its first character when first seen, so each distinct text costs
+    one Python call and every repeat a C-level lookup.
+    """
+
+    def __missing__(self, text: str) -> str:
+        first = text[0]
+        # only an exact identifier or number starts with a non-ASCII
+        # character, and no character is both alphabetic and a digit
+        kind = self[text] = _KIND_OF_FIRST.get(first) or (
+            "number" if first.isdigit() else "ident")
+        return kind
+
+
 _KIND_OF_TEXT = {**dict.fromkeys(KEYWORDS, "keyword"),
-                 **dict.fromkeys(PUNCTUATION, "punct")}
+                 **dict.fromkeys(PUNCTUATION, "punct"), "": "eof"}
 _KIND_OF_FIRST = {**dict.fromkeys(string.ascii_letters + "_$", "ident"),
                   **dict.fromkeys(string.digits, "number"),
                   '"': "string", "'": "char"}
-_new_token = tuple.__new__  # Token(...) without the Python-level __new__
-_groups = re.Match.groups
+_skip, _text = itemgetter(0), itemgetter(1)  # two columns of a row
+_groups = methodcaller("groups", "")  # as findall gives them
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    kind_of_text = _KIND_OF_TEXT.get
-    kind_of_first = _KIND_OF_FIRST
-    pos = line_start = 0
-    line = 1
+def tokenize(text: str) -> Tokens:
     rows = _SCAN.findall(text)
+    texts = tuple(map(_text, rows))
+    # the first row without a token is a declined character or the end; a
+    # text that ends in a skipped span gives one more, empty, row after it
+    end = texts.index("") + 1
+    if rows[end - 1][2]:  # a declined character
+        skips, texts = _exact_rows(text, rows, texts, end - 1)
+    else:
+        skips, texts = tuple(map(_skip, rows[:end])), texts[:end]
+    kinds = tuple(map(_KindOf(_KIND_OF_TEXT).__getitem__, texts))
+    return Tokens(kinds, texts, _Cursor(text, skips, texts), range(len(texts)))
+
+
+def _exact_rows(text: str, rows: list[tuple[str, str, str]], texts: tuple[str, ...],
+                first: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The skipped spans and token texts of a text whose row ``first`` is a
+    character the pattern declines.
+
+    The rows before it stand; from there on, each declined character starts
+    an exact token, and the text after one is scanned row by row up to the
+    next. Raises LexError for anything that is not a token.
+    """
+    skips, texts = list(map(_skip, rows[:first + 1])), list(texts[:first])
+    pos = sum(map(len, skips)) + sum(map(len, texts))
     while True:
-        for skip, word, other in rows:
-            if skip:
-                if "\n" in skip:
-                    line += skip.count("\n")
-                    line_start = pos + skip.rindex("\n") + 1
-                pos += len(skip)
-            if word:
-                kind = kind_of_text(word) or kind_of_first[word[0]]
-                append(_new_token(Token, (kind, word, line, pos - line_start + 1)))
-                pos += len(word)
-            elif other:
-                token, pos, line, line_start = _exact_token(text, pos, line,
-                                                            line_start)
-                append(token)
-                rows = map(_groups, _SCAN.finditer(text, pos))
+        end = _exact_token(text, pos)
+        texts.append(text[pos:end])
+        pos = end
+        for skip, word, other in map(_groups, _SCAN.finditer(text, pos)):
+            skips.append(skip)
+            pos += len(skip)
+            if other:
                 break
-            else:
-                append(Token("eof", "", line, pos - line_start + 1))
-                return tokens
+            texts.append(word)
+            pos += len(word)
+            if not word:
+                return tuple(skips), tuple(texts)
 
 
-def _exact_token(text: str, i: int, line: int,
-                 line_start: int) -> tuple[Token, int, int, int]:
-    """Lex the token at text[i] by the character predicates.
+def _exact_token(text: str, i: int) -> int:
+    """The end of the token at text[i], lexed by the character predicates.
 
-    Returns the token, the index after it, and the line and line-start
-    offset there. Raises LexError for anything that is not a token.
+    Raises LexError for anything that is not a token.
     """
     n = len(text)
     ch = text[i]
-    column = i - line_start + 1
     if ch == "/":  # _SCAN takes '/' itself and every terminated comment
-        raise LexError("unterminated block comment", line, column)
+        raise LexError("unterminated block comment", *line_column(text, i))
     if ch.isalpha() or ch == "_" or ch == "$":
         j = i + 1
         while j < n and (text[j].isalnum() or text[j] in "_$"):
             j += 1
-        word = text[i:j]
-        kind = "keyword" if word in KEYWORDS else "ident"
-        return Token(kind, word, line, column), j, line, line_start
+        return j
     if ch.isdigit():
         j = i + 1
         while j < n and (text[j].isalnum() or text[j] in "._"):
@@ -146,22 +277,17 @@ def _exact_token(text: str, i: int, line: int,
             if text[j] == "." and not (j + 1 < n and text[j + 1].isdigit()):
                 break
             j += 1
-        return Token("number", text[i:j], line, column), j, line, line_start
+        return j
     if ch == '"' or ch == "'":
-        start_line = line
         j = i + 1
         while j < n and text[j] != ch:
             if text[j] == "\\" and j + 1 < n:
-                if text[j + 1] == "\n":
-                    line += 1
-                    line_start = j + 2
                 j += 2
             elif text[j] == "\n":
-                raise LexError("unterminated literal", start_line, column)
+                raise LexError("unterminated literal", *line_column(text, i))
             else:
                 j += 1
         if j >= n:
-            raise LexError("unterminated literal", start_line, column)
-        kind = "string" if ch == '"' else "char"
-        return Token(kind, text[i:j + 1], start_line, column), j + 1, line, line_start
-    raise LexError(f"unexpected character {ch!r}", line, column)
+            raise LexError("unterminated literal", *line_column(text, i))
+        return j + 1
+    raise LexError(f"unexpected character {ch!r}", *line_column(text, i))

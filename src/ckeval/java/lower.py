@@ -9,11 +9,11 @@ same-package classes, imported classes, then the unresolved marker.
 Static members couple like instance members; uses of a class's own static
 fields stay out of the cohesion sets. Field initializers are not scanned.
 
-Each body is scanned once, left to right, over a copy padded with
-end-of-file tokens, so every look-ahead is a direct index. An identifier's
-dotted chain is collected once and serves both the local-declaration check
-and the reference patterns. The field tables each body resolves against
-are built once per class.
+Each body is scanned once, left to right, over its kind and text columns
+padded with end-of-file entries, so every look-ahead is a direct index. An
+identifier's dotted chain is collected once and serves both the
+local-declaration check and the reference patterns. The field tables each
+body resolves against are built once per class.
 
 A call's arity is the number of arguments between its parentheses, and
 any token there makes at least one, so the sole argument of ``step((n))``
@@ -25,11 +25,12 @@ lowering stays linear in the body however deeply calls nest.
 """
 
 from ..model import CallRef, ClassInfo, ClassModel, FieldInfo, MethodInfo, build_model
-from .lexer import PRIMITIVES, Token
+from .lexer import PRIMITIVES
 from .parser import ClassDecl, MethodDecl, SourceUnit
 
 # the longest look-ahead past a body token is three tokens: this . x (
-_PAD = (Token("eof", "", 0, 0),) * 3
+_PAD_KINDS = ("eof",) * 3
+_PAD_TEXTS = ("",) * 3
 # tokens that may start a pattern, besides identifiers; only keyword
 # tokens have these texts
 _PATTERN_KEYWORDS = frozenset({"this", "new"}) | PRIMITIVES
@@ -130,7 +131,8 @@ def _scan_body(method: MethodDecl, scope: _ClassScope):
     """The used fields, (class, name, arity) calls and referenced classes
     of one method body."""
     body = method.body
-    tokens = body + _PAD
+    kinds = body.kinds + _PAD_KINDS
+    texts = body.texts + _PAD_TEXTS
     n = len(body)
     own_name = scope.own_name
     classes = scope.classes
@@ -148,10 +150,9 @@ def _scan_body(method: MethodDecl, scope: _ClassScope):
 
     i = 0
     while i < n:
-        tok = tokens[i]
-        kind = tok.kind
+        kind = kinds[i]
         if kind == "punct":
-            text = tok.text
+            text = texts[i]
             if text == ",":
                 if brackets:
                     brackets[-1][1] += 1
@@ -164,27 +165,26 @@ def _scan_body(method: MethodDecl, scope: _ClassScope):
             i += 1
 
         elif kind == "ident":
-            # tokens[-1] is padding, so the first token needs no check
-            if tokens[i - 1].text == ".":
+            # texts[-1] is padding, so the first token needs no check
+            if texts[i - 1] == ".":
                 i += 1
                 continue
-            # the chain tokens[i], tokens[i + 2], ..., tokens[j - 1]
+            # the chain texts[i], texts[i + 2], ..., texts[j - 1]
             j = i + 1
-            while tokens[j].text == "." and tokens[j + 1].kind == "ident":
+            while texts[j] == "." and kinds[j + 1] == "ident":
                 j += 2
+            name = texts[i]
             # a local declaration: the chain is its type
             k = j
-            while tokens[k].text == "[" and tokens[k + 1].text == "]":
+            while texts[k] == "[" and texts[k + 1] == "]":
                 k += 2
-            if tokens[k].kind == "ident" and tokens[k + 1].text in _DECLARATOR_END:
-                written = tok.text if j == i + 1 else \
-                    ".".join(t.text for t in tokens[i:j:2])
-                local_types[tokens[k].text] = classes.get(written, written)
+            if kinds[k] == "ident" and texts[k + 1] in _DECLARATOR_END:
+                written = ".".join(texts[i:j:2])
+                local_types[texts[k]] = classes.get(written, written)
                 i = k + 1
                 continue
 
-            name = tok.text
-            is_call = tokens[j].text == "("
+            is_call = texts[j] == "("
             if j == i + 1:
                 if is_call:
                     brackets.append([j, 0, own_name, name])
@@ -207,17 +207,17 @@ def _scan_body(method: MethodDecl, scope: _ClassScope):
             if is_call:
                 # chains deeper than recv.member lose the receiver type
                 brackets.append([j, 0, target if j == i + 3 else None,
-                                 tokens[j - 1].text])
+                                 texts[j - 1]])
                 i = j + 1
             else:
                 i = j
 
-        elif kind == "keyword" and tok.text in _PATTERN_KEYWORDS:
-            text = tok.text
+        elif kind == "keyword" and texts[i] in _PATTERN_KEYWORDS:
+            text = texts[i]
             if text == "this":
-                if tokens[i + 1].text == "." and tokens[i + 2].kind == "ident":
-                    member = tokens[i + 2].text
-                    if tokens[i + 3].text == "(":
+                if texts[i + 1] == "." and kinds[i + 2] == "ident":
+                    member = texts[i + 2]
+                    if texts[i + 3] == "(":
                         brackets.append([i + 3, 0, own_name, member])
                         i += 4
                         continue
@@ -226,14 +226,14 @@ def _scan_body(method: MethodDecl, scope: _ClassScope):
                     i += 3
                     continue
             elif text == "new":
-                if tokens[i + 1].kind == "ident":
+                if kinds[i + 1] == "ident":
                     j = i + 2
-                    while tokens[j].text == "." and tokens[j + 1].kind == "ident":
+                    while texts[j] == "." and kinds[j + 1] == "ident":
                         j += 2
-                    if tokens[j].text == "(":
-                        written = ".".join(t.text for t in tokens[i + 1:j:2])
+                    if texts[j] == "(":
+                        written = ".".join(texts[i + 1:j:2])
                         resolved = classes.get(written, written)
-                        brackets.append([j, 0, resolved, tokens[j - 1].text])
+                        brackets.append([j, 0, resolved, texts[j - 1]])
                         if resolved != own_name:
                             referenced.add(resolved)
                         i = j + 1
@@ -242,10 +242,10 @@ def _scan_body(method: MethodDecl, scope: _ClassScope):
                     continue
             else:  # a primitive type, perhaps of a local declaration
                 k = i + 1
-                while tokens[k].text == "[" and tokens[k + 1].text == "]":
+                while texts[k] == "[" and texts[k + 1] == "]":
                     k += 2
-                if tokens[k].kind == "ident" and tokens[k + 1].text in _DECLARATOR_END:
-                    local_types[tokens[k].text] = None
+                if kinds[k] == "ident" and texts[k + 1] in _DECLARATOR_END:
+                    local_types[texts[k]] = None
                     i = k + 1
                     continue
             i += 1

@@ -4,15 +4,19 @@ Covered: package declarations, imports (single-type and on-demand), class
 and interface declarations with extends/implements, field declarations
 (optionally initialized, comma declarators allowed), and method or
 constructor declarations. Method bodies are not parsed as expressions;
-they are captured as balanced token streams for later reference
-extraction. Annotations are skipped. Generics, enums and nested types are
-outside the subset and reported as syntax errors.
+each is captured as the ``Tokens`` slice between its braces for later
+reference extraction. Annotations are skipped. Generics, enums and nested
+types are outside the subset and reported as syntax errors.
+
+The parser reads the kind and text columns of the lexer's ``Tokens`` and
+works in token indices; it asks for a line and column only for a
+declaration name and for a diagnostic.
 """
 
 from dataclasses import dataclass
 from typing import NoReturn
 
-from .lexer import LexError, MODIFIERS, PRIMITIVES, Token, tokenize
+from .lexer import LexError, MODIFIERS, PRIMITIVES, Tokens, line_column, tokenize
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,7 @@ class MethodDecl:
     is_constructor: bool
     is_static: bool
     is_abstract: bool
-    body: tuple[Token, ...] | None  # None for abstract/interface methods
+    body: Tokens | None  # None for abstract/interface methods
     line: int
     column: int
 
@@ -96,8 +100,7 @@ def decode_source(data: bytes, path: str) -> str:
         return _universal_newlines(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         before = _universal_newlines(data[:exc.start].decode("utf-8"))
-        line = before.count("\n") + 1
-        column = len(before) - before.rfind("\n")
+        line, column = line_column(before, len(before))
         message = f"not UTF-8: {exc.reason} (byte 0x{data[exc.start]:02x})"
         raise ParseError([ParseDiagnostic(path, line, column, "DECODE_ERROR",
                                           message)]) from None
@@ -120,60 +123,62 @@ def parse_source(text: str, path: str) -> SourceUnit:
 
 
 class _Parser:
-    """Recursive descent over a token list.
+    """Recursive descent over the kind and text columns of a ``Tokens``.
 
-    The grammar rules index ``self.tokens`` and their texts ``self.texts``
-    directly on their success path and keep the position in a local,
-    storing it back in ``self.pos`` before they call another rule. A check
-    that fails goes through ``expected`` or ``fail``, whose diagnostics are
-    the ones ``expect`` gives. A keyword or punctuation token is recognized
-    by its text alone: no identifier, literal or end-of-file token has such
-    a text.
+    A position is a token index. ``self.kinds`` and ``self.texts`` are the
+    columns with one more eof, so the token after any token but the last
+    eof is there to look at. The grammar rules index them directly on their
+    success path and keep the position in a local, storing it back in
+    ``self.pos`` before they call another rule. Only a declaration name or
+    a diagnostic asks the tokens for a line and column. A check that fails
+    goes through ``expected`` or ``fail``, whose diagnostics are the ones
+    ``expect`` gives. A keyword or punctuation token is recognized by its
+    text alone: no identifier, literal or end-of-file token has such a
+    text.
     """
 
-    def __init__(self, tokens: list[Token], path: str):
-        # one more eof, so the token after any token but the last eof is
-        # there to look at
-        self.tokens = (*tokens, tokens[-1])
-        self.texts = [tok.text for tok in self.tokens]
+    def __init__(self, tokens: Tokens, path: str):
+        self.tokens = tokens
+        self.kinds = tokens.kinds + ("eof",)
+        self.texts = tokens.texts + ("",)
         self.pos = 0
         self.path = path
 
     # --- token plumbing ---
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def line_column(self, pos: int) -> tuple[int, int]:
+        # the padding eof stands where the last one does
+        return self.tokens.line_column(min(pos, len(self.tokens) - 1))
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind == kind and (text is None or tok.text == text)
+        pos = self.pos
+        return self.kinds[pos] == kind and (text is None or self.texts[pos] == text)
 
-    def take(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def take(self) -> int:
+        pos = self.pos
+        if self.kinds[pos] != "eof":
             self.pos += 1
-        return tok
+        return pos
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
+    def expect(self, kind: str, text: str | None = None) -> int:
         if not self.at(kind, text):
             self.expected(text if text is not None else kind, self.pos)
         return self.take()
 
     def expected(self, wanted: str, pos: int) -> NoReturn:
         """Fail as ``expect`` does when the token at pos is not wanted."""
-        self.pos = pos
-        found = self.tokens[pos]
-        self.fail(f"expected {wanted!r}, found {found.text or found.kind!r}", found)
+        self.fail(f"expected {wanted!r}, found {self.texts[pos] or self.kinds[pos]!r}",
+                  pos)
 
-    def fail(self, message: str, tok: Token | None = None) -> NoReturn:
-        tok = tok or self.peek()
-        raise ParseError([ParseDiagnostic(self.path, tok.line, tok.column,
+    def fail(self, message: str, pos: int | None = None) -> NoReturn:
+        line, column = self.line_column(self.pos if pos is None else pos)
+        raise ParseError([ParseDiagnostic(self.path, line, column,
                                           "SYNTAX_ERROR", message)])
 
     # --- grammar ---
 
     def parse_unit(self) -> SourceUnit:
-        tokens, texts = self.tokens, self.texts
+        kinds, texts = self.kinds, self.texts
         package = ""
         if texts[self.pos] == "package":
             self.pos += 1
@@ -186,26 +191,22 @@ class _Parser:
             pos += 1
             if texts[pos] == "static":
                 pos += 1
-            tok = tokens[pos]
-            if tok.kind != "ident":
+            if kinds[pos] != "ident":
                 self.expected("ident", pos)
-            name_parts = [tok.text]
+            first = pos
             pos += 1
-            on_demand = False
-            while texts[pos] == ".":
-                tok = tokens[pos + 1]
-                if tok.text == "*":
-                    pos += 2
-                    on_demand = True
-                    break
-                if tok.kind != "ident":
+            while texts[pos] == "." and kinds[pos + 1] == "ident":
+                pos += 2
+            name = ".".join(texts[first:pos:2])
+            on_demand = texts[pos] == "."
+            if on_demand:
+                if texts[pos + 1] != "*":
                     self.expected("ident", pos + 1)
-                name_parts.append(tok.text)
                 pos += 2
             if texts[pos] != ";":
                 self.expected(";", pos)
             pos += 1
-            imports.append((".".join(name_parts), on_demand))
+            imports.append((name, on_demand))
         self.pos = pos
 
         classes = []
@@ -215,18 +216,15 @@ class _Parser:
                           imports=tuple(imports), classes=tuple(classes))
 
     def qualified_name(self) -> str:
-        tokens, texts = self.tokens, self.texts
-        pos = self.pos
-        tok = tokens[pos]
-        if tok.kind != "ident":
+        kinds, texts = self.kinds, self.texts
+        first = pos = self.pos
+        if kinds[pos] != "ident":
             self.expected("ident", pos)
-        parts = [tok.text]
         pos += 1
-        while texts[pos] == "." and tokens[pos + 1].kind == "ident":
-            parts.append(texts[pos + 1])
+        while texts[pos] == "." and kinds[pos + 1] == "ident":
             pos += 2
         self.pos = pos
-        return ".".join(parts)
+        return ".".join(texts[first:pos:2])
 
     def skip_annotations(self) -> None:
         while self.at("punct", "@"):
@@ -235,12 +233,12 @@ class _Parser:
             if self.at("punct", "("):
                 self.skip_balanced("(", ")")
 
-    def skip_balanced(self, opener: str, closer: str) -> tuple[Token, ...]:
+    def skip_balanced(self, opener: str, closer: str) -> Tokens:
         """The tokens between a balanced opener and closer, both consumed.
 
         Openers only deepen the nesting, so the match is the first closer
         at which the openers passed are one fewer than the closers; the
-        list methods find each closer and count the openers before it.
+        tuple methods find each closer and count the openers before it.
         """
         start = self.expect("punct", opener)
         texts = self.texts
@@ -274,15 +272,17 @@ class _Parser:
 
     def type_declaration(self) -> ClassDecl:
         self.modifiers()
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text in ("class", "interface"):
-            kind = self.take().text
-        elif tok.kind == "keyword" and tok.text == "enum":
-            self.fail("enum declarations are not supported", tok)
-        else:
-            self.fail(f"expected class or interface, found {tok.text or tok.kind!r}",
-                      tok)
-        name_tok = self.expect("ident")
+        pos = self.pos
+        kind = self.texts[pos]
+        if kind == "enum":
+            self.fail("enum declarations are not supported", pos)
+        if kind not in ("class", "interface"):
+            self.fail(f"expected class or interface, found {kind or self.kinds[pos]!r}",
+                      pos)
+        self.pos = pos + 1
+        name_pos = self.expect("ident")
+        name = self.texts[name_pos]
+        line, column = self.line_column(name_pos)
 
         if self.at("punct", "<"):
             self.fail("generic type parameters are not supported")
@@ -311,44 +311,46 @@ class _Parser:
         while texts[self.pos] != "}":
             if self.at("eof"):
                 self.fail("unexpected end of file inside type body")
-            self.member(name_tok.text, fields, methods)
+            self.member(name, fields, methods)
         self.pos += 1
-        if name_tok.text == ".".join(extends[:1]):
-            self.fail("class must not extend itself", name_tok)
-        return ClassDecl(name=name_tok.text, kind=kind,
+        if name == ".".join(extends[:1]):
+            self.fail("class must not extend itself", name_pos)
+        return ClassDecl(name=name, kind=kind,
                          extends=tuple(extends), implements=tuple(implements),
                          fields=tuple(fields), methods=tuple(methods),
-                         line=name_tok.line, column=name_tok.column)
+                         line=line, column=column)
 
     def member(self, class_name: str, fields: list[FieldDecl],
                methods: list[MethodDecl]) -> None:
-        tokens, texts = self.tokens, self.texts
+        kinds, texts = self.kinds, self.texts
         if texts[self.pos] == ";":  # stray semicolon
             self.pos += 1
             return
         mods = self.modifiers()
         pos = self.pos
-        tok = tokens[pos]
-        if tok.text in ("class", "interface", "enum"):
-            self.fail("nested type declarations are not supported", tok)
+        name = texts[pos]
+        if name in ("class", "interface", "enum"):
+            self.fail("nested type declarations are not supported", pos)
 
         # constructor: ClassName '('
-        if tok.text == class_name and texts[pos + 1] == "(" and tok.kind == "ident":
+        if name == class_name and texts[pos + 1] == "(" and kinds[pos] == "ident":
+            line, column = self.line_column(pos)
             self.pos = pos + 1
             params = self.parameters()
             self.skip_throws()
             body = self.skip_balanced("{", "}")
             methods.append(MethodDecl(
-                name=tok.text, params=params, is_constructor=True,
+                name=name, params=params, is_constructor=True,
                 is_static=False, is_abstract=False, body=body,
-                line=tok.line, column=tok.column))
+                line=line, column=column))
             return
 
         base, primitive, dims = self.type_ref()
         pos = self.pos
-        name_tok = tokens[pos]
-        if name_tok.kind != "ident":
+        if kinds[pos] != "ident":
             self.expected("ident", pos)
+        name = texts[pos]
+        line, column = self.line_column(pos)
         self.pos = pos + 1
 
         if texts[pos + 1] == "(":
@@ -356,32 +358,33 @@ class _Parser:
             self.skip_throws()
             if texts[self.pos] == ";":
                 self.pos += 1
-                body: tuple[Token, ...] | None = None
+                body: Tokens | None = None
             else:
                 body = self.skip_balanced("{", "}")
             methods.append(MethodDecl(
-                name=name_tok.text, params=params, is_constructor=False,
+                name=name, params=params, is_constructor=False,
                 is_static="static" in mods,
                 is_abstract=body is None, body=body,
-                line=name_tok.line, column=name_tok.column))
+                line=line, column=column))
             return
 
         # field declaration, possibly with comma declarators
         is_static = "static" in mods
         while True:
             fields.append(FieldDecl(
-                name=name_tok.text,
+                name=name,
                 type=TypeRef(base, primitive, dims + self.array_dims()),
                 is_static=is_static,
-                line=name_tok.line, column=name_tok.column))
+                line=line, column=column))
             if texts[self.pos] == "=":
                 self.pos += 1
                 self.skip_initializer()
             pos = self.pos
             if texts[pos] == ",":
-                name_tok = tokens[pos + 1]
-                if name_tok.kind != "ident":
+                if kinds[pos + 1] != "ident":
                     self.expected("ident", pos + 1)
+                name = texts[pos + 1]
+                line, column = self.line_column(pos + 1)
                 self.pos = pos + 2
                 continue
             if texts[pos] != ";":
@@ -391,17 +394,18 @@ class _Parser:
 
     def type_ref(self) -> tuple[str, bool, int]:
         """The base name, primitiveness and array dims of a type."""
-        tok = self.tokens[self.pos]
-        if tok.kind == "ident":
+        pos = self.pos
+        kind, text = self.kinds[pos], self.texts[pos]
+        if kind == "ident":
             base = self.qualified_name()
-        elif tok.text in PRIMITIVES:
+        elif text in PRIMITIVES:
             self.pos += 1
-            base = tok.text
+            base = text
         else:
-            self.fail(f"expected a type, found {tok.text or tok.kind!r}", tok)
+            self.fail(f"expected a type, found {text or kind!r}", pos)
         if self.texts[self.pos] == "<":
             self.fail("generic types are not supported")
-        return base, tok.kind != "ident", self.array_dims()
+        return base, kind != "ident", self.array_dims()
 
     def array_dims(self) -> int:
         texts = self.texts
@@ -412,7 +416,7 @@ class _Parser:
         return (pos - start) // 2
 
     def parameters(self) -> tuple[tuple[TypeRef, str], ...]:
-        tokens, texts = self.tokens, self.texts
+        kinds, texts = self.kinds, self.texts
         pos = self.pos
         if texts[pos] != "(":
             self.expected("(", pos)
@@ -429,14 +433,14 @@ class _Parser:
                 self.pos = pos
                 base, primitive, dims = self.type_ref()
                 pos = self.pos
-                name_tok = tokens[pos]
-                if name_tok.kind != "ident":
+                if kinds[pos] != "ident":
                     self.expected("ident", pos)
+                name = texts[pos]
                 pos += 1
                 while texts[pos] == "[" and texts[pos + 1] == "]":
                     pos += 2
                     dims += 1
-                params.append((TypeRef(base, primitive, dims), name_tok.text))
+                params.append((TypeRef(base, primitive, dims), name))
                 if texts[pos] == ",":
                     pos += 1
                     continue
@@ -456,22 +460,22 @@ class _Parser:
 
     def skip_initializer(self) -> None:
         """Swallow an initializer expression up to ',' or ';' at depth 0."""
-        tokens = self.tokens
+        kinds, texts = self.kinds, self.texts
         i = self.pos
         depth = 0
         while True:
-            tok = tokens[i]
-            if tok.kind == "eof":
-                self.fail("unterminated field initializer", tok)
-            if tok.kind == "punct":
-                if tok.text in "([{":
+            kind = kinds[i]
+            if kind == "eof":
+                self.fail("unterminated field initializer", i)
+            if kind == "punct":
+                text = texts[i]
+                if text in "([{":
                     depth += 1
-                elif tok.text in ")]}":
+                elif text in ")]}":
                     depth -= 1
                     if depth < 0:
-                        self.fail("unbalanced initializer", tok)
-                elif depth == 0 and tok.text in ",;":
+                        self.fail("unbalanced initializer", i)
+                elif depth == 0 and text in ",;":
                     self.pos = i
                     return
             i += 1
-

@@ -13,8 +13,11 @@ DIT, NOC and CBO need the whole model. They read a per-model index, built
 in linear time on first use and kept on the model: the internal class
 names, each internal class's use set and the reverse use sets (who uses
 each name), child counts, and the extends forest with each class's DIT and
-its preorder interval, so "A is an ancestor of B" is two comparisons. All six metrics over a model then cost
-O(classes + references + inheritance edges), whatever the inheritance depth.
+its preorder interval, so "A is an ancestor of B" is two comparisons. LCOM
+counts the method pairs that share a field with one bit mask per field. All
+six metrics over a model then cost O(classes + references + inheritance
+edges), whatever the inheritance depth, apart from LCOM's word-level term:
+each field use costs an OR over (methods in the class)/64 machine words.
 """
 
 from dataclasses import dataclass
@@ -209,17 +212,26 @@ def lcom(cls: ClassInfo) -> int:
     """Method pairs with disjoint field sets minus pairs that share, floored at 0.
 
     A method that touches no instance field carries the empty set, which is
-    disjoint with every other set.
+    disjoint with every other set. Bit i of a field's mask is set when
+    method i uses the field, so the OR of a method's field masks holds
+    every method it shares a field with; counting only the bits above its
+    own index counts each sharing pair once. With Q sharing pairs of n
+    methods, P is n(n-1)/2 - Q.
     """
-    sets = [m.used_fields for m in cls.methods]
-    p = q = 0
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if sets[i] & sets[j]:
-                q += 1
-            else:
-                p += 1
-    return max(p - q, 0)
+    methods = cls.methods
+    masks: dict[str, int] = {}
+    for i, m in enumerate(methods):
+        bit = 1 << i
+        for name in m.used_fields:
+            masks[name] = masks.get(name, 0) | bit
+    q = 0
+    for i, m in enumerate(methods):
+        shared = 0
+        for name in m.used_fields:
+            shared |= masks[name]
+        q += (shared >> (i + 1)).bit_count()
+    n = len(methods)
+    return max(n * (n - 1) // 2 - 2 * q, 0)
 
 
 def compute_record(cls: ClassInfo, model: ClassModel) -> MetricRecord:

@@ -3,6 +3,7 @@ import sys
 import threading
 from dataclasses import replace
 from itertools import combinations
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -370,6 +371,24 @@ def test_lcom_matches_oracle_hypothesis(field_sets):
     methods = [method(f"m{i}", used=s) for i, s in enumerate(field_sets)]
     cls = cls_of(methods, fields=fields)
     assert lcom(cls) == lcom_oracle(cls)
+
+
+def test_lcom_stays_near_linear_in_methods():
+    # 40 fields, two used per method; the pair loop this replaced made four
+    # times the methods cost sixteen times as much
+    def seconds(count: int) -> float:
+        rng = random.Random(count)
+        fields = [FieldInfo(f"f{k}") for k in range(40)]
+        cls = cls_of([method(f"m{i}", used=rng.sample([f.name for f in fields], 2))
+                      for i in range(count)], fields=fields)
+        best = float("inf")
+        for _ in range(5):
+            start = perf_counter()
+            lcom(cls)
+            best = min(best, perf_counter() - start)
+        return best
+
+    assert seconds(2000) < 8 * seconds(500)
 
 
 def test_cbo_matches_oracle_random():

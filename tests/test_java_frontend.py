@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ckeval.errors import DuplicateClassError
-from ckeval.java import ParseError, decode_source, lower_to_model, parse_source
+from ckeval.java import (ParseError, Token, Tokens, decode_source, lower_to_model,
+                         parse_source)
 from ckeval.model import CallRef, validate_model
 
 
@@ -44,7 +45,9 @@ def test_method_body_is_the_tokens_between_its_braces():
     decl = unit.classes[0]
     assert [f.name for f in decl.fields] == ["f", "h", "k"]
     body = decl.methods[0].body
-    assert isinstance(body, tuple)
+    assert isinstance(body, Tokens)
+    assert body == tuple(body) and hash(body) == hash(tuple(body))
+    assert all(isinstance(t, Token) for t in body)
     assert [t.text for t in body] == ["x", "=", "{", "1", "}", ";"]
 
 

@@ -1,11 +1,14 @@
 import random
+import sys
+import threading
 from pathlib import Path
 from time import perf_counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ckeval.java import LexError, ParseError, SourceUnit, Token, parse_source, tokenize
+from ckeval.java import (LexError, ParseError, SourceUnit, Token, Tokens, parse_source,
+                         tokenize)
 from lexer_oracle import oracle_tokenize
 from test_java_frontend import TORTURE, _generate_source
 
@@ -99,6 +102,111 @@ def test_many_exact_tokens_stay_linear():
         return best
 
     assert seconds(8000) < 8 * seconds(2000)
+
+
+def oracle_tokens(text: str) -> tuple[Token, ...] | None:
+    """The oracle's tokens as ``Token``s, or None if it raises LexError."""
+    try:
+        return tuple(Token(t.kind, t.text, t.line, t.column)
+                     for t in oracle_tokenize(text))
+    except LexError:
+        return None
+
+
+def slices():
+    bound = st.none() | st.integers(-12, 12)
+    return st.builds(slice, bound, bound, st.none() | st.integers(-3, 3).filter(bool))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.sampled_from(SEEDS), st.text(), java_ish()), st.data())
+def test_tokens_read_as_the_oracle_tokens(text, data):
+    expected = oracle_tokens(text)
+    if expected is None:
+        return
+    n = len(expected)
+    tokens = tokenize(text)
+    assert isinstance(tokens, Tokens) and len(tokens) == n
+    assert tokens.kinds == tuple(t.kind for t in expected)
+    assert tokens.texts == tuple(t.text for t in expected)
+    # positions asked for in random order, on a fresh cursor
+    order = data.draw(st.permutations(range(n)))
+    tokens = tokenize(text)
+    assert [tokens[i] for i in order] == [expected[i] for i in order]
+    assert [tokens[i - n] for i in order] == [expected[i] for i in order]
+    assert [tokens.line_column(i) for i in order] == [expected[i][2:] for i in order]
+    assert list(tokens) == list(expected)
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            tokens[index]
+    # slices and slices of slices, read in either order
+    outer, inner = data.draw(slices()), data.draw(slices())
+    part = tokens[outer]
+    assert isinstance(part, Tokens)
+    if data.draw(st.booleans()):
+        assert list(reversed(part)) == list(reversed(expected[outer]))
+    assert list(part) == list(expected[outer])
+    assert part.texts == tuple(t.text for t in expected[outer])
+    assert list(part[inner]) == list(expected[outer][inner])
+    # equal to, and hashed as, the tuple of the same tokens
+    for mine, theirs in ((tokens, expected), (part, expected[outer]),
+                         (part[inner], expected[outer][inner])):
+        assert mine == theirs and theirs == mine and mine == mine[:]
+        assert hash(mine) == hash(theirs)
+    assert tokens != list(expected)
+
+
+def test_tokens_equality_needs_the_same_positions():
+    assert tokenize("a b") != tokenize("a  b")
+    assert tokenize("a b")[:2] != tokenize("a\nb")[:2]
+    assert tokenize("a b") == tokenize("a b")
+
+
+def test_tokens_shared_between_threads_read_the_same_positions():
+    # every read moves the one cursor the tokens and their slices share
+    text = "".join(f"class C{k} {{\n  int f;\n  void m() {{ f = {k}; }}\n}}\n"
+                   for k in range(300))
+    expected = oracle_tokens(text)
+    tokens = tokenize(text)
+    n = len(expected)
+    orders = [range(n), range(n - 1, -1, -1), range(0, n, 7), range(n - 1, -1, -5)]
+    results = [None] * 8
+
+    def read(slot: int) -> None:
+        order = orders[slot % len(orders)]
+        results[slot] = [(i, tokens[i]) for i in order]
+
+    threads = [threading.Thread(target=read, args=(slot,)) for slot in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for read_tokens in results:
+        assert read_tokens and all(tok == expected[i] for i, tok in read_tokens)
+
+
+@pytest.mark.parametrize("name", ["f", "fé"])  # the ASCII path and the exact path
+def test_parse_time_stays_linear_in_declarations(name):
+    # every declaration name asks the tokens for its line and column
+    def seconds(count: int) -> float:
+        members = "".join(f"  int {name}{k};\n  void m{k}() {{ {name}{k} = {name}{k} + 1; }}\n"
+                          for k in range(count))
+        text = f"class A {{\n{members}}}\n"
+        best = float("inf")
+        for _ in range(3):
+            start = perf_counter()
+            unit = parse_source(text, "A.java")
+            best = min(best, perf_counter() - start)
+        assert unit.classes[0].methods[-1].line == 2 * count + 1
+        return best
+
+    assert seconds(4000) < 8 * seconds(1000)
 
 
 PARSER_WORDS = ["package", "import", "class", "interface", "extends", "implements",
