@@ -17,6 +17,7 @@ from functools import cache
 import json
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring
 from pathlib import Path
+import sys
 
 from .errors import InputError
 from .rules import Assessment, Interval, KnowledgeBase, LEVEL_NAMES, RangeFilter
@@ -108,17 +109,21 @@ def filters_document(filters: list[RangeFilter], inputs: list[dict]) -> dict:
     }
 
 
+_INDENT_IN_C = sys.version_info >= (3, 13)
+
+
 def export_structured(document: dict) -> str:
     """Canonical JSON text for any result document.
 
     The text is exactly ``json.dumps(document, indent=2, ensure_ascii=False,
-    sort_keys=True)`` plus a newline. Before Python 3.13, ``indent`` makes
-    ``json`` fall back to its pure-Python encoder, so the nesting is walked
-    here, and every container that holds only scalars, and every list of
-    non-empty dicts that hold only scalars, goes to the C encoder in one
-    call.
+    sort_keys=True)`` plus a newline. From Python 3.13 ``json`` encodes
+    indented output in C, and the document goes to it whole. Before 3.13,
+    ``indent`` makes ``json`` fall back to its pure-Python encoder, so the
+    nesting is walked here, and every container that holds only scalars,
+    and every list of non-empty dicts that hold only scalars, goes to the C
+    encoder in one call.
     """
-    if c_make_encoder is None:
+    if _INDENT_IN_C or c_make_encoder is None:
         return _canonical_dumps(document)
     out: list[str] = []
     try:

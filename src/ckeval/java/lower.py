@@ -24,7 +24,7 @@ end of the body if none does. No argument list is scanned twice, so
 lowering stays linear in the body however deeply calls nest.
 """
 
-from ..model import CallRef, ClassInfo, ClassModel, FieldInfo, MethodInfo, build_model
+from ..model import ClassInfo, ClassModel, FieldInfo, MethodInfo, build_model, make_method
 from .lexer import PRIMITIVES
 from .parser import ClassDecl, MethodDecl, SourceUnit
 
@@ -41,14 +41,6 @@ _OPENERS = frozenset("([{")
 _CLOSERS = frozenset(")]}")
 
 
-class _CallRefs(dict):
-    """(class, name, arity) -> CallRef, made once per key."""
-
-    def __missing__(self, key: tuple[str | None, str, int]) -> CallRef:
-        ref = self[key] = CallRef(*key)
-        return ref
-
-
 def qualified_name(package: str, simple: str) -> str:
     return f"{package}.{simple}" if package else simple
 
@@ -61,7 +53,6 @@ def lower_to_model(units: list[SourceUnit], project_name: str = "") -> ClassMode
         for decl in unit.classes:
             bucket[decl.name] = qualified_name(unit.package_name, decl.name)
 
-    call_refs = _CallRefs()
     classes: list[ClassInfo] = []
     for unit in units:
         # simple name -> qualified name; a same-package class hides an
@@ -72,16 +63,15 @@ def lower_to_model(units: list[SourceUnit], project_name: str = "") -> ClassMode
                  **package_index.get(unit.package_name, {})}
         for decl in unit.classes:
             own_name = qualified_name(unit.package_name, decl.name)
-            classes.append(_lower_class(decl, own_name, names, call_refs))
+            classes.append(_lower_class(decl, own_name, names))
     return build_model(project_name, classes)
 
 
-def _lower_class(decl: ClassDecl, own_name: str, names: dict[str, str],
-                 call_refs: _CallRefs) -> ClassInfo:
+def _lower_class(decl: ClassDecl, own_name: str, names: dict[str, str]) -> ClassInfo:
     # field name -> the class its type names, None for a primitive type
     field_types = [None if f.type.is_primitive else names.get(f.type.text, f.type.text)
                    for f in decl.fields]
-    scope = _ClassScope(own_name, names, decl, field_types, call_refs)
+    scope = _ClassScope(own_name, names, decl, field_types)
     methods = tuple(_lower_method(m, scope) for m in decl.methods)
 
     if decl.kind == "interface":
@@ -104,9 +94,8 @@ class _ClassScope:
     """What every method body of one class resolves against."""
 
     def __init__(self, own_name: str, names: dict[str, str], decl: ClassDecl,
-                 field_types: list[str | None], call_refs: _CallRefs):
+                 field_types: list[str | None]):
         self.own_name = own_name
-        self.call_refs = call_refs
         self.classes = names
         # interface fields are implicitly static
         self.instance_fields = frozenset() if decl.kind == "interface" else frozenset(
@@ -116,15 +105,8 @@ class _ClassScope:
 
 def _lower_method(method: MethodDecl, scope: _ClassScope) -> MethodInfo:
     if method.body is None:
-        return MethodInfo(name=method.name, arity=method.arity)
-    used_fields, calls, referenced = _scan_body(method, scope)
-    return MethodInfo(
-        name=method.name,
-        arity=method.arity,
-        used_fields=frozenset(used_fields),
-        called_methods=frozenset(map(scope.call_refs.__getitem__, calls)),
-        referenced_classes=frozenset(referenced),
-    )
+        return make_method(method.name, method.arity, (), (), ())
+    return make_method(method.name, method.arity, *_scan_body(method, scope))
 
 
 def _scan_body(method: MethodDecl, scope: _ClassScope):

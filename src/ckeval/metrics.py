@@ -21,6 +21,7 @@ each field use costs an OR over (methods in the class)/64 machine words.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 from .errors import CkevalError, InheritanceCycleError, InputError
@@ -89,12 +90,16 @@ def noc(cls: ClassInfo, model: ClassModel) -> int:
     return _index(model).children.get(cls.qualified_name, 0)
 
 
+_TARGET = itemgetter(0)  # a CallRef's class_name
+
+
 def _uses(cls: ClassInfo) -> set[str]:
     """Classes whose methods or fields this class's methods touch."""
     out: set[str] = set()
     for m in cls.methods:
         out.update(m.referenced_classes)
-        out.update(c.class_name for c in m.called_methods if c.class_name is not None)
+        out.update(map(_TARGET, m.called_methods))
+    out.discard(None)  # unresolved call targets
     out.discard(cls.qualified_name)
     return out
 
@@ -198,13 +203,13 @@ def rfc(cls: ClassInfo) -> int:
     """Size of the response set: own methods united with called methods.
 
     Identity is (target class or unresolved, name, arity); one call level.
+    A ``CallRef`` equals and hashes as that triple.
     """
-    response: set[tuple[str | None, str, int | None]] = set()
+    own = cls.qualified_name
+    response: set[tuple[str | None, str, int | None]] = {
+        (own, m.name, m.arity) for m in cls.methods}
     for m in cls.methods:
-        response.add((cls.qualified_name, m.name, m.arity))
-    for m in cls.methods:
-        for call in m.called_methods:
-            response.add((call.class_name, call.method, call.arity))
+        response.update(m.called_methods)
     return len(response)
 
 

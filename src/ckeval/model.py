@@ -11,11 +11,20 @@ in a fixed order, and spells out an entry's location (such as
 members as ``build_model`` normalizes them, so ``build_model`` keeps the
 classes it is given instead of copying them; it still normalizes any other
 input, and ``_check`` is the one validation pass for both paths.
+
+``CallRef`` is a ``NamedTuple``, so building, hashing and set membership
+of the many call references run in C: it is iterable, it equals and
+hashes as its plain ``(class_name, method, arity)`` triple, and it orders
+against plain tuples. The reader and the Java lowering both build a
+method through ``make_method``, which turns each call triple into a
+``CallRef`` with ``tuple.__new__`` and fills the ``MethodInfo``'s
+``__dict__`` in one step.
 """
 
 from dataclasses import dataclass
 import json
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import DuplicateClassError, InheritanceCycleError, SchemaError
 
@@ -28,11 +37,11 @@ class FieldInfo:
     declared_type: str | None = None
 
 
-@dataclass(frozen=True, order=True)
-class CallRef:
+class CallRef(NamedTuple):
     """One called method: target class (None when unresolved), name, arity.
 
-    Arity is optional in documents; the frontend always records it.
+    Arity is optional in documents; the frontend always records it. A
+    ``CallRef`` is a tuple: it equals, hashes and orders as its triple.
     """
 
     class_name: str | None
@@ -50,6 +59,28 @@ class MethodInfo:
     used_fields: frozenset[str] = frozenset()
     called_methods: frozenset[CallRef] = frozenset()
     referenced_classes: frozenset[str] = frozenset()
+
+
+_new = object.__new__
+_set = object.__setattr__
+_new_tuple = tuple.__new__
+
+
+def make_method(name: str, arity: int, used_fields, calls, referenced_classes) -> MethodInfo:
+    """The ``MethodInfo`` of ``name``/``arity`` with the given used fields,
+    ``(class_name, method, arity)`` call triples and referenced classes.
+
+    Equal to ``MethodInfo(name, arity, frozenset(used_fields),
+    frozenset(CallRef(*t) for t in calls), frozenset(referenced_classes))``,
+    without a Python-level ``__init__`` per ``CallRef`` or a
+    ``object.__setattr__`` per field.
+    """
+    info = _new(MethodInfo)
+    _set(info, "__dict__", {
+        "name": name, "arity": arity, "used_fields": frozenset(used_fields),
+        "called_methods": frozenset([_new_tuple(CallRef, t) for t in calls]),
+        "referenced_classes": frozenset(referenced_classes)})
+    return info
 
 
 @dataclass(frozen=True)
@@ -351,13 +382,13 @@ def _read_method(m, i: int, j: int) -> MethodInfo:
         method = c.get("method")
         if not isinstance(method, str) or not method:
             raise SchemaError(f"classes[{i}].methods[{j}].calls[{k}].method", _NON_EMPTY)
-        calls.append(CallRef(target, method, call_arity))
+        calls.append((target, method, call_arity))
 
     touches = get("touchesClasses", [])
     if not isinstance(touches, list) or not _all_strings(touches):
         raise SchemaError(f"classes[{i}].methods[{j}].touchesClasses", _STRINGS)
 
-    return MethodInfo(name, arity, frozenset(uses), frozenset(calls), frozenset(touches))
+    return make_method(name, arity, uses, calls, touches)
 
 
 def _all_strings(items: list) -> bool:

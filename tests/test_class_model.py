@@ -1,3 +1,4 @@
+from collections import OrderedDict
 import copy
 import json
 import random
@@ -15,6 +16,8 @@ from ckeval.model import (
     MethodInfo,
     build_model,
     load_class_model,
+    make_method,
+    model_to_document,
     serialize_model,
     validate_model,
 )
@@ -233,6 +236,66 @@ def test_call_arity_optional_in_documents():
     ]))
     call = next(iter(model.get("A").methods[0].called_methods))
     assert call == CallRef("B", "f", None)
+
+
+def test_call_ref_equals_hashes_and_orders_as_its_triple():
+    ref = CallRef("p.A", "m", 1)
+    assert ref == ("p.A", "m", 1) and hash(ref) == hash(("p.A", "m", 1))
+    assert tuple(ref) == ("p.A", "m", 1)
+    assert ("p.A", "m", 1) in frozenset({ref}) and ref in {("p.A", "m", 1)}
+    assert repr(ref) == "CallRef(class_name='p.A', method='m', arity=1)"
+    bare = CallRef(class_name=None, method="run")
+    assert bare.arity is None and bare == (None, "run", None)
+    assert sorted([CallRef("p.B", "a", 0), ("p.A", "z", 2), CallRef("p.A", "m", 1)]) \
+        == [("p.A", "m", 1), ("p.A", "z", 2), ("p.B", "a", 0)]
+    assert ref.sort_key() == ("p.A", "m", 1)
+    assert bare.sort_key() == ("", "run", -1)
+
+
+def test_document_lists_calls_in_sort_key_order():
+    calls = [CallRef("p.B", "f", 0), CallRef(None, "g"), CallRef("p.A", "f", 2),
+             CallRef("p.A", "f", None), CallRef(None, "a", 1), CallRef("p.A", "e", 5)]
+    model = build_model("x", [ClassInfo("p.A", methods=(
+        MethodInfo("m", 0, called_methods=frozenset(calls)),)), ClassInfo("p.B")])
+    listed = model_to_document(model)["classes"][0]["methods"][0]["calls"]
+    assert [(c["class"], c["method"], c["arity"]) for c in listed] == [
+        (None, "a", 1), (None, "g", None), ("p.A", "e", 5), ("p.A", "f", None),
+        ("p.A", "f", 2), ("p.B", "f", 0)]
+
+
+def test_make_method_is_the_method_info_constructor():
+    calls = [("p.B", "f", 0), (None, "g", None)]
+    made = make_method("m", 2, ["x", "y"], calls, {"p.B"})
+    built = MethodInfo("m", 2, frozenset({"x", "y"}), frozenset(CallRef(*t) for t in calls),
+                       frozenset({"p.B"}))
+    assert type(made) is MethodInfo and made == built and hash(made) == hash(built)
+    assert repr(made) == repr(built)
+    assert all(type(ref) is CallRef for ref in made.called_methods)
+    assert make_method("n", 0, (), (), ()) == MethodInfo("n", 0)
+
+
+class Name(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Entry(dict):
+    pass
+
+
+def test_called_methods_are_call_refs_for_plain_and_subclass_values():
+    calls = [{"class": "B", "method": "f", "arity": 0}, {"class": None, "method": "g"},
+             {"class": Name("B"), "method": Name("h"), "arity": Count(1)},
+             OrderedDict(method="k", arity=2)]
+    document = {"schemaVersion": 1, "classes": [
+        {"name": "A", "methods": [{"name": "m", "arity": 0, "calls": calls}]}, {"name": "B"}]}
+    for given in (document, json.dumps(document)):
+        refs = load_class_model(given).get("A").methods[0].called_methods
+        assert refs == {("B", "f", 0), (None, "g", None), ("B", "h", 1), (None, "k", 2)}
+        assert all(type(ref) is CallRef for ref in refs)
 
 
 def test_uses_undeclared_field_rejected_at_load():
@@ -454,6 +517,73 @@ def test_reader_oracle_comparison_reaches_every_outcome():
             "name", "external", "extends", "implements", "type", "arity", "usesFields",
             "class", "method", "touchesClasses", "classes", "fields", "methods",
             "calls"} <= seen
+
+
+def disguise(value, rng: random.Random):
+    """``value`` with some strings, integers and dicts, keys aside, turned
+    into subclasses, as a document built in code rather than parsed may hold."""
+    if isinstance(value, dict):
+        items = {key: disguise(member, rng) for key, member in value.items()}
+        return Entry(items) if rng.random() < 0.2 else items
+    if isinstance(value, list):
+        return [disguise(member, rng) for member in value]
+    if isinstance(value, str) and rng.random() < 0.3:
+        return Name(value)
+    if type(value) is int and rng.random() < 0.3:
+        return Count(value)
+    return value
+
+
+def plant(document: dict, fault: str, rng: random.Random) -> None:
+    """One fault a JSON parser never gives, at a random method or call."""
+    if fault in ("usesFields", "touchesClasses", "calls"):
+        targets = entries(document, "method")
+    else:
+        targets = entries(document, "call")
+    targets = [(owner, k) for owner, k in targets if isinstance(owner[k], dict)]
+    if not targets:
+        return
+    owner, k = rng.choice(targets)
+    entry = owner[k]
+    if fault == "call arity":
+        entry["arity"] = rng.choice([True, False])
+    elif fault == "method":
+        entry["method"] = rng.choice(["", Name("")])
+    else:
+        entry[fault] = tuple(entry.get(fault, ()))
+
+
+HAND_BUILT_FAULTS = ["call arity", "method", "usesFields", "touchesClasses", "calls"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([None] + HAND_BUILT_FAULTS))
+def test_reader_matches_oracle_on_hand_built_documents(rng, fault):
+    document = disguise(random_document(rng), rng)
+    if fault is not None:
+        plant(document, fault, rng)
+    assert outcome(load_class_model, document) == expected_outcome(document)
+
+
+@pytest.mark.parametrize("fault, path, message", [
+    ("call arity", "classes[0].methods[0].calls[0].arity",
+     "must be a non-negative integer when present"),
+    ("method", "classes[0].methods[0].calls[0].method", "must be a non-empty string"),
+    ("usesFields", "classes[0].methods[0].usesFields", "must be an array of strings"),
+    ("touchesClasses", "classes[0].methods[0].touchesClasses", "must be an array of strings"),
+    ("calls", "classes[0].methods[0].calls", "must be an array"),
+])
+def test_hand_built_document_faults_are_refused_where_the_oracle_refuses(fault, path, message):
+    document = disguise({"schemaVersion": 1, "classes": [
+        {"name": "A", "fields": [{"name": "x"}],
+         "methods": [{"name": "m", "arity": 1, "usesFields": ["x"], "touchesClasses": ["B"],
+                      "calls": [{"class": "B", "method": "f", "arity": 0}]}]},
+        {"name": "B"}]}, random.Random(3))
+    assert outcome(load_class_model, document)[0] == "model"
+    plant(document, fault, random.Random(0))
+    expected = ("raised", SchemaError, f"{path}: {message}", path, None)
+    assert expected_outcome(document) == expected
+    assert outcome(load_class_model, document) == expected
 
 
 @settings(max_examples=100, deadline=None)

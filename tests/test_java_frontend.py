@@ -31,6 +31,14 @@ def test_extends_field_and_used_field():
     assert model.get("B").is_external
 
 
+def test_lowered_calls_are_call_refs():
+    unit = parse_source("package p; class A { B b; void m(){ b.run(1); m(); new B(); } }",
+                        "A.java")
+    calls = lower_to_model([unit]).get("p.A").methods[0].called_methods
+    assert calls == {("B", "run", 1), ("p.A", "m", 0), ("B", "B", 0)}
+    assert all(type(call) is CallRef for call in calls)
+
+
 def test_syntax_error_position():
     with pytest.raises(ParseError) as err:
         parse_source("class A { void m( }", "bad.java")

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import pytest
 
 import ckeval
+from ckeval import export
 from ckeval.chart import ChartSpec, build_chart_svg, emit_chart, escape
 from ckeval.errors import InputError
 from ckeval.export import (
@@ -278,6 +279,22 @@ def test_export_structured_refuses_what_json_refuses():
     cyclic["a"].append(cyclic)
     with pytest.raises(ValueError, match="Circular reference"):
         export_structured(cyclic)
+
+
+def test_export_structured_walks_the_nesting_only_before_python_3_13(monkeypatch):
+    # from 3.13 json indents in C, so the output must not come from _write
+    document = {"b": [1, {"c": "x", "d": [2, 3]}], "a": {}, "e": [{"f": None}]}
+    depths = []
+    walk = export._write
+
+    def spy(value, depth, out):
+        depths.append(depth)
+        walk(value, depth, out)
+
+    monkeypatch.setattr(export, "_write", spy)
+    assert export_structured(document) == dumps_oracle(document)
+    walked = sys.version_info < (3, 13) and export.c_make_encoder is not None
+    assert bool(depths) == walked
 
 
 def test_export_structured_is_json_dumps_on_result_documents(fixtures, corpus_model, tmp_path):
