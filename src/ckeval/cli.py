@@ -200,8 +200,8 @@ def _cmd_evaluate(args) -> int:
     kb = rules_mod.resolve_rule_base(args.rules)
     assessments = rules_mod.evaluate_project(pm, kb, scope=args.scope)
     if args.format == "structured":
-        doc = export_mod.assessments_document(assessments, kb, args.scope, inputs)
-        _write_output(export_mod.export_structured(doc), args.out)
+        _write_output(export_mod.assessments_text(assessments, kb, args.scope, inputs),
+                      args.out)
     else:
         report = report_mod.assessment_report(assessments, locale=args.locale,
                                               project_name=pm.project_name,

@@ -9,7 +9,10 @@ regenerated, which keeps repeated runs on identical inputs identical.
 The canonical text of a document is exactly
 ``json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True)`` plus a
 newline; ``tests/test_report.py`` checks ``export_structured`` against that
-expression on generated documents and on every result document.
+expression on generated documents and on every result document. The
+``*_document`` builders with ``export_structured`` define each text;
+``assessments_text`` writes the assessments' text without building the
+document, and the same tests hold it to ``json.dumps`` of that document.
 """
 
 from datetime import datetime, timezone
@@ -61,6 +64,77 @@ def assessments_document(assessments: list[Assessment], kb: KnowledgeBase,
             for a in assessments
         ],
     }
+
+
+def assessments_text(assessments: list[Assessment], kb: KnowledgeBase,
+                     scope: str, inputs: list[dict]) -> str:
+    """``export_structured(assessments_document(...))``, written straight
+    from the assessments.
+
+    The conclusions come from a small vocabulary of (attribute, level,
+    rule) triples, so each distinct triple is encoded once per call, as is
+    each fired rule id; a row then only appends texts it already has. All
+    pieces go to one flat list and one final join, which keeps the peak
+    memory near the size of the output. Only triples and ids made of plain
+    ``str`` are reused: a number or a bool that equals another key would
+    be written differently.
+    """
+    conclusions: dict[tuple, str] = {}  # (attribute, level, rule) -> its object
+    fired: dict[str, str] = {}  # rule id -> its line in firedRules
+    out = ['{\n  "assessments": [']
+    append = out.append
+    member = "\n"
+    for a in assessments:
+        append(member + '    {\n      "conclusions": [')
+        member = ",\n"
+        by = a.derived_by
+        separator = "\n"
+        for attribute, level in a.pairs():
+            key = (attribute, level, by[attribute])
+            text = conclusions.get(key)
+            if text is None:
+                text = ('        {\n          "attribute": ' + _value(attribute, 5)
+                        + ',\n          "level": ' + _value(LEVEL_NAMES[level], 5)
+                        + ',\n          "rule": ' + _value(key[2], 5)
+                        + "\n        }")
+                if type(attribute) is str and type(key[2]) is str:
+                    conclusions[key] = text
+            append(separator)
+            append(text)
+            separator = ",\n"
+        append('],\n      "firedRules": [' if separator == "\n"
+               else '\n      ],\n      "firedRules": [')
+        separator = "\n"
+        for rule in a.fired_rules:
+            text = fired.get(rule)
+            if text is None:
+                text = "        " + _value(rule, 4)
+                if type(rule) is str:
+                    fired[rule] = text
+            append(separator)
+            append(text)
+            separator = ",\n"
+        append('],\n      "scope": ' if separator == "\n"
+               else '\n      ],\n      "scope": ')
+        append(_value(a.scope, 3))
+        append("\n    }")
+    append("]" if member == "\n" else "\n  ]")
+    append(',\n  "inputs": ' + _value(inputs, 1)
+           + ',\n  "kind": "assessments",\n  "knowledgeBase": ' + _value(kb.name, 1)
+           + ',\n  "schemaVersion": ' + _value(EXPORT_SCHEMA_VERSION, 1)
+           + ',\n  "scope": ' + _value(scope, 1) + "\n}\n")
+    return "".join(out)
+
+
+def _value(value, depth: int) -> str:
+    """``value`` as json.dumps(indent=2) writes it at nesting ``depth``.
+
+    An encoded string holds no raw newline, so every newline of the text
+    at depth 0 is a line break, and indenting after each one places it.
+    """
+    if isinstance(value, str):
+        return encode_basestring(value)
+    return _canonical_dumps(value)[:-1].replace("\n", "\n" + "  " * depth)
 
 
 def verdicts_document(verdicts: list[VersionVerdict],

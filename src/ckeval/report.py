@@ -32,17 +32,22 @@ class Report:
 def render_text(report: Report) -> str:
     """Title, then sections in order; headings uppercased; aligned ' : '."""
     out = [report.title]
+    append = out.append
+    pads: dict[tuple[str, int], str] = {}  # (key, width) -> the line up to its value
     for section in report.sections:
-        out.append("")
-        out.append(_upper(section.heading, report.locale))
-        keyed = [line for line in section.lines if line[1] is not None]
-        width = max((len(k) for k, _ in keyed), default=0)
+        append("")
+        append(_upper(section.heading, report.locale))
+        width = max([len(k) for k, v in section.lines if v is not None], default=0)
         for key, value in section.lines:
             if value is None:
-                out.append(key)
-            else:
-                out.append(f"{key:<{width}} : {value}")
-    return "\n".join(out) + "\n"
+                append(key)
+                continue
+            pad = pads.get((key, width))
+            if pad is None:
+                pad = pads[key, width] = f"{key:<{width}} : "
+            append(f"{pad}{value}")
+    append("")  # the final newline, without copying the joined text
+    return "\n".join(out)
 
 
 def _upper(text: str, locale: str) -> str:
@@ -213,6 +218,7 @@ def assessment_report(assessments: list[Assessment], locale: str = "en",
     """Report assessments made at ``scope``, as ``evaluate_project`` takes
     it: one section per class, or the one project section."""
     s = STRINGS[locale]
+    wording: dict[tuple, Line] = {}  # (attribute, level) -> its line
     sections = []
     for a in assessments:
         if scope == "project":
@@ -222,10 +228,13 @@ def assessment_report(assessments: list[Assessment], locale: str = "en",
             heading = s["class_heading"]
             name_line = (s["class_key"], a.scope)
         lines: list[Line] = [name_line]
-        lines.extend(
-            (attribute_text(attribute, locale), level_text(attribute, level, locale))
-            for attribute, level in a.pairs()
-        )
+        for pair in a.pairs():
+            line = wording.get(pair)
+            if line is None:
+                attribute, level = pair
+                line = wording[pair] = (attribute_text(attribute, locale),
+                                        level_text(attribute, level, locale))
+            lines.append(line)
         lines.append((s["fired_rules"], ", ".join(a.fired_rules) or s["none"]))
         sections.append(Section(heading=heading, lines=tuple(lines)))
     return Report(title=s["title"], sections=tuple(sections), locale=locale)

@@ -445,6 +445,9 @@ def _chain(groups, kb: KnowledgeBase) -> list[Assessment]:
     """forward_chain over (scope, [(metric, value), ...]) groups of facts."""
     assessments: dict[str, Assessment] = {}
     match = kb.match
+    # id(rule) -> (rule.id, {attribute: level}, {attribute: rule.id}); match
+    # returns rules the base keeps alive, so no two of them share an id()
+    effects: dict[int, tuple[str, dict, dict]] = {}
     for scope, facts in groups:
         assessment = assessments.get(scope)
         for metric, value in facts:
@@ -457,10 +460,15 @@ def _chain(groups, kb: KnowledgeBase) -> list[Assessment]:
             rule = match(metric, value)
             if rule is None:
                 continue
-            assessment.fired_rules.append(rule.id)
-            assessment.derived.update(rule.conclusions)
-            for attribute, _ in rule.conclusions:
-                assessment.derived_by[attribute] = rule.id
+            effect = effects.get(id(rule))
+            if effect is None:
+                derived = dict(rule.conclusions)
+                effect = effects[id(rule)] = (rule.id, derived,
+                                              dict.fromkeys(derived, rule.id))
+            rule_id, derived, derived_by = effect
+            assessment.fired_rules.append(rule_id)
+            assessment.derived.update(derived)
+            assessment.derived_by.update(derived_by)
     return list(assessments.values())
 
 

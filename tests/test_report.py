@@ -15,6 +15,7 @@ from ckeval.chart import ChartSpec, build_chart_svg, emit_chart, escape
 from ckeval.errors import InputError
 from ckeval.export import (
     assessments_document,
+    assessments_text,
     export_structured,
     filters_document,
     import_structured,
@@ -23,6 +24,9 @@ from ckeval.export import (
 )
 from ckeval.metrics import METRICS, compute_all
 from ckeval.report import (
+    ATTRIBUTE_TEXT,
+    LEVEL_TEXT_BY_ATTRIBUTE,
+    LOCALES,
     Report,
     Section,
     assessment_report,
@@ -33,14 +37,18 @@ from ckeval.report import (
     render_text,
 )
 from ckeval.rules import (
+    ATTRIBUTES,
+    Assessment,
     Fact,
     Interval,
+    LEVEL_NAMES,
     Level,
     ValueSet,
     default_rule_base,
     evaluate_project,
     filter_by_ranges,
     forward_chain,
+    load_rules,
     paper_rule_preset,
 )
 from ckeval.tables import metrics_from_csv, metrics_to_document
@@ -65,6 +73,21 @@ def test_render_alignment_and_bare_lines():
                     "key        : v1\n"
                     "longer key : v2\n"
                     "bare line;\n")
+
+
+def test_render_pads_a_key_to_the_width_of_its_own_section():
+    # the same key in sections of different widths, and again in the first
+    report = Report(title="T", sections=(
+        Section("a", (("key", "1"), ("wider key", "2"))),
+        Section("b", (("key", "3"), ("bare", None), ("k", "4"))),
+        Section("c", (("key", "5"), ("longer key", "6"))),
+        Section("d", (("wider key", "7"), ("key", "8"))),
+    ))
+    assert render_text(report) == ("T\n"
+                                   "\nA\nkey       : 1\nwider key : 2\n"
+                                   "\nB\nkey : 3\nbare\nk   : 4\n"
+                                   "\nC\nkey        : 5\nlonger key : 6\n"
+                                   "\nD\nwider key : 7\nkey       : 8\n")
 
 
 def test_render_turkish_uppercasing_keeps_dotted_i():
@@ -131,6 +154,33 @@ def test_assessment_report_renders_published_rule_wording():
     assert "Az" in text
     assert "moreUnit.actions.JumpAction" in text   # class name not mangled
     assert "paper-1" in text
+
+
+def test_assessment_report_words_every_pair_as_attribute_and_level_text():
+    # every registered attribute, one without wording, and the attributes
+    # with per-level overrides, at every level; rows repeat pairs, so the
+    # wording found once per report is reused across sections
+    attributes = sorted(ATTRIBUTES | {"noWording"})
+    assert "noWording" not in ATTRIBUTE_TEXT["en"]
+    overridden = {pair for locale in LOCALES for pair in LEVEL_TEXT_BY_ATTRIBUTE[locale]}
+    assert {a for a, _ in overridden} <= set(attributes)
+    assessments = []
+    for i, level in enumerate(list(Level) * 2):
+        pairs = attributes[i % 3:] + attributes[:i % 3]
+        assessments.append(Assessment(scope=f"C{i}", derived=dict.fromkeys(pairs, level),
+                                      derived_by=dict.fromkeys(pairs, "r"),
+                                      fired_rules=["r"]))
+    for locale in LOCALES:
+        report = assessment_report(assessments, locale=locale)
+        for a, section in zip(assessments, report.sections, strict=True):
+            assert section.lines[1:-1] == tuple(
+                (attribute_text(attribute, locale), level_text(attribute, level, locale))
+                for attribute, level in a.pairs())
+        lines = {line for section in report.sections for line in section.lines}
+        assert ("noWording", level_text("noWording", Level.LOW, locale)) in lines
+        for attribute, level in overridden:
+            assert (attribute_text(attribute, locale),
+                    LEVEL_TEXT_BY_ATTRIBUTE[locale][attribute, level]) in lines
 
 
 def test_filter_report_condition_display(fixtures):
@@ -311,6 +361,80 @@ def test_export_structured_is_json_dumps_on_result_documents(fixtures, corpus_mo
                                                   kb, scope, inputs))
     for document in documents:
         assert export_structured(document) == dumps_oracle(document)
+
+
+# --- structured assessments written straight from the assessments ---------------
+
+def assert_assessments_text_is_export(assessments, kb, scope, inputs):
+    document = assessments_document(assessments, kb, scope, inputs)
+    assert assessments_text(assessments, kb, scope, inputs) == dumps_oracle(document)
+
+
+texts = st.one_of(st.sampled_from(TRICKY_STRINGS), st.text())
+rule_ids = st.one_of(st.sampled_from([s for s in TRICKY_STRINGS if s]), st.text(min_size=1))
+inputs_lists = st.lists(st.fixed_dictionaries({"path": texts,
+                                               "modified": st.one_of(st.none(), texts)}),
+                        max_size=2)
+
+
+@st.composite
+def custom_bases(draw):
+    """A rules document through load_rules: each rule matches one value of
+    its metric, and the values of a metric are distinct, so bands are disjoint."""
+    ids = draw(st.lists(rule_ids, min_size=1, max_size=8, unique=True))
+    entries = []
+    for i, rule_id in enumerate(ids):
+        conclusions = draw(st.lists(
+            st.fixed_dictionaries({"attribute": st.sampled_from(sorted(ATTRIBUTES)),
+                                   "level": st.sampled_from(list(LEVEL_NAMES.values()))}),
+            min_size=1, max_size=4))
+        entries.append({"id": rule_id, "metric": METRICS[i % len(METRICS)],
+                        "values": [i // len(METRICS)], "conclusions": conclusions})
+    return load_rules({"name": draw(st.one_of(st.just("custom"), rule_ids)),
+                       "rules": entries})
+
+
+@st.composite
+def hand_built_assessments(draw):
+    """Assessments as any caller may build them, with or without pairs or
+    fired rules, and attributes that name no registered attribute."""
+    derived = draw(st.dictionaries(texts, st.sampled_from(list(Level)), max_size=4))
+    return Assessment(scope=draw(texts), derived=derived,
+                      derived_by={attribute: draw(rule_ids) for attribute in derived},
+                      fired_rules=draw(st.lists(rule_ids, max_size=3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kb=custom_bases(),
+       facts=st.lists(st.tuples(texts, st.sampled_from(METRICS), st.integers(0, 3)),
+                      max_size=12),
+       extra=st.lists(hand_built_assessments(), max_size=3),
+       scope=st.one_of(st.sampled_from(["class", "project"]), texts),
+       inputs=inputs_lists)
+@example(kb=paper_rule_preset(), facts=[], extra=[], scope="class", inputs=[])
+@example(kb=paper_rule_preset(), facts=[("c", "WMC", 0)], extra=[], scope="project", inputs=[])
+def test_assessments_text_is_export_of_the_document(kb, facts, extra, scope, inputs):
+    # facts of no rule leave an assessment with no pairs and no fired rules
+    assessments = forward_chain([Fact(metric, value, name) for name, metric, value in facts], kb)
+    assert_assessments_text_is_export(assessments + extra, kb, scope, inputs)
+
+
+def test_assessments_text_reuses_no_text_across_equal_keys_of_other_types():
+    # 1, 1.0 and True are equal keys but json writes them differently
+    kb = paper_rule_preset()
+    assessments = [Assessment(scope=str(key), derived={key: Level.LOW},
+                              derived_by={key: key}, fired_rules=[key])
+                   for key in ("1", 1, 1.0, True, "1")]
+    assert_assessments_text_is_export(assessments, kb, "class", [])
+
+
+def test_assessments_text_is_export_on_result_documents(fixtures, tmp_path):
+    pm = metrics_from_csv((fixtures / "moreunit_classes.csv").read_text(encoding="utf-8"))
+    inputs = input_provenance([fixtures / "moreunit_classes.csv", tmp_path / "missing.csv"])
+    for kb in (default_rule_base(), paper_rule_preset()):
+        for scope in ("class", "project"):
+            assert_assessments_text_is_export(evaluate_project(pm, kb, scope),
+                                              kb, scope, inputs)
 
 
 # --- SVG chart -------------------------------------------------------------------
