@@ -6,13 +6,11 @@ counts characters since the last line feed, so CR and tab advance it by one.
 
 ``tokenize`` returns a ``Tokens``: the kinds and texts of the tokens as two
 parallel tuples, ``kinds`` and ``texts``, which the parser and lowering
-index directly. It is also a read-only sequence of ``Token``s. A token's
-line and column are worked out only when something asks for them, from the
-token's offset in the text, which is the length of the skipped spans and
-tokens before it. A cursor shared by a ``Tokens`` and its slices keeps the
-offset, line and line start of the last token asked for and moves from
-there with ``str.count`` and ``str.rfind``, so the positions of the tokens
-in order cost time linear in the text.
+index directly. It is also a read-only sequence of ``Token``s. Positions
+are worked out only when something asks for one. The first read builds a
+table, shared by a ``Tokens`` and its slices, of every token's offset (the
+running sum of the skipped-span and token lengths) and every line's start;
+each read is then one ``bisect`` into the line starts.
 
 One compiled pattern (``_SCAN``) does the work. Each match is a skipped span
 of whitespace and comments followed by one token, one character the
@@ -39,7 +37,9 @@ there are.
 
 import re
 import string
+from bisect import bisect_right
 from collections.abc import Sequence
+from itertools import accumulate, chain
 from operator import itemgetter, methodcaller
 from typing import NamedTuple
 
@@ -85,44 +85,33 @@ def line_column(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-class _Cursor:
+class _Positions:
     """The line and column of each token row of one lexed text.
 
-    ``state`` is the row asked for last, with its offset, line and line
-    start. It is replaced as one tuple, so a cursor shared between threads
-    always moves from a consistent state.
+    ``table`` is None until the first read, then the offset of every row
+    and the start of every line. It is stored as one tuple once complete,
+    so a thread sees either no table or a whole one.
     """
 
-    __slots__ = ("text", "skips", "texts", "state")
+    __slots__ = ("text", "skips", "texts", "table")
 
     def __init__(self, text: str, skips: tuple[str, ...], texts: tuple[str, ...]):
         self.text = text
         self.skips = skips  # the skipped span before each token
         self.texts = texts
-        offset = len(skips[0])
-        line, column = line_column(text, offset)
-        self.state = (0, offset, line, offset - column + 1)
+        self.table = None
 
     def __call__(self, row: int) -> tuple[int, int]:
-        at, offset, line, line_start = self.state
-        text, texts, skips = self.text, self.texts, self.skips
-        # a join measures the spans between two rows faster than their lengths summed
-        if row > at:
-            new = (offset + len("".join(texts[at:row]))
-                   + len("".join(skips[at + 1:row + 1])))
-            newlines = text.count("\n", offset, new)
-            if newlines:
-                line += newlines
-                line_start = text.rfind("\n", offset, new) + 1
-        elif row < at:
-            new = (offset - len("".join(texts[row:at]))
-                   - len("".join(skips[row + 1:at + 1])))
-            line -= text.count("\n", new, offset)
-            line_start = text.rfind("\n", 0, new) + 1
-        else:
-            return line, offset - line_start + 1
-        self.state = (row, new, line, line_start)
-        return line, new - line_start + 1
+        if self.table is None:
+            spans = map(len, chain.from_iterable(zip(self.skips, self.texts)))
+            # the start of each line and, past the end, of one more
+            line_starts = list(accumulate(
+                map((1).__add__, map(len, self.text.split("\n"))), initial=0))
+            self.table = tuple(accumulate(spans))[::2], line_starts
+        offsets, line_starts = self.table
+        offset = offsets[row]
+        line = bisect_right(line_starts, offset)
+        return line, offset - line_starts[line - 1] + 1
 
 
 class Tokens(Sequence[Token]):
@@ -134,13 +123,13 @@ class Tokens(Sequence[Token]):
     hashes equal to the tuple of the same ``Token``s.
     """
 
-    __slots__ = ("kinds", "texts", "_rows", "_cursor")
+    __slots__ = ("kinds", "texts", "_rows", "_positions")
 
     def __init__(self, kinds: tuple[str, ...], texts: tuple[str, ...],
-                 cursor: _Cursor, rows: range):
+                 positions: _Positions, rows: range):
         self.kinds = kinds
         self.texts = texts
-        self._cursor = cursor
+        self._positions = positions
         self._rows = rows  # the row in the lexed text of each token
 
     def __len__(self) -> int:
@@ -148,14 +137,14 @@ class Tokens(Sequence[Token]):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Tokens(self.kinds[index], self.texts[index], self._cursor,
+            return Tokens(self.kinds[index], self.texts[index], self._positions,
                           self._rows[index])
         return Token(self.kinds[index], self.texts[index],
-                     *self._cursor(self._rows[index]))
+                     *self._positions(self._rows[index]))
 
     def line_column(self, index: int) -> tuple[int, int]:
         """The line and column of the token at index."""
-        return self._cursor(self._rows[index])
+        return self._positions(self._rows[index])
 
     def __eq__(self, other):
         if isinstance(other, (Tokens, tuple)):
@@ -227,7 +216,7 @@ def tokenize(text: str) -> Tokens:
     else:
         skips, texts = tuple(map(_skip, rows[:end])), texts[:end]
     kinds = tuple(map(_KindOf(_KIND_OF_TEXT).__getitem__, texts))
-    return Tokens(kinds, texts, _Cursor(text, skips, texts), range(len(texts)))
+    return Tokens(kinds, texts, _Positions(text, skips, texts), range(len(texts)))
 
 
 def _exact_rows(text: str, rows: list[tuple[str, str, str]], texts: tuple[str, ...],

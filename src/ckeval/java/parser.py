@@ -10,7 +10,7 @@ types are outside the subset and reported as syntax errors.
 
 The parser reads the kind and text columns of the lexer's ``Tokens`` and
 works in token indices; it asks for a line and column only for a
-declaration name and for a diagnostic.
+diagnostic. The declarations hold what lowering reads, and no position.
 """
 
 from dataclasses import dataclass
@@ -41,7 +41,6 @@ class ParseError(Exception):
 class TypeRef:
     text: str            # base name as written, e.g. "List" or "shop.Item"
     is_primitive: bool
-    dims: int = 0
 
 
 @dataclass(frozen=True)
@@ -49,20 +48,13 @@ class FieldDecl:
     name: str
     type: TypeRef
     is_static: bool
-    line: int
-    column: int
 
 
 @dataclass(frozen=True)
 class MethodDecl:
     name: str
     params: tuple[tuple[TypeRef, str], ...]
-    is_constructor: bool
-    is_static: bool
-    is_abstract: bool
     body: Tokens | None  # None for abstract/interface methods
-    line: int
-    column: int
 
     @property
     def arity(self) -> int:
@@ -77,8 +69,6 @@ class ClassDecl:
     implements: tuple[str, ...]
     fields: tuple[FieldDecl, ...]
     methods: tuple[MethodDecl, ...]
-    line: int
-    column: int
 
 
 @dataclass(frozen=True)
@@ -129,12 +119,11 @@ class _Parser:
     columns with one more eof, so the token after any token but the last
     eof is there to look at. The grammar rules index them directly on their
     success path and keep the position in a local, storing it back in
-    ``self.pos`` before they call another rule. Only a declaration name or
-    a diagnostic asks the tokens for a line and column. A check that fails
-    goes through ``expected`` or ``fail``, whose diagnostics are the ones
-    ``expect`` gives. A keyword or punctuation token is recognized by its
-    text alone: no identifier, literal or end-of-file token has such a
-    text.
+    ``self.pos`` before they call another rule. Only a diagnostic asks the
+    tokens for a line and column. A check that fails goes through
+    ``expected`` or ``fail``, whose diagnostics are the ones ``expect``
+    gives. A keyword or punctuation token is recognized by its text alone:
+    no identifier, literal or end-of-file token has such a text.
     """
 
     def __init__(self, tokens: Tokens, path: str):
@@ -145,10 +134,6 @@ class _Parser:
         self.path = path
 
     # --- token plumbing ---
-
-    def line_column(self, pos: int) -> tuple[int, int]:
-        # the padding eof stands where the last one does
-        return self.tokens.line_column(min(pos, len(self.tokens) - 1))
 
     def at(self, kind: str, text: str | None = None) -> bool:
         pos = self.pos
@@ -171,7 +156,9 @@ class _Parser:
                   pos)
 
     def fail(self, message: str, pos: int | None = None) -> NoReturn:
-        line, column = self.line_column(self.pos if pos is None else pos)
+        pos = self.pos if pos is None else pos
+        # the padding eof stands where the last one does
+        line, column = self.tokens.line_column(min(pos, len(self.tokens) - 1))
         raise ParseError([ParseDiagnostic(self.path, line, column,
                                           "SYNTAX_ERROR", message)])
 
@@ -282,7 +269,6 @@ class _Parser:
         self.pos = pos + 1
         name_pos = self.expect("ident")
         name = self.texts[name_pos]
-        line, column = self.line_column(name_pos)
 
         if self.at("punct", "<"):
             self.fail("generic type parameters are not supported")
@@ -317,8 +303,7 @@ class _Parser:
             self.fail("class must not extend itself", name_pos)
         return ClassDecl(name=name, kind=kind,
                          extends=tuple(extends), implements=tuple(implements),
-                         fields=tuple(fields), methods=tuple(methods),
-                         line=line, column=column)
+                         fields=tuple(fields), methods=tuple(methods))
 
     def member(self, class_name: str, fields: list[FieldDecl],
                methods: list[MethodDecl]) -> None:
@@ -326,7 +311,7 @@ class _Parser:
         if texts[self.pos] == ";":  # stray semicolon
             self.pos += 1
             return
-        mods = self.modifiers()
+        is_static = "static" in self.modifiers()
         pos = self.pos
         name = texts[pos]
         if name in ("class", "interface", "enum"):
@@ -334,23 +319,17 @@ class _Parser:
 
         # constructor: ClassName '('
         if name == class_name and texts[pos + 1] == "(" and kinds[pos] == "ident":
-            line, column = self.line_column(pos)
             self.pos = pos + 1
             params = self.parameters()
             self.skip_throws()
-            body = self.skip_balanced("{", "}")
-            methods.append(MethodDecl(
-                name=name, params=params, is_constructor=True,
-                is_static=False, is_abstract=False, body=body,
-                line=line, column=column))
+            methods.append(MethodDecl(name, params, self.skip_balanced("{", "}")))
             return
 
-        base, primitive, dims = self.type_ref()
+        type_ = self.type_ref()
         pos = self.pos
         if kinds[pos] != "ident":
             self.expected("ident", pos)
         name = texts[pos]
-        line, column = self.line_column(pos)
         self.pos = pos + 1
 
         if texts[pos + 1] == "(":
@@ -361,21 +340,13 @@ class _Parser:
                 body: Tokens | None = None
             else:
                 body = self.skip_balanced("{", "}")
-            methods.append(MethodDecl(
-                name=name, params=params, is_constructor=False,
-                is_static="static" in mods,
-                is_abstract=body is None, body=body,
-                line=line, column=column))
+            methods.append(MethodDecl(name, params, body))
             return
 
         # field declaration, possibly with comma declarators
-        is_static = "static" in mods
         while True:
-            fields.append(FieldDecl(
-                name=name,
-                type=TypeRef(base, primitive, dims + self.array_dims()),
-                is_static=is_static,
-                line=line, column=column))
+            self.array_dims()
+            fields.append(FieldDecl(name, type_, is_static))
             if texts[self.pos] == "=":
                 self.pos += 1
                 self.skip_initializer()
@@ -384,7 +355,6 @@ class _Parser:
                 if kinds[pos + 1] != "ident":
                     self.expected("ident", pos + 1)
                 name = texts[pos + 1]
-                line, column = self.line_column(pos + 1)
                 self.pos = pos + 2
                 continue
             if texts[pos] != ";":
@@ -392,8 +362,8 @@ class _Parser:
             self.pos = pos + 1
             return
 
-    def type_ref(self) -> tuple[str, bool, int]:
-        """The base name, primitiveness and array dims of a type."""
+    def type_ref(self) -> TypeRef:
+        """A type, with any array dims after it."""
         pos = self.pos
         kind, text = self.kinds[pos], self.texts[pos]
         if kind == "ident":
@@ -405,15 +375,15 @@ class _Parser:
             self.fail(f"expected a type, found {text or kind!r}", pos)
         if self.texts[self.pos] == "<":
             self.fail("generic types are not supported")
-        return base, kind != "ident", self.array_dims()
+        self.array_dims()
+        return TypeRef(base, kind != "ident")
 
-    def array_dims(self) -> int:
+    def array_dims(self) -> None:
         texts = self.texts
-        pos = start = self.pos
+        pos = self.pos
         while texts[pos] == "[" and texts[pos + 1] == "]":
             pos += 2
         self.pos = pos
-        return (pos - start) // 2
 
     def parameters(self) -> tuple[tuple[TypeRef, str], ...]:
         kinds, texts = self.kinds, self.texts
@@ -431,16 +401,14 @@ class _Parser:
                 if texts[pos] == "final":
                     pos += 1
                 self.pos = pos
-                base, primitive, dims = self.type_ref()
+                type_ = self.type_ref()
                 pos = self.pos
                 if kinds[pos] != "ident":
                     self.expected("ident", pos)
-                name = texts[pos]
+                params.append((type_, texts[pos]))
                 pos += 1
                 while texts[pos] == "[" and texts[pos + 1] == "]":
                     pos += 2
-                    dims += 1
-                params.append((TypeRef(base, primitive, dims), name))
                 if texts[pos] == ",":
                     pos += 1
                     continue

@@ -26,8 +26,8 @@ from .tables import format_value, read_number, read_text
 
 BUILTIN_BASES = ("default", "paper")
 
-#: Registered quality attributes; extensible via register_attribute().
-ATTRIBUTES = {
+#: The quality attributes a rule may conclude.
+ATTRIBUTES = frozenset({
     "complexity",
     "understandability",
     "testability",
@@ -40,13 +40,7 @@ ATTRIBUTES = {
     "modularDesign",
     "inheritanceDepth",
     "methodCount",
-}
-
-
-def register_attribute(name: str) -> None:
-    if not name or not name.strip():
-        raise ValueError("attribute name must be non-empty")
-    ATTRIBUTES.add(name)
+})
 
 
 class Level(IntEnum):
@@ -513,10 +507,14 @@ def filter_by_ranges(pm: ProjectMetrics,
         if metric not in selection:
             continue
         condition = selection[metric]
-        inside = tuple(r for r in pm.per_class if condition.matches(r.value(metric)))
-        outside = tuple(r for r in pm.per_class if not condition.matches(r.value(metric)))
+        inside, outside = [], []
+        for record in pm.per_class:
+            if condition.matches(record.value(metric)):
+                inside.append(record)
+            else:
+                outside.append(record)
         results.append(RangeFilter(metric=metric, condition=condition,
-                                   in_range=inside, out_of_range=outside))
+                                   in_range=tuple(inside), out_of_range=tuple(outside)))
     unknown = set(selection) - set(METRICS)
     if unknown:
         raise UsageError("unknown metric in selection: " + ", ".join(sorted(unknown)))

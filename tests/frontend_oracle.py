@@ -179,8 +179,7 @@ class _Parser:
             self.fail("class must not extend itself", name_tok)
         return ClassDecl(name=name_tok.text, kind=kind,
                          extends=tuple(extends), implements=tuple(implements),
-                         fields=tuple(fields), methods=tuple(methods),
-                         line=name_tok.line, column=name_tok.column)
+                         fields=tuple(fields), methods=tuple(methods))
 
     def member(self, class_name: str, class_kind: str,
                fields: list[FieldDecl], methods: list[MethodDecl]) -> None:
@@ -200,9 +199,7 @@ class _Parser:
             self.skip_throws()
             body = self.skip_balanced("{", "}")
             methods.append(MethodDecl(
-                name=name_tok.text, params=params, is_constructor=True,
-                is_static=False, is_abstract=False, body=body,
-                line=name_tok.line, column=name_tok.column))
+                name=name_tok.text, params=params, body=body))
             return
 
         declared = self.type_ref()
@@ -217,21 +214,17 @@ class _Parser:
             else:
                 body = self.skip_balanced("{", "}")
             methods.append(MethodDecl(
-                name=name_tok.text, params=params, is_constructor=False,
-                is_static="static" in mods,
-                is_abstract=body is None, body=body,
-                line=name_tok.line, column=name_tok.column))
+                name=name_tok.text, params=params, body=body))
             return
 
         # field declaration, possibly with comma declarators
         is_static = "static" in mods
         while True:
-            dims = declared.dims + self.array_dims()
+            self.array_dims()
             fields.append(FieldDecl(
                 name=name_tok.text,
-                type=TypeRef(declared.text, declared.is_primitive, dims),
-                is_static=is_static,
-                line=name_tok.line, column=name_tok.column))
+                type=TypeRef(declared.text, declared.is_primitive),
+                is_static=is_static))
             if self.at("punct", "="):
                 self.take()
                 self.skip_initializer()
@@ -253,7 +246,8 @@ class _Parser:
             self.fail(f"expected a type, found {tok.text or tok.kind!r}", tok)
         if self.at("punct", "<"):
             self.fail("generic types are not supported")
-        return TypeRef(base, primitive, self.array_dims())
+        self.array_dims()
+        return TypeRef(base, primitive)
 
     def array_dims(self) -> int:
         dims = 0
@@ -274,8 +268,7 @@ class _Parser:
                     self.take()
                 ptype = self.type_ref()
                 pname = self.expect("ident").text
-                ptype = TypeRef(ptype.text, ptype.is_primitive,
-                                ptype.dims + self.array_dims())
+                self.array_dims()
                 params.append((ptype, pname))
                 if self.at("punct", ","):
                     self.take()

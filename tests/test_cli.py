@@ -177,6 +177,18 @@ def test_rules_check_valid_and_invalid(tmp_path, capsys):
     assert "overlap" in err
 
 
+def test_rules_check_refuses_an_attribute_outside_the_vocabulary(tmp_path, capsys):
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({
+        "schemaVersion": 1, "name": "odd",
+        "rules": [{"id": "r", "metric": "WMC", "range": [0, None],
+                   "conclusions": [{"attribute": "elegance", "level": "High"}]}],
+    }), encoding="utf-8")
+    code, out, err = run_cli(["rules", "check", str(rules)], capsys)
+    assert (code, out) == (2, "")
+    assert "rule 'r': unregistered attribute 'elegance'" in err
+
+
 @pytest.mark.parametrize("bands, cover", [
     ([{"range": [0, 1000]}, {"range": [2000, None]}], "incomplete"),
     ([{"range": [0, 1000]}, {"range": [1001, None]}], "complete"),

@@ -7,8 +7,8 @@ from time import perf_counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ckeval.java import (LexError, ParseError, SourceUnit, Token, Tokens, parse_source,
-                         tokenize)
+from ckeval.java import (LexError, ParseError, SourceUnit, Token, Tokens, lexer,
+                         parse_source, tokenize)
 from lexer_oracle import oracle_tokenize
 from test_java_frontend import TORTURE, _generate_source
 
@@ -129,7 +129,7 @@ def test_tokens_read_as_the_oracle_tokens(text, data):
     assert isinstance(tokens, Tokens) and len(tokens) == n
     assert tokens.kinds == tuple(t.kind for t in expected)
     assert tokens.texts == tuple(t.text for t in expected)
-    # positions asked for in random order, on a fresh cursor
+    # positions asked for in random order, the first read building the table
     order = data.draw(st.permutations(range(n)))
     tokens = tokenize(text)
     assert [tokens[i] for i in order] == [expected[i] for i in order]
@@ -163,7 +163,8 @@ def test_tokens_equality_needs_the_same_positions():
 
 
 def test_tokens_shared_between_threads_read_the_same_positions():
-    # every read moves the one cursor the tokens and their slices share
+    # every thread may find the position table missing and build it; each
+    # must read either no table or a whole one
     text = "".join(f"class C{k} {{\n  int f;\n  void m() {{ f = {k}; }}\n}}\n"
                    for k in range(300))
     expected = oracle_tokens(text)
@@ -193,7 +194,7 @@ def test_tokens_shared_between_threads_read_the_same_positions():
 
 @pytest.mark.parametrize("name", ["f", "fé"])  # the ASCII path and the exact path
 def test_parse_time_stays_linear_in_declarations(name):
-    # every declaration name asks the tokens for its line and column
+    # the parser indexes the token columns and asks for no position
     def seconds(count: int) -> float:
         members = "".join(f"  int {name}{k};\n  void m{k}() {{ {name}{k} = {name}{k} + 1; }}\n"
                           for k in range(count))
@@ -203,10 +204,21 @@ def test_parse_time_stays_linear_in_declarations(name):
             start = perf_counter()
             unit = parse_source(text, "A.java")
             best = min(best, perf_counter() - start)
-        assert unit.classes[0].methods[-1].line == 2 * count + 1
+        assert unit.classes[0].methods[-1].name == f"m{count - 1}"
         return best
 
     assert seconds(4000) < 8 * seconds(1000)
+
+
+def test_parsing_the_corpus_builds_no_position_table(monkeypatch):
+    # only a read of a position builds the table
+    reads = []
+    monkeypatch.setattr(lexer._Positions, "__call__",
+                        lambda positions, row: reads.append(row))
+    paths = sorted((FIXTURES / "corpus").rglob("*.java"))
+    units = [parse_source(p.read_text(encoding="utf-8"), str(p)) for p in paths]
+    assert paths and all(unit.classes for unit in units)
+    assert reads == []
 
 
 PARSER_WORDS = ["package", "import", "class", "interface", "extends", "implements",

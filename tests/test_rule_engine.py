@@ -112,6 +112,13 @@ def test_value_set_interval_overlap_rejected():
     assert err.value.value == 3
 
 
+def test_attribute_outside_the_vocabulary_rejected():
+    doc = one_band_per_metric_doc()
+    doc["rules"][2]["conclusions"].append({"attribute": "elegance", "level": "High"})
+    with pytest.raises(RuleError, match=r"rule 'r-NOC': unregistered attribute 'elegance'"):
+        load_rules(doc)
+
+
 def test_empty_base_rejected():
     with pytest.raises(RuleError):
         load_rules({"schemaVersion": 1, "name": "x", "rules": []})
@@ -495,6 +502,23 @@ def test_class_scope_chaining_matches_forward_chain(kb, rows):
     expected = outcome(lambda: chain_oracle(as_facts, kb))
     assert outcome(lambda: evaluate_project(pm, kb, "class")) == expected
     assert outcome(lambda: forward_chain(as_facts, kb)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(records(), st.dictionaries(st.sampled_from(METRICS), conditions, min_size=1))
+def test_filter_by_ranges_partitions_the_rows_in_order(rows, selection):
+    pm = ProjectMetrics(project_name="p", per_class=tuple(rows), means={})
+    result = filter_by_ranges(pm, selection)
+    assert [f.metric for f in result] == [m for m in METRICS if m in selection]
+    row_of = {id(record): row for row, record in enumerate(rows)}
+    for f in result:
+        assert f.condition is selection[f.metric]
+        inside = [row_of[id(record)] for record in f.in_range]
+        outside = [row_of[id(record)] for record in f.out_of_range]
+        assert inside == sorted(inside) and outside == sorted(outside)
+        assert sorted(inside + outside) == list(range(len(rows)))
+        assert all(f.condition.matches(rows[row].value(f.metric)) for row in inside)
+        assert not any(f.condition.matches(rows[row].value(f.metric)) for row in outside)
 
 
 def test_builtin_bases_are_loaded_once_and_files_on_every_call(tmp_path):
