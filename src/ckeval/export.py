@@ -23,6 +23,7 @@ from pathlib import Path
 import sys
 
 from .errors import InputError
+from .metrics import value_getter
 from .rules import Assessment, Interval, KnowledgeBase, LEVEL_NAMES, RangeFilter
 from .versions import VersionVerdict
 
@@ -167,12 +168,13 @@ def filters_document(filters: list[RangeFilter], inputs: list[dict]) -> dict:
             condition = {"range": [f.condition.lo, f.condition.hi]}
         else:
             condition = {"values": sorted(f.condition.values)}
+        column = value_getter(f.metric)
         out.append({
             "metric": f.metric,
             "condition": condition,
-            "inRange": [{"class": r.class_name, "value": r.value(f.metric)}
+            "inRange": [{"class": r.class_name, "value": column(r)}
                         for r in f.in_range],
-            "outOfRange": [{"class": r.class_name, "value": r.value(f.metric)}
+            "outOfRange": [{"class": r.class_name, "value": column(r)}
                            for r in f.out_of_range],
         })
     return {

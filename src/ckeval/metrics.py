@@ -18,11 +18,16 @@ counts the method pairs that share a field with one bit mask per field. All
 six metrics over a model then cost O(classes + references + inheritance
 edges), whatever the inheritance depth, apart from LCOM's word-level term:
 each field use costs an OR over (methods in the class)/64 machine words.
+
+``MetricRecord`` is a ``NamedTuple`` of the class name and the six values
+in METRICS order, so the table readers build many of them in C with
+``tuple.__new__``. It equals, hashes and orders as that 7-tuple; field
+names, ``value()`` and ``values()`` are as before.
 """
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import CkevalError, InheritanceCycleError, InputError
 from .model import ClassInfo, ClassModel, MethodInfo, _find_cycle
@@ -37,8 +42,9 @@ def check_metric(name: str, error: type[CkevalError] = InputError) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class MetricRecord:
+class MetricRecord(NamedTuple):
+    """One class's six metric values; a tuple of the name and the values."""
+
     class_name: str
     wmc: int
     dit: int
@@ -51,7 +57,13 @@ class MetricRecord:
         return getattr(self, metric.lower())
 
     def values(self) -> tuple[int, int, int, int, int, int]:
-        return (self.wmc, self.dit, self.noc, self.cbo, self.rfc, self.lcom)
+        return self[1:]
+
+
+def value_getter(metric: str) -> Callable[[MetricRecord], int]:
+    """``record.value(metric)`` as a C-level function of the record: an
+    ``itemgetter`` of the metric's position in the tuple."""
+    return itemgetter(1 + METRICS.index(metric))
 
 
 @dataclass(frozen=True)
@@ -256,8 +268,9 @@ def project_means(records: list[MetricRecord] | tuple[MetricRecord, ...]) -> dic
     if not records:
         return {m: 0.0 for m in METRICS}
     n = len(records)
-    sums = map(sum, zip(*[rec.values() for rec in records]))
-    return {m: total / n for m, total in zip(METRICS, sums)}
+    columns = zip(*records)
+    next(columns)  # the class names
+    return {m: total / n for m, total in zip(METRICS, map(sum, columns))}
 
 
 def compute_all(model: ClassModel) -> ProjectMetrics:

@@ -6,6 +6,7 @@ original evaluation screens line by line, English is the default.
 
 from dataclasses import dataclass
 
+from .metrics import value_getter
 from .rules import Assessment, Level, RangeFilter
 from .tables import format_value
 from .versions import VersionVerdict
@@ -244,11 +245,12 @@ def filter_report(filters: list[RangeFilter], locale: str = "en") -> Report:
     s = STRINGS[locale]
     sections = []
     for f in filters:
+        column = value_getter(f.metric)
+
         def names(records) -> str:
             if not records:
                 return s["none"]
-            return ", ".join(f"{r.class_name} ({r.value(f.metric)})"
-                             for r in records)
+            return ", ".join(f"{r.class_name} ({column(r)})" for r in records)
         sections.append(Section(
             heading=s["selection_section"].format(
                 metric=f.metric, condition=f.condition.describe()),

@@ -16,12 +16,13 @@ from decimal import Decimal, ROUND_HALF_UP
 from enum import IntEnum
 from functools import cache
 from importlib import resources
-import itertools
+from itertools import combinations, compress
 import json
 import math
+from operator import not_
 
 from .errors import RuleError, RuleOverlapError, SchemaError, UsageError
-from .metrics import METRICS, ProjectMetrics, check_metric
+from .metrics import METRICS, ProjectMetrics, check_metric, value_getter
 from .tables import format_value, read_number, read_text
 
 BUILTIN_BASES = ("default", "paper")
@@ -238,7 +239,7 @@ def build_knowledge_base(name: str, rules: list[Rule]) -> KnowledgeBase:
 
     for metric in METRICS:
         of_metric = [r for r in rules if r.metric == metric]
-        for a, b in itertools.combinations(of_metric, 2):
+        for a, b in combinations(of_metric, 2):
             hit = conditions_overlap(a.condition, b.condition)
             if hit is not None:
                 raise RuleOverlapError(metric, a.id, b.id, hit)
@@ -436,34 +437,46 @@ def forward_chain(facts: list[Fact], kb: KnowledgeBase) -> list[Assessment]:
 
 
 def _chain(groups, kb: KnowledgeBase) -> list[Assessment]:
-    """forward_chain over (scope, [(metric, value), ...]) groups of facts."""
+    """forward_chain over (scope, [(metric, value), ...]) groups of facts.
+
+    Facts that compare equal are checked and matched alike, so each
+    distinct (metric, value) key is checked and matched once per call and
+    its effect kept; the first faulty fact in input order still raises
+    first. A fact whose value cannot be hashed is checked and matched on
+    its own.
+    """
     assessments: dict[str, Assessment] = {}
-    match = kb.match
-    # id(rule) -> (rule.id, {attribute: level}, {attribute: rule.id}); match
-    # returns rules the base keeps alive, so no two of them share an id()
-    effects: dict[int, tuple[str, dict, dict]] = {}
+    effects: dict[tuple[str, float], tuple[str, dict, dict] | None] = {}
     for scope, facts in groups:
         assessment = assessments.get(scope)
-        for metric, value in facts:
-            if value < 0:
-                raise RuleError(f"fact {metric}={value} is negative")
-            if metric not in METRICS:
-                raise RuleError(f"fact has unknown metric {metric!r}")
+        for key in facts:
+            try:
+                effect = effects[key]
+            except KeyError:
+                effect = effects[key] = _effect(kb, *key)
+            except TypeError:  # an unhashable value
+                effect = _effect(kb, *key)
             if assessment is None:
                 assessment = assessments[scope] = Assessment(scope=scope)
-            rule = match(metric, value)
-            if rule is None:
-                continue
-            effect = effects.get(id(rule))
-            if effect is None:
-                derived = dict(rule.conclusions)
-                effect = effects[id(rule)] = (rule.id, derived,
-                                              dict.fromkeys(derived, rule.id))
-            rule_id, derived, derived_by = effect
-            assessment.fired_rules.append(rule_id)
-            assessment.derived.update(derived)
-            assessment.derived_by.update(derived_by)
+            if effect is not None:
+                assessment.fired_rules.append(effect[0])
+                assessment.derived.update(effect[1])
+                assessment.derived_by.update(effect[2])
     return list(assessments.values())
+
+
+def _effect(kb: KnowledgeBase, metric: str, value: float) -> tuple[str, dict, dict] | None:
+    """What one fact asserts: the fired rule's id, its conclusions as
+    {attribute: level} and {attribute: rule id}; None when no rule fires."""
+    if value < 0:
+        raise RuleError(f"fact {metric}={value} is negative")
+    if metric not in METRICS:
+        raise RuleError(f"fact has unknown metric {metric!r}")
+    rule = kb.match(metric, value)
+    if rule is None:
+        return None
+    derived = dict(rule.conclusions)
+    return rule.id, derived, dict.fromkeys(derived, rule.id)
 
 
 def round_half_up(value: float) -> int:
@@ -507,14 +520,11 @@ def filter_by_ranges(pm: ProjectMetrics,
         if metric not in selection:
             continue
         condition = selection[metric]
-        inside, outside = [], []
-        for record in pm.per_class:
-            if condition.matches(record.value(metric)):
-                inside.append(record)
-            else:
-                outside.append(record)
-        results.append(RangeFilter(metric=metric, condition=condition,
-                                   in_range=tuple(inside), out_of_range=tuple(outside)))
+        hits = list(map(condition.matches, map(value_getter(metric), pm.per_class)))
+        results.append(RangeFilter(
+            metric=metric, condition=condition,
+            in_range=tuple(compress(pm.per_class, hits)),
+            out_of_range=tuple(compress(pm.per_class, map(not_, hits)))))
     unknown = set(selection) - set(METRICS)
     if unknown:
         raise UsageError("unknown metric in selection: " + ", ".join(sorted(unknown)))

@@ -12,8 +12,11 @@ either representation, so external tools can feed the evaluator directly.
 
 import csv
 import io
+from functools import partial
+from itertools import chain
 import json
 import math
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import CkevalError, InputError, SchemaError
@@ -84,10 +87,49 @@ def metrics_to_document(pm: ProjectMetrics) -> dict:
     }
 
 
+_row_cells = itemgetter("class", *(m.lower() for m in METRICS))
+_record_name = itemgetter(0)
+_new_record = partial(tuple.__new__, MetricRecord)
+
+
 def metrics_from_document(doc: dict, project_name: str = "") -> ProjectMetrics:
     rows = doc.get("metrics")
     if not isinstance(rows, list):
         raise SchemaError("metrics", "must be an array")
+    records = _document_records(rows)
+    if records is None:
+        records = _document_records_by_row(rows)
+    return _project_metrics(read_project_name(doc, project_name), records)
+
+
+def _document_records(rows: list) -> list[MetricRecord] | None:
+    """The rows' records, read a column at a time; None when a check fails.
+
+    Only plain dicts with plain str names and plain int values pass, so
+    every row that would raise, or that needs a closer look, goes to
+    ``_document_records_by_row``.
+    """
+    if not rows:
+        return []
+    if set(map(type, rows)) != {dict}:
+        return None
+    try:
+        cells = list(map(_row_cells, rows))
+    except KeyError:
+        return None
+    columns = list(zip(*cells))
+    names = columns[0]
+    values = list(chain.from_iterable(columns[1:]))
+    if (set(map(type, names)) != {str} or not all(names)
+            or len(set(names)) != len(names)
+            or set(map(type, values)) != {int}
+            or min(values) < 0 or max(values) >= _FLOAT_OVERFLOW):
+        return None
+    return list(map(_new_record, cells))
+
+
+def _document_records_by_row(rows: list) -> list[MetricRecord]:
+    """The rows' records, checked row by row; the first fault raises."""
     records = []
     first: dict[str, int] = {}
     for i, row in enumerate(rows):
@@ -110,13 +152,47 @@ def metrics_from_document(doc: dict, project_name: str = "") -> ProjectMetrics:
                 raise SchemaError(f"{path}.{m.lower()}", "is too large")
             values[m.lower()] = v
         records.append(MetricRecord(class_name=name, **values))
-    records.sort(key=lambda r: r.class_name)
-    return ProjectMetrics(project_name=read_project_name(doc, project_name),
-                          per_class=tuple(records),
-                          means=project_means(records))
+    return records
 
 
 def metrics_from_csv(text: str, project_name: str = "") -> ProjectMetrics:
+    records = _csv_records(text)
+    if records is None:
+        records = _csv_records_by_row(text)
+    return _project_metrics(project_name, records)
+
+
+def _csv_records(text: str) -> list[MetricRecord] | None:
+    """The table's records, read a column at a time; None when a check fails.
+
+    Only a table whose first row is the header and whose every other row
+    has seven cells, a non-blank name and six cells that ``int`` reads in
+    range passes; anything else goes to ``_csv_records_by_row``.
+    """
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error:
+        return None
+    if (not rows or tuple(cell.strip().upper() for cell in rows[0]) != CLASS_HEADER
+            or set(map(len, rows)) != {len(CLASS_HEADER)}):
+        return None
+    del rows[0]
+    if not rows:
+        return []
+    columns = list(zip(*rows))
+    names = list(map(str.strip, columns[0]))
+    try:
+        counts = [list(map(int, column)) for column in columns[1:]]
+    except ValueError:
+        return None
+    if (not all(names) or len(set(names)) != len(names)
+            or min(map(min, counts)) < 0 or max(map(max, counts)) >= _FLOAT_OVERFLOW):
+        return None
+    return list(map(_new_record, zip(names, *counts)))
+
+
+def _csv_records_by_row(text: str) -> list[MetricRecord]:
+    """The table's records, checked row by row; the first fault raises."""
     rows = _csv_rows(text)
     first = next(rows, None)
     if first is None or tuple(cell.strip().upper() for cell in first[1]) != CLASS_HEADER:
@@ -134,21 +210,18 @@ def metrics_from_csv(text: str, project_name: str = "") -> ProjectMetrics:
             raise InputError(f"line {lineno}: duplicate class {name!r}, "
                              f"first on line {first[name]}")
         records.append(MetricRecord(name, *_metric_cells(row, lineno)))
-    records.sort(key=lambda r: r.class_name)
+    return records
+
+
+def _project_metrics(project_name: str, records: list[MetricRecord]) -> ProjectMetrics:
+    """The ProjectMetrics of records with distinct names, sorted by name."""
+    records.sort(key=_record_name)
     return ProjectMetrics(project_name=project_name, per_class=tuple(records),
                           means=project_means(records))
 
 
 def _metric_cells(row: list[str], lineno: int) -> list[int]:
     """The six metric cells of a table row as non-negative integers."""
-    try:
-        values = [int(cell) for cell in row[1:]]
-        if min(values) >= 0 and max(values) < _FLOAT_OVERFLOW:
-            return values
-    except ValueError:
-        pass
-    # the exact error, or cells with edge characters (\x1c-\x1f) that
-    # str.strip removes and int() does not
     values = []
     for m, cell in zip(METRICS, row[1:]):
         try:

@@ -1,7 +1,7 @@
 import random
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import make_dataclass, replace
 from itertools import combinations
 from time import perf_counter
 
@@ -292,6 +292,31 @@ def test_record_lookup_keeps_first_row_and_dataclass_identity():
     assert pm.record("C") is None
     assert pm == ProjectMetrics("p", pm.per_class, {})
     assert repr(pm) == f"ProjectMetrics(project_name='p', per_class={pm.per_class!r}, means={{}})"
+
+
+# MetricRecord as it was: a frozen dataclass of the same fields
+OldRecord = make_dataclass("MetricRecord", [("class_name", str)] + [(m.lower(), int) for m in METRICS],
+                           frozen=True)
+
+
+def test_metric_record_equals_hashes_and_reprs_as_the_dataclass_did():
+    cells = [("p.A", 1, 0, 0, 2, 3, 0), ("p.A", 1, 0, 0, 2, 3, 0), ("p.A", 1, 0, 0, 2, 3, 1),
+             ("p.B", 9, 1, 0, 3, 12, 4), ("p.Ä", 0, 0, 0, 0, 0, 0), ("", 2, 0, 0, 0, 2, 0)]
+    new = [MetricRecord(*row) for row in cells]
+    old = [OldRecord(*row) for row in cells]
+    for a, old_a in zip(new, old):
+        assert repr(a) == repr(old_a)
+        assert hash(a) == hash(old_a)
+        for b, old_b in zip(new, old):
+            assert (a == b) == (old_a == old_b) and (a != b) == (old_a != old_b)
+    # what the dataclass did not do: equal its 7-tuple, and order
+    record = MetricRecord(class_name="p.B", wmc=9, dit=1, noc=0, cbo=3, rfc=12, lcom=4)
+    assert record == ("p.B", 9, 1, 0, 3, 12, 4) and record == new[3]
+    assert record in {("p.B", 9, 1, 0, 3, 12, 4)}
+    assert sorted(new) == sorted(cells) and (new[2] < new[3]) is True
+    assert record.value("CBO") == 3 and record.value("rfc") == 12
+    assert record.values() == (9, 1, 0, 3, 12, 4)
+    assert record.class_name == "p.B" and record.lcom == 4
 
 
 def test_compute_all_empty_model():

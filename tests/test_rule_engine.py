@@ -504,6 +504,47 @@ def test_class_scope_chaining_matches_forward_chain(kb, rows):
     assert outcome(lambda: forward_chain(as_facts, kb)) == expected
 
 
+# any fact value: ints, floats, NaN, the paper rules' values, now and then a negative
+record_values = st.one_of(values, st.sampled_from([1, 5, 18, 5.0, 18.0, -0.0]),
+                          st.integers(0, 10) | st.integers(-2, -1) | st.floats(-2, -0.1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(BUILTIN_BASES).map(resolve_rule_base) | knowledge_bases(),
+       st.lists(st.tuples(st.sampled_from(["p.A", "p.B", "p.C"]),
+                          st.lists(record_values, min_size=6, max_size=6)), max_size=10))
+def test_class_scope_chaining_of_any_values_is_forward_chain(kb, rows):
+    per_class = tuple(MetricRecord(name, *cells) for name, cells in rows)
+    pm = ProjectMetrics(project_name="p", per_class=per_class, means={})
+    as_facts = [Fact(m, v, rec.class_name) for rec in per_class
+                for m, v in zip(METRICS, rec.values())]
+    assert outcome(lambda: evaluate_project(pm, kb, "class")) \
+        == outcome(lambda: forward_chain(as_facts, kb))
+
+
+def test_class_scope_chaining_examples():
+    nan = math.nan
+    pm = ProjectMetrics("p", (MetricRecord("p.A", 18, 5, 0, 7, 2, nan),
+                              MetricRecord("p.B", 18.0, 0, 0, 1, nan, 0),
+                              MetricRecord("p.A", 3, 5.0, 0, 1, 0, 0)), {})
+    # the paper base has rules for WMC=18, DIT=5 and CBO=1 only; duplicate names merge
+    out = evaluate_project(pm, paper_rule_preset(), "class")
+    assert [(a.scope, a.fired_rules) for a in out] == [
+        ("p.A", ["paper-2", "paper-1", "paper-1", "paper-3"]),
+        ("p.B", ["paper-2", "paper-3"])]
+    facts = [Fact(m, v, rec.class_name) for rec in pm.per_class
+             for m, v in zip(METRICS, rec.values())]
+    for kb in (default_rule_base(), paper_rule_preset()):
+        assert outcome(lambda: evaluate_project(pm, kb, "class")) \
+            == outcome(lambda: forward_chain(facts, kb))
+    for bad, message in (((1, -2, 0, 0, 0, -1), "fact DIT=-2 is negative"),
+                         ((1, 0, 0, -0.5, 0, 0), "fact CBO=-0.5 is negative")):
+        pm = ProjectMetrics("p", (MetricRecord("p.A", 1, 0, 0, 0, 1, 0),
+                                  MetricRecord("p.B", *bad)), {})
+        with pytest.raises(RuleError, match=f"^{message}$"):
+            evaluate_project(pm, default_rule_base(), "class")
+
+
 @settings(max_examples=200, deadline=None)
 @given(records(), st.dictionaries(st.sampled_from(METRICS), conditions, min_size=1))
 def test_filter_by_ranges_partitions_the_rows_in_order(rows, selection):
