@@ -9,12 +9,15 @@ Two bases ship with the package: ``default`` (42 rules, 6 metrics x 7
 disjoint bands covering every non-negative value) and ``paper`` (the three
 published example rules, encoded verbatim). Band thresholds live in the
 rules files, not in code, and users may load their own.
+
+Each base keeps the effect of every distinct (metric, value) fact chained
+against it for as long as it lives; the built-in bases live for the process.
 """
 
 from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 from enum import IntEnum
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 from itertools import combinations, compress
 import json
@@ -126,6 +129,12 @@ class Rule:
     def matches(self, value: float) -> bool:
         return self.condition.matches(value)
 
+    @cached_property
+    def _effect(self) -> tuple[str, dict, dict]:
+        """What firing asserts, built once: (id, {attribute: level}, {attribute: id})."""
+        derived = dict(self.conclusions)
+        return self.id, derived, dict.fromkeys(derived, self.id)
+
 
 @dataclass(frozen=True)
 class Fact:
@@ -147,6 +156,10 @@ class Assessment:
 
 @dataclass(frozen=True)
 class KnowledgeBase:
+    """Rules in order, plus an effect table that ``_chain`` grows for as
+    long as the base lives: entries are only added, each whole, so a base
+    may be shared across threads; ==, repr and hash ignore the table."""
+
     name: str
     rules: tuple[Rule, ...]
 
@@ -154,35 +167,16 @@ class KnowledgeBase:
         return [r for r in self.rules if r.metric == metric]
 
     def match(self, metric: str, value: float) -> Rule | None:
-        """The first rule of ``metric`` whose condition holds for ``value``.
-
-        Answers are memoized per (metric, value) in a dict kept on the base
-        (not a field, so == and repr are unchanged). Values that compare
-        equal match the same rules, so the memo is exact for any base;
-        values that are unhashable or not equal to themselves (NaN) are
-        scanned every time.
-        """
-        try:
-            memo = self._match_memo
-        except AttributeError:
-            memo = {}
-            object.__setattr__(self, "_match_memo", memo)
-        key = (metric, value)
-        try:
-            return memo[key]
-        except KeyError:
-            rule = self._scan(metric, value)
-            if value == value:
-                memo[key] = rule
-            return rule
-        except TypeError:  # unhashable value
-            return self._scan(metric, value)
-
-    def _scan(self, metric: str, value: float) -> Rule | None:
+        """The first rule of ``metric`` whose condition holds for ``value``."""
         for rule in self.rules:
             if rule.metric == metric and rule.matches(value):
                 return rule
         return None
+
+    @cached_property
+    def _effect_table(self) -> dict[tuple[str, float], tuple[str, dict, dict] | None]:
+        """(metric, value) -> the effect of the rule that value fires, or None."""
+        return {}
 
     def is_complete(self) -> bool:
         """Whether every non-negative integer of every metric matches a rule.
@@ -211,7 +205,7 @@ class KnowledgeBase:
 
 
 def build_knowledge_base(name: str, rules: list[Rule]) -> KnowledgeBase:
-    """Validate invariants and normalize rule order."""
+    """Check what ``load_rules`` cannot see per rule, and normalize order."""
     if not rules:
         raise RuleError("rule base is empty")
     seen_ids: set[str] = set()
@@ -219,23 +213,13 @@ def build_knowledge_base(name: str, rules: list[Rule]) -> KnowledgeBase:
         if rule.id in seen_ids:
             raise RuleError(f"duplicate rule id {rule.id!r}")
         seen_ids.add(rule.id)
-        if rule.metric not in METRICS:
-            raise RuleError(f"rule {rule.id!r}: unknown metric {rule.metric!r}")
-        if not rule.conclusions:
-            raise RuleError(f"rule {rule.id!r}: conclusions must be non-empty")
         for attribute, _ in rule.conclusions:
             if attribute not in ATTRIBUTES:
                 raise RuleError(f"rule {rule.id!r}: unregistered attribute "
                                 f"{attribute!r}")
-        if isinstance(rule.condition, Interval):
-            lo, hi = rule.condition.lo, rule.condition.hi
-            if lo < 0 or (hi is not None and hi < lo):
-                raise RuleError(f"rule {rule.id!r}: invalid range")
-        else:
-            if not rule.condition.values:
-                raise RuleError(f"rule {rule.id!r}: value set must be non-empty")
-            if any(v < 0 for v in rule.condition.values):
-                raise RuleError(f"rule {rule.id!r}: values must be non-negative")
+        if (isinstance(rule.condition, Interval) and rule.condition.hi is not None
+                and rule.condition.hi < rule.condition.lo):
+            raise RuleError(f"rule {rule.id!r}: invalid range")
 
     for metric in METRICS:
         of_metric = [r for r in rules if r.metric == metric]
@@ -439,21 +423,22 @@ def forward_chain(facts: list[Fact], kb: KnowledgeBase) -> list[Assessment]:
 def _chain(groups, kb: KnowledgeBase) -> list[Assessment]:
     """forward_chain over (scope, [(metric, value), ...]) groups of facts.
 
-    Facts that compare equal are checked and matched alike, so each
-    distinct (metric, value) key is checked and matched once per call and
-    its effect kept; the first faulty fact in input order still raises
-    first. A fact whose value cannot be hashed is checked and matched on
-    its own.
+    Facts that compare equal are checked and matched alike, so the effect of
+    each key whose value is hashable and equals itself (not NaN) is kept in
+    the base's table for the base's lifetime. A faulty fact adds no entry and
+    raises on every call; NaN and unhashable values are matched each time.
     """
     assessments: dict[str, Assessment] = {}
-    effects: dict[tuple[str, float], tuple[str, dict, dict] | None] = {}
+    table = kb._effect_table
     for scope, facts in groups:
         assessment = assessments.get(scope)
         for key in facts:
             try:
-                effect = effects[key]
+                effect = table[key]
             except KeyError:
-                effect = effects[key] = _effect(kb, *key)
+                effect = _effect(kb, *key)
+                if key[1] == key[1]:
+                    table[key] = effect
             except TypeError:  # an unhashable value
                 effect = _effect(kb, *key)
             if assessment is None:
@@ -466,17 +451,13 @@ def _chain(groups, kb: KnowledgeBase) -> list[Assessment]:
 
 
 def _effect(kb: KnowledgeBase, metric: str, value: float) -> tuple[str, dict, dict] | None:
-    """What one fact asserts: the fired rule's id, its conclusions as
-    {attribute: level} and {attribute: rule id}; None when no rule fires."""
+    """The effect of one fact: that of the rule it fires, None when none does."""
     if value < 0:
         raise RuleError(f"fact {metric}={value} is negative")
     if metric not in METRICS:
         raise RuleError(f"fact has unknown metric {metric!r}")
     rule = kb.match(metric, value)
-    if rule is None:
-        return None
-    derived = dict(rule.conclusions)
-    return rule.id, derived, dict.fromkeys(derived, rule.id)
+    return None if rule is None else rule._effect
 
 
 def round_half_up(value: float) -> int:

@@ -314,13 +314,15 @@ def versions_from_document(doc: dict) -> list[dict]:
 # --- file-level sniffing -----------------------------------------------------
 
 def read_text(path: str | Path) -> str:
+    """A UTF-8 input file's text, without one leading byte-order mark."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {path}: not UTF-8 at byte {exc.start}: "
                          f"{exc.reason}") from None
+    return text.removeprefix("\ufeff")
 
 
 def read_input(path: str | Path,

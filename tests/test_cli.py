@@ -14,8 +14,8 @@ from ckeval.errors import InputError, SchemaError
 from ckeval.export import import_structured
 from ckeval.metrics import compute_all
 from ckeval.model import load_class_model
-from ckeval.rules import load_rules
-from ckeval.tables import load_metrics_input
+from ckeval.rules import load_rules, paper_rule_preset, serialize_rules
+from ckeval.tables import load_metrics_input, metrics_to_document
 
 
 def run_cli(argv, capsys):
@@ -811,3 +811,59 @@ def test_metrics_document_project_name_must_be_a_string(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "projectName: must be a string" in err
+
+
+BOM = "\ufeff".encode("utf-8")
+
+
+def bom_twins(tmp_path, name: str, data: bytes) -> tuple[Path, Path]:
+    """The same input file twice, as it is and after a UTF-8 byte-order mark."""
+    (tmp_path / "plain").mkdir(exist_ok=True)
+    (tmp_path / "bom").mkdir(exist_ok=True)
+    plain, marked = tmp_path / "plain" / name, tmp_path / "bom" / name
+    plain.write_bytes(data)
+    marked.write_bytes(BOM + data)
+    return plain, marked
+
+
+def assert_same_run(argv, plain: Path, marked: Path, capsys):
+    code, out, err = run_cli([str(plain) if a == "{input}" else a for a in argv], capsys)
+    assert (code, err) == (0, "")
+    assert run_cli([str(marked) if a == "{input}" else a for a in argv], capsys) \
+        == (0, out.replace(str(plain), str(marked)), "")
+
+
+def test_evaluate_reads_a_metrics_table_after_a_byte_order_mark(fixtures, tmp_path, capsys):
+    data = (fixtures / "moreunit_classes.csv").read_bytes()
+    plain, marked = bom_twins(tmp_path, "m.csv", data)
+    assert_same_run(["evaluate", "{input}"], plain, marked, capsys)
+    assert_same_run(["evaluate", "{input}", "--select", "WMC=2-5"], plain, marked, capsys)
+
+
+def test_evaluate_reads_a_metrics_document_after_a_byte_order_mark(fixtures, tmp_path, capsys):
+    pm = load_metrics_input(fixtures / "moreunit_classes.csv")
+    data = json.dumps(metrics_to_document(pm)).encode("utf-8")
+    plain, marked = bom_twins(tmp_path, "m.json", data)
+    assert_same_run(["evaluate", "{input}", "--scope", "project"], plain, marked, capsys)
+
+
+def test_compare_reads_a_versions_table_after_a_byte_order_mark(fixtures, tmp_path, capsys):
+    data = (fixtures / "five_versions.csv").read_bytes()
+    plain, marked = bom_twins(tmp_path, "v.csv", data)
+    assert_same_run(["compare", "{input}", "--locale", "tr"], plain, marked, capsys)
+
+
+def test_rules_file_after_a_byte_order_mark(fixtures, tmp_path, capsys):
+    data = serialize_rules(paper_rule_preset()).encode("utf-8")
+    plain, marked = bom_twins(tmp_path, "r.json", data)
+    table = str(fixtures / "moreunit_classes.csv")
+    assert_same_run(["evaluate", table, "--rules", "{input}"], plain, marked, capsys)
+    assert_same_run(["rules", "check", "{input}"], plain, marked, capsys)
+
+
+def test_not_utf8_offset_counts_the_byte_order_mark(tmp_path, capsys):
+    table = tmp_path / "m.csv"
+    table.write_bytes(BOM + b"CLASS,WMC,DIT,NOC,CBO,RFC,LCOM\nA\xff,1,0,0,0,1,0\n")
+    code, out, err = run_cli(["evaluate", str(table)], capsys)
+    assert (code, out) == (2, "")
+    assert f"cannot read {table}: not UTF-8 at byte 35:" in err

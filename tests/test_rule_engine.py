@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import sys
+import threading
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -578,3 +580,107 @@ def test_builtin_bases_are_loaded_once_and_files_on_every_call(tmp_path):
     path.write_text(json.dumps(document), encoding="utf-8")
     after = resolve_rule_base(str(path))
     assert len(before.rules) == 3 and len(after.rules) == 1
+
+
+# --- the effect table each base keeps ------------------------------------------
+
+def wmc_bands(name: str, bands) -> KnowledgeBase:
+    return load_rules({"name": name, "rules": [
+        {"id": f"{name}-{i}", "metric": "WMC", "range": band,
+         "conclusions": [{"attribute": "quality", "level": level}]}
+        for i, (band, level) in enumerate(bands)]})
+
+
+@settings(max_examples=100, deadline=None)
+@given(knowledge_bases(), knowledge_bases(), facts)
+def test_effect_table_repeated_and_interleaved_calls_match_oracle(kb, other, fact_list):
+    expected = outcome(lambda: chain_oracle(fact_list, kb))
+    other_expected = outcome(lambda: chain_oracle(fact_list, other))
+    for _ in range(3):  # the later calls read what the first ones kept
+        assert outcome(lambda: forward_chain(fact_list, kb)) == expected
+        assert outcome(lambda: forward_chain(fact_list, other)) == other_expected
+
+
+def test_effect_tables_are_kept_per_base():
+    low = wmc_bands("low", [([0, 4], "High"), ([5, None], "Low")])
+    high = wmc_bands("high", [([0, 9], "Normal"), ([10, None], "VeryLow")])
+    twin = KnowledgeBase(name=low.name, rules=low.rules)
+    facts = [Fact("WMC", v, f"p.C{i}") for i, v in enumerate((0, 3, 5, 9, 10, 3.0, True))]
+    for _ in range(2):
+        for kb in (low, high, twin, low):
+            assert outcome(lambda: forward_chain(facts, kb)) \
+                == outcome(lambda: chain_oracle(facts, kb))
+    assert low == twin and repr(low) == repr(twin) and hash(low) == hash(twin)
+    assert low._effect_table is not twin._effect_table
+    assert low._effect_table[("WMC", 9)][0] == "low-1"
+    assert high._effect_table[("WMC", 9)][0] == "high-0"
+
+
+@pytest.mark.parametrize("bad, message", [
+    (Fact("WMC", -1), "fact WMC=-1 is negative"),
+    (Fact("CBO", -0.5), "fact CBO=-0.5 is negative"),
+    (Fact("NOM", 3), "fact has unknown metric 'NOM'"),
+])
+def test_faulty_fact_raises_on_every_call(bad, message):
+    kb = wmc_bands("fresh", [([0, None], "Normal")])
+    for base in (kb, default_rule_base(), paper_rule_preset()):
+        for fact_list in ([bad], [Fact("WMC", 3), bad], [bad, Fact("WMC", 3)]):
+            for _ in range(3):
+                assert outcome(lambda: forward_chain(fact_list, base)) \
+                    == outcome(lambda: chain_oracle(fact_list, base)) \
+                    == ("RuleError", message)
+        assert (bad.metric, bad.value) not in base._effect_table
+    assert list(kb._effect_table) == [("WMC", 3)]
+
+
+def test_nan_and_unhashable_values_add_no_entry():
+    kb = KnowledgeBase(name="hand", rules=(
+        Rule("r", "WMC", ValueSet(frozenset({3.0})), (("quality", Level.LOW),)),
+        Rule("s", "DIT", Interval(0), (("coupling", Level.HIGH),))))
+    nan = math.nan
+    odd = [Fact("WMC", nan), Fact("DIT", nan), Fact("DIT", float("nan")),
+           Fact("DIT", Unhashable(1)), Fact("RFC", nan)]
+    for fact_list in (odd, odd + [Fact("WMC", Unhashable(3))]):
+        for _ in range(2):
+            assert outcome(lambda: forward_chain(fact_list, kb)) \
+                == outcome(lambda: chain_oracle(fact_list, kb))
+    assert kb._effect_table == {}
+    pm = ProjectMetrics("p", (MetricRecord("p.A", nan, nan, nan, nan, nan, nan),), {})
+    evaluate_project(pm, kb, "class")
+    assert kb._effect_table == {}
+    # hashable values that equal themselves are kept, equal keys once
+    fact_list = odd + [Fact("WMC", 3), Fact("WMC", 3.0), Fact("DIT", True), Fact("DIT", 1)]
+    assert outcome(lambda: forward_chain(fact_list, kb)) \
+        == outcome(lambda: chain_oracle(fact_list, kb))
+    assert kb._effect_table == {("WMC", 3): kb.rules[0]._effect,
+                                ("DIT", True): kb.rules[1]._effect}
+
+
+def test_a_base_shared_across_threads_chains_as_the_oracle():
+    kb = load_rules(serialize_rules(default_rule_base()))  # a fresh, empty table
+    rng = random.Random(7)
+    fact_lists = [[Fact(rng.choice(METRICS), rng.choice([rng.randrange(80), rng.randrange(80) / 4]),
+                        f"p.C{i % 7}") for i in range(300)] for _ in range(8)]
+    expected = [outcome(lambda f=f: chain_oracle(f, kb)) for f in fact_lists]
+    results = [None] * len(fact_lists)
+
+    def chain_repeatedly(i):
+        results[i] = [outcome(lambda: forward_chain(fact_lists[i], kb)) for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=chain_repeatedly, args=(i,))
+                   for i in range(len(fact_lists))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[want] * 5 for want in expected]
+    assert kb._effect_table
+    for (metric, value), effect in kb._effect_table.items():
+        rule = scan_oracle(kb, metric, value)
+        assert effect == (None if rule is None else rule._effect)

@@ -1,5 +1,4 @@
 import random
-from time import perf_counter
 
 import pytest
 
@@ -160,22 +159,31 @@ def test_load_versions_duplicate_names_rejected(tmp_path):
     assert str(err.value) == "duplicate version name: v1"
 
 
-def test_duplicate_version_check_is_linear_and_names_each_duplicate_once():
-    def seconds(n: int) -> float:
-        records = [record(f"v{i:05d}", wmc=i) for i in range(n)]
-        records += [record("v00007"), record("v00003"), record("v00007")]
-        best = float("inf")
-        for _ in range(5):
-            start = perf_counter()
-            with pytest.raises(InputError) as err:
-                compare_versions(records)
-            best = min(best, perf_counter() - start)
-        assert str(err.value) == "duplicate version name: v00003, v00007"
-        return best
+class CountedName(str):
+    """A version name that counts the equality tests made on it."""
 
-    # four times the versions cost about four times the time; counting each
-    # name in the list of all names would cost sixteen
-    assert seconds(8000) < 8 * seconds(2000)
+    eq_calls = 0
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        CountedName.eq_calls += 1
+        return str.__eq__(self, other)
+
+
+def test_duplicate_version_check_is_linear_and_names_each_duplicate_once():
+    def eq_calls(n: int) -> int:
+        names = [f"v{i:05d}" for i in range(n)] + ["v00007", "v00003", "v00007"]
+        records = [record(CountedName(name)) for name in names]
+        CountedName.eq_calls = 0
+        with pytest.raises(InputError) as err:
+            compare_versions(records)
+        assert str(err.value) == "duplicate version name: v00003, v00007"
+        return CountedName.eq_calls
+
+    # hashing compares a name only with the equal-hash names seen before it;
+    # counting each name in the list of all names would compare n * n times
+    for n in (2000, 8000):
+        assert eq_calls(n) <= n
 
 
 def test_load_versions_unreadable_path(tmp_path):
