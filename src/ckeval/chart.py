@@ -13,13 +13,14 @@ from .tables import format_value
 # One fixed color per metric, in canonical metric order.
 SERIES_COLORS = ("#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#b07aa1", "#76b7b2")
 
+# Canvas size in pixels.
+WIDTH, HEIGHT = 900, 480
+
 
 @dataclass(frozen=True)
 class ChartSpec:
     groups: tuple[str, ...]
     series: tuple[tuple[str, tuple[float, ...]], ...]
-    width: int = 900
-    height: int = 480
 
     def validate(self) -> None:
         if not self.groups:
@@ -29,8 +30,6 @@ class ChartSpec:
                 raise InputError(f"series {name!r} must carry one value per group")
             if any(v < 0 for v in values):
                 raise InputError(f"series {name!r} contains a negative value")
-        if self.width <= 0 or self.height <= 0:
-            raise InputError("chart dimensions must be positive")
 
 
 def escape(text: str) -> str:
@@ -50,8 +49,8 @@ def build_chart_svg(spec: ChartSpec, title: str = "") -> str:
     spec.validate()
     margin_left, margin_right = 56.0, 160.0
     margin_top, margin_bottom = 40.0, 48.0
-    plot_w = spec.width - margin_left - margin_right
-    plot_h = spec.height - margin_top - margin_bottom
+    plot_w = WIDTH - margin_left - margin_right
+    plot_h = HEIGHT - margin_top - margin_bottom
 
     peak = max((v for _, values in spec.series for v in values), default=0.0)
     axis_max = peak * 1.1 if peak > 0 else 1.0
@@ -64,12 +63,12 @@ def build_chart_svg(spec: ChartSpec, title: str = "") -> str:
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">',
-        f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
     ]
     if title:
-        parts.append(f'<text x="{_fmt(spec.width / 2)}" y="24" text-anchor="middle" '
+        parts.append(f'<text x="{_fmt(WIDTH / 2)}" y="24" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="16">{escape(title)}</text>')
 
     # y axis with 5 gridline divisions

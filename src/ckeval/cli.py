@@ -215,8 +215,13 @@ def _cmd_evaluate(args) -> int:
 def _cmd_compare(args) -> int:
     selected = None
     if args.metrics:
-        selected = [check_metric(m.strip().upper(), UsageError)
-                    for m in args.metrics.split(",") if m.strip()]
+        selected = []
+        for name in args.metrics.split(","):
+            if name.strip():
+                metric = check_metric(name.strip().upper(), UsageError)
+                if metric in selected:
+                    raise UsageError(f"metric {metric} selected twice")
+                selected.append(metric)
         if not selected:
             raise UsageError("--metrics must select at least one metric")
 

@@ -12,16 +12,17 @@ members as ``build_model`` normalizes them, so ``build_model`` keeps the
 classes it is given instead of copying them; it still normalizes any other
 input, and ``_check`` is the one validation pass for both paths.
 
-``CallRef`` is a ``NamedTuple``, so building, hashing and set membership
-of the many call references run in C: it is iterable, it equals and
-hashes as its plain ``(class_name, method, arity)`` triple, and it orders
-against plain tuples. The reader and the Java lowering both build a
-method through ``make_method``, which turns each call triple into a
-``CallRef`` with ``tuple.__new__`` and fills the ``MethodInfo``'s
-``__dict__`` in one step.
+The value types ``FieldInfo``, ``CallRef``, ``MethodInfo`` and
+``ClassInfo`` are ``NamedTuple``s, so they build and hash as tuples do,
+with no ``object.__setattr__`` per field: each is iterable, equals and
+hashes as its plain tuple of fields, orders against plain tuples, and is
+copied with ``_replace`` (``dataclasses.replace`` does not apply). The
+reader and the Java lowering both build a method through ``make_method``,
+which turns each call triple into a ``CallRef`` with ``tuple.__new__``.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 import json
 from operator import attrgetter
 from typing import NamedTuple
@@ -31,8 +32,7 @@ from .errors import DuplicateClassError, InheritanceCycleError, SchemaError
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class FieldInfo:
+class FieldInfo(NamedTuple):
     name: str
     declared_type: str | None = None
 
@@ -52,8 +52,7 @@ class CallRef(NamedTuple):
         return (self.class_name or "", self.method, -1 if self.arity is None else self.arity)
 
 
-@dataclass(frozen=True)
-class MethodInfo:
+class MethodInfo(NamedTuple):
     name: str
     arity: int
     used_fields: frozenset[str] = frozenset()
@@ -61,8 +60,6 @@ class MethodInfo:
     referenced_classes: frozenset[str] = frozenset()
 
 
-_new = object.__new__
-_set = object.__setattr__
 _new_tuple = tuple.__new__
 
 
@@ -72,19 +69,14 @@ def make_method(name: str, arity: int, used_fields, calls, referenced_classes) -
 
     Equal to ``MethodInfo(name, arity, frozenset(used_fields),
     frozenset(CallRef(*t) for t in calls), frozenset(referenced_classes))``,
-    without a Python-level ``__init__`` per ``CallRef`` or a
-    ``object.__setattr__`` per field.
+    without a Python-level ``__new__`` per ``CallRef``.
     """
-    info = _new(MethodInfo)
-    _set(info, "__dict__", {
-        "name": name, "arity": arity, "used_fields": frozenset(used_fields),
-        "called_methods": frozenset([_new_tuple(CallRef, t) for t in calls]),
-        "referenced_classes": frozenset(referenced_classes)})
-    return info
+    return MethodInfo(name, arity, frozenset(used_fields),
+                      frozenset([_new_tuple(CallRef, t) for t in calls]),
+                      frozenset(referenced_classes))
 
 
-@dataclass(frozen=True)
-class ClassInfo:
+class ClassInfo(NamedTuple):
     qualified_name: str
     superclass: str | None = None
     interfaces: tuple[str, ...] = ()
@@ -98,9 +90,9 @@ class ClassModel:
     project_name: str
     classes: tuple[ClassInfo, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_by_name",
-                           {c.qualified_name: c for c in self.classes})
+    @cached_property
+    def _by_name(self) -> dict[str, ClassInfo]:
+        return {c.qualified_name: c for c in self.classes}
 
     def get(self, qualified_name: str) -> ClassInfo | None:
         return self._by_name.get(qualified_name)
@@ -243,9 +235,7 @@ def _normalize(cls: ClassInfo) -> ClassInfo:
     methods = tuple(sorted(cls.methods, key=_METHOD_KEY))
     if interfaces == cls.interfaces and fields == cls.fields and methods == cls.methods:
         return cls
-    return ClassInfo(qualified_name=cls.qualified_name, superclass=cls.superclass,
-                     interfaces=interfaces, fields=fields, methods=methods,
-                     is_external=cls.is_external)
+    return cls._replace(interfaces=interfaces, fields=fields, methods=methods)
 
 
 # --- document loading -------------------------------------------------------

@@ -339,7 +339,7 @@ def _parse_condition(text: str, origin: str) -> Condition:
 
     if "," in text:
         return ValueSet(frozenset(number(part) for part in text.split(",")))
-    if "-" in text:
+    if "-" in text and not text.startswith("-"):  # a leading minus is a sign
         lo_text, _, hi_text = text.partition("-")
         lo = number(lo_text.strip())
         hi = None if not hi_text.strip() else number(hi_text.strip())

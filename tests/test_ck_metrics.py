@@ -1,7 +1,7 @@
 import random
 import sys
 import threading
-from dataclasses import make_dataclass, replace
+from dataclasses import make_dataclass
 from itertools import combinations
 from time import perf_counter
 
@@ -481,7 +481,7 @@ def assert_index_metrics_match_oracles(model: ClassModel, rng: random.Random):
     # a same-name class that is not the model's own object: own uses come
     # from the argument, everything else from the model by name
     for cls in rng.sample(model.internal_classes(), min(3, len(model.internal_classes()))):
-        alias = replace(cls, methods=(method("x", refs=rng.sample(names, min(2, len(names)))),))
+        alias = cls._replace(methods=(method("x", refs=rng.sample(names, min(2, len(names)))),))
         assert alias is not model.get(cls.qualified_name)
         assert dit(alias, model) == dit_oracle(alias, model)
         assert noc(alias, model) == noc_oracle(alias, model)

@@ -1,5 +1,6 @@
 from collections import OrderedDict
 import copy
+from dataclasses import make_dataclass
 import json
 import random
 
@@ -272,6 +273,54 @@ def test_make_method_is_the_method_info_constructor():
     assert repr(made) == repr(built)
     assert all(type(ref) is CallRef for ref in made.called_methods)
     assert make_method("n", 0, (), (), ()) == MethodInfo("n", 0)
+
+
+# the three model values as they were: frozen dataclasses of the same fields
+OldField = make_dataclass("FieldInfo", [("name", str), ("declared_type", str | None)], frozen=True)
+OldMethod = make_dataclass("MethodInfo", [
+    ("name", str), ("arity", int), ("used_fields", frozenset), ("called_methods", frozenset),
+    ("referenced_classes", frozenset)], frozen=True)
+OldClass = make_dataclass("ClassInfo", [
+    ("qualified_name", str), ("superclass", str | None), ("interfaces", tuple),
+    ("fields", tuple), ("methods", tuple), ("is_external", bool)], frozen=True)
+
+# few names, so that equal values are drawn often
+_names = st.sampled_from(["a", "b", "p.A", "p.Ä"])
+_maybe_names = st.none() | _names
+_raw_fields = st.tuples(_names, _maybe_names)
+_raw_methods = st.tuples(
+    _names, st.integers(0, 2), st.frozensets(_names, max_size=2),
+    st.frozensets(st.builds(CallRef, _maybe_names, _names, st.none() | st.integers(0, 2)),
+                  max_size=2),
+    st.frozensets(_names, max_size=2))
+_raw_classes = st.tuples(_names, _maybe_names, st.lists(_names, max_size=2).map(tuple),
+                         st.lists(_raw_fields, max_size=2), st.lists(_raw_methods, max_size=2),
+                         st.booleans())
+
+
+def assert_same_as_dataclass(pairs):
+    for new, old in pairs:
+        assert repr(new) == repr(old) and hash(new) == hash(old)
+    for new_a, old_a in pairs:
+        for new_b, old_b in pairs:
+            assert (new_a == new_b) == (old_a == old_b)
+            assert (new_a != new_b) == (old_a != old_b)
+            if new_a == new_b:
+                assert hash(new_a) == hash(new_b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_raw_fields, max_size=6), st.lists(_raw_methods, max_size=6),
+       st.lists(_raw_classes, max_size=6))
+def test_model_values_equal_hash_and_repr_as_the_dataclasses_did(fields, methods, classes):
+    assert_same_as_dataclass([(FieldInfo(*f), OldField(*f)) for f in fields])
+    assert_same_as_dataclass([(MethodInfo(*m), OldMethod(*m)) for m in methods])
+    assert_same_as_dataclass([
+        (ClassInfo(name, superclass, interfaces, tuple(FieldInfo(*f) for f in fs),
+                   tuple(MethodInfo(*m) for m in ms), external),
+         OldClass(name, superclass, interfaces, tuple(OldField(*f) for f in fs),
+                  tuple(OldMethod(*m) for m in ms), external))
+        for name, superclass, interfaces, fs, ms, external in classes])
 
 
 class Name(str):

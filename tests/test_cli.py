@@ -340,6 +340,17 @@ def test_compare_chart_respects_metric_subset(fixtures, tmp_path, capsys):
     assert ">LCOM</text>" not in svg
 
 
+@pytest.mark.parametrize("metrics", ["WMC,wmc", "RFC, WMC ,RFC"])
+def test_compare_refuses_a_metric_listed_twice(fixtures, tmp_path, capsys, metrics):
+    chart = tmp_path / "twice.svg"
+    code, out, err = run_cli(
+        ["compare", str(fixtures / "five_versions.csv"),
+         "--metrics", metrics, "--chart", str(chart)], capsys)
+    assert code == 1
+    assert out == "" and not chart.exists()
+    assert err.startswith(f"ckeval: metric {metrics.split(',')[0].strip()} selected twice")
+
+
 def test_compare_noc_direction_flag(tmp_path, capsys):
     table = ("VERSION,WMC,DIT,NOC,CBO,RFC,LCOM\n"
              "v1,0,0,0,0,0,0\n"
@@ -508,6 +519,9 @@ def test_analyze_unreadable_file_is_an_input_error(tmp_path, capsys, monkeypatch
 @pytest.mark.parametrize("spec, shown", [
     ("WMC=nan", "'nan'"), ("WMC=inf", "'inf'"), ("WMC=1-inf", "'inf'"), ("WMC=NaN-", "'NaN'"), ("WMC=0,nan", "'nan'"),
     ("WMC=1e999", "'1e999'"),
+    # a leading minus is the number's sign, not a range separator
+    ("WMC=-1", "'-1' is negative"), ("WMC=-2.5", "'-2.5' is negative"),
+    ("WMC=-inf", "'-inf' is not a finite"), ("WMC=-1-5", "'-1-5' is not a number"),
 ])
 def test_select_rejects_non_finite_numbers(fixtures, capsys, spec, shown):
     code, out, err = run_cli(
