@@ -4,8 +4,8 @@ The SVG is assembled as plain markup with fixed numeric formatting, so
 identical specs produce identical bytes.
 """
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import InputError
 from .tables import format_value
@@ -17,8 +17,7 @@ SERIES_COLORS = ("#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#b07aa1", "#76b7b2
 WIDTH, HEIGHT = 900, 480
 
 
-@dataclass(frozen=True)
-class ChartSpec:
+class ChartSpec(NamedTuple):
     groups: tuple[str, ...]
     series: tuple[tuple[str, tuple[float, ...]], ...]
 

@@ -24,7 +24,7 @@ end of the body if none does. No argument list is scanned twice, so
 lowering stays linear in the body however deeply calls nest.
 """
 
-from ..model import ClassInfo, ClassModel, FieldInfo, MethodInfo, build_model, make_method
+from ..model import ClassInfo, ClassModel, FieldInfo, build_model, make_method
 from .lexer import PRIMITIVES
 from .parser import ClassDecl, MethodDecl, SourceUnit
 
@@ -68,11 +68,16 @@ def lower_to_model(units: list[SourceUnit], project_name: str = "") -> ClassMode
 
 
 def _lower_class(decl: ClassDecl, own_name: str, names: dict[str, str]) -> ClassInfo:
-    # field name -> the class its type names, None for a primitive type
-    field_types = [None if f.type.is_primitive else names.get(f.type.text, f.type.text)
-                   for f in decl.fields]
-    scope = _ClassScope(own_name, names, decl, field_types)
-    methods = tuple(_lower_method(m, scope) for m in decl.methods)
+    # each field's type: the class it names, None for a primitive type
+    types = [None if f.type.is_primitive else names.get(f.type.text, f.type.text)
+             for f in decl.fields]
+    field_types = {f.name: t for f, t in zip(decl.fields, types)}
+    # interface fields are implicitly static
+    instance_fields = frozenset() if decl.kind == "interface" else frozenset(
+        f.name for f in decl.fields if not f.is_static)
+    methods = tuple(make_method(m.name, m.arity,
+                                *_scan_body(m, own_name, names, instance_fields, field_types))
+                    for m in decl.methods)
 
     if decl.kind == "interface":
         # interfaces carry abstract methods only; their extends list is
@@ -85,41 +90,26 @@ def _lower_class(decl: ClassDecl, own_name: str, names: dict[str, str]) -> Class
     superclass = names.get(decl.extends[0], decl.extends[0]) if decl.extends else None
     interfaces = tuple(sorted(names.get(n, n) for n in decl.implements))
     fields = tuple(FieldInfo(name=f.name, declared_type=t)
-                   for f, t in zip(decl.fields, field_types))
+                   for f, t in zip(decl.fields, types))
     return ClassInfo(qualified_name=own_name, superclass=superclass,
                      interfaces=interfaces, fields=fields, methods=methods)
 
 
-class _ClassScope:
-    """What every method body of one class resolves against."""
-
-    def __init__(self, own_name: str, names: dict[str, str], decl: ClassDecl,
-                 field_types: list[str | None]):
-        self.own_name = own_name
-        self.classes = names
-        # interface fields are implicitly static
-        self.instance_fields = frozenset() if decl.kind == "interface" else frozenset(
-            f.name for f in decl.fields if not f.is_static)
-        self.field_types = {f.name: t for f, t in zip(decl.fields, field_types)}
-
-
-def _lower_method(method: MethodDecl, scope: _ClassScope) -> MethodInfo:
-    if method.body is None:
-        return make_method(method.name, method.arity, (), (), ())
-    return make_method(method.name, method.arity, *_scan_body(method, scope))
-
-
-def _scan_body(method: MethodDecl, scope: _ClassScope):
+def _scan_body(method: MethodDecl, own_name: str, classes: dict[str, str],
+               instance_fields: frozenset[str], field_types: dict[str, str | None]):
     """The used fields, (class, name, arity) calls and referenced classes
-    of one method body."""
+    of one method body, none for a method without one.
+
+    Names resolve through ``classes`` (simple name -> qualified name) and
+    ``field_types`` (own field -> the class its type names, None for a
+    primitive type); only ``instance_fields`` count as used fields.
+    """
     body = method.body
+    if body is None:
+        return (), (), ()
     kinds = body.kinds + _PAD_KINDS
     texts = body.texts + _PAD_TEXTS
     n = len(body)
-    own_name = scope.own_name
-    classes = scope.classes
-    instance_fields = scope.instance_fields
-    field_types = scope.field_types
     # local name -> the class its type names, None for a primitive type
     local_types = {name: None if t.is_primitive else classes.get(t.text, t.text)
                    for t, name in method.params}

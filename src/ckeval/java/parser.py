@@ -13,14 +13,12 @@ works in token indices; it asks for a line and column only for a
 diagnostic. The declarations hold what lowering reads, and no position.
 """
 
-from dataclasses import dataclass
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .lexer import LexError, MODIFIERS, PRIMITIVES, Tokens, line_column, tokenize
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     path: str
     line: int
     column: int
@@ -37,21 +35,18 @@ class ParseError(Exception):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
-class TypeRef:
+class TypeRef(NamedTuple):
     text: str            # base name as written, e.g. "List" or "shop.Item"
     is_primitive: bool
 
 
-@dataclass(frozen=True)
-class FieldDecl:
+class FieldDecl(NamedTuple):
     name: str
     type: TypeRef
     is_static: bool
 
 
-@dataclass(frozen=True)
-class MethodDecl:
+class MethodDecl(NamedTuple):
     name: str
     params: tuple[tuple[TypeRef, str], ...]
     body: Tokens | None  # None for abstract/interface methods
@@ -61,8 +56,7 @@ class MethodDecl:
         return len(self.params)
 
 
-@dataclass(frozen=True)
-class ClassDecl:
+class ClassDecl(NamedTuple):
     name: str
     kind: str  # "class" | "interface"
     extends: tuple[str, ...]     # raw qualified names as written
@@ -71,8 +65,7 @@ class ClassDecl:
     methods: tuple[MethodDecl, ...]
 
 
-@dataclass(frozen=True)
-class SourceUnit:
+class SourceUnit(NamedTuple):
     path: str
     package_name: str
     imports: tuple[tuple[str, bool], ...]  # (qualified name, is_on_demand)

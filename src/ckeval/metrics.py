@@ -21,11 +21,12 @@ each field use costs an OR over (methods in the class)/64 machine words.
 
 ``MetricRecord`` is a ``NamedTuple`` of the class name and the six values
 in METRICS order, so the table readers build many of them in C with
-``tuple.__new__``. It equals, hashes and orders as that 7-tuple; field
-names, ``value()`` and ``values()`` are as before.
+``tuple.__new__``. It equals, hashes and orders as that 7-tuple.
+``ProjectMetrics`` builds its by-name table on the first ``record()`` call.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -72,10 +73,10 @@ class ProjectMetrics:
     per_class: tuple[MetricRecord, ...]
     means: dict[str, float]
 
-    def __post_init__(self):
-        # not a field, so == and repr are unchanged; the first row of a name wins
-        object.__setattr__(self, "_by_class",
-                           {rec.class_name: rec for rec in reversed(self.per_class)})
+    @cached_property
+    def _by_class(self) -> dict[str, MetricRecord]:
+        """Built on the first lookup; the first row of a name wins."""
+        return {rec.class_name: rec for rec in reversed(self.per_class)}
 
     def record(self, class_name: str) -> MetricRecord | None:
         return self._by_class.get(class_name)
@@ -199,15 +200,15 @@ class _Index:
 
 
 def _index(model: ClassModel) -> _Index:
-    """The model's metric index, built on first use and kept on the model.
+    """The model's metric index, built on first use and kept in the model's
+    ``__dict__``, where ``cached_property`` keeps the model's own caches.
 
     It is built whole before it is stored, so a reader on another thread
     sees either no index (and builds an equal one) or a complete one.
     """
     index = vars(model).get("_metric_index")
     if index is None:
-        index = _Index(model)
-        object.__setattr__(model, "_metric_index", index)
+        index = vars(model)["_metric_index"] = _Index(model)
     return index
 
 

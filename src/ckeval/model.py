@@ -12,13 +12,14 @@ members as ``build_model`` normalizes them, so ``build_model`` keeps the
 classes it is given instead of copying them; it still normalizes any other
 input, and ``_check`` is the one validation pass for both paths.
 
-The value types ``FieldInfo``, ``CallRef``, ``MethodInfo`` and
-``ClassInfo`` are ``NamedTuple``s, so they build and hash as tuples do,
-with no ``object.__setattr__`` per field: each is iterable, equals and
-hashes as its plain tuple of fields, orders against plain tuples, and is
-copied with ``_replace`` (``dataclasses.replace`` does not apply). The
-reader and the Java lowering both build a method through ``make_method``,
-which turns each call triple into a ``CallRef`` with ``tuple.__new__``.
+The value types ``FieldInfo``, ``CallRef``, ``MethodInfo``, ``ClassInfo``
+and ``Diagnostic`` are ``NamedTuple``s: each is iterable, equals and hashes
+as its plain tuple of fields, orders against plain tuples, and is copied
+with ``_replace`` (``dataclasses.replace`` does not apply). ``ClassModel``
+is a frozen dataclass whose caches, built on first use, take no part in
+``==``, ``repr`` or ``hash``. The reader and the Java lowering both build a
+method through ``make_method``, which turns each call triple into a
+``CallRef`` with ``tuple.__new__``.
 """
 
 from dataclasses import dataclass
@@ -104,8 +105,7 @@ class ClassModel:
         return tuple(c for c in self.classes if not c.is_external)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     code: str
     location: str
     message: str

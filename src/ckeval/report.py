@@ -4,7 +4,7 @@ Rendering is deterministic; the Turkish templates mirror the wording of the
 original evaluation screens line by line, English is the default.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .metrics import value_getter
 from .rules import Assessment, Level, RangeFilter
@@ -17,14 +17,12 @@ LOCALES = ("en", "tr")
 Line = tuple[str, "str | None"]
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(NamedTuple):
     heading: str
     lines: tuple[Line, ...] = ()
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     title: str
     sections: tuple[Section, ...] = ()
     locale: str = "en"

@@ -23,6 +23,7 @@ from itertools import combinations, compress
 import json
 import math
 from operator import not_
+from typing import NamedTuple
 
 from .errors import RuleError, RuleOverlapError, SchemaError, UsageError
 from .metrics import METRICS, ProjectMetrics, check_metric, value_getter
@@ -73,8 +74,7 @@ def level_from_name(name: str) -> Level:
                         + ", ".join(LEVEL_NAMES.values())) from None
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """Closed interval [lo, hi]; hi None means unbounded above."""
 
     lo: float
@@ -89,8 +89,7 @@ class Interval:
         return f"{format_value(self.lo)} - {format_value(self.hi)}"
 
 
-@dataclass(frozen=True)
-class ValueSet:
+class ValueSet(NamedTuple):
     values: frozenset[float]
 
     def matches(self, value: float) -> bool:
@@ -136,8 +135,7 @@ class Rule:
         return self.id, derived, dict.fromkeys(derived, self.id)
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(NamedTuple):
     metric: str
     value: float
     scope: str = "project"
@@ -483,8 +481,7 @@ def evaluate_project(pm: ProjectMetrics, kb: KnowledgeBase,
 
 # --- manual range selection --------------------------------------------------
 
-@dataclass(frozen=True)
-class RangeFilter:
+class RangeFilter(NamedTuple):
     metric: str
     condition: Condition
     in_range: tuple

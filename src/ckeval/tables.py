@@ -54,7 +54,7 @@ def read_number(raw: str | int | float, where: str,
         raise error(f"{where}: {raw!r} is not a finite number")
     if value < 0:
         raise error(f"{where}: {raw!r} is negative")
-    return value
+    return value or 0.0  # -0 reads as 0
 
 
 def format_value(value: float) -> str:
@@ -173,7 +173,7 @@ def _csv_records(text: str) -> list[MetricRecord] | None:
         rows = list(csv.reader(io.StringIO(text)))
     except csv.Error:
         return None
-    if (not rows or tuple(cell.strip().upper() for cell in rows[0]) != CLASS_HEADER
+    if (not rows or _header(rows[0]) != CLASS_HEADER
             or set(map(len, rows)) != {len(CLASS_HEADER)}):
         return None
     del rows[0]
@@ -193,9 +193,8 @@ def _csv_records(text: str) -> list[MetricRecord] | None:
 
 def _csv_records_by_row(text: str) -> list[MetricRecord]:
     """The table's records, checked row by row; the first fault raises."""
-    rows = _csv_rows(text)
-    first = next(rows, None)
-    if first is None or tuple(cell.strip().upper() for cell in first[1]) != CLASS_HEADER:
+    header, rows = _table_rows(text)
+    if header != CLASS_HEADER:
         raise InputError("metrics table must start with header "
                          + ",".join(CLASS_HEADER))
     records = []
@@ -237,6 +236,20 @@ def _metric_cells(row: list[str], lineno: int) -> list[int]:
     return values
 
 
+def _header(row: list[str]) -> tuple[str, ...]:
+    """A header row as the readers and ``sniff`` compare it: each cell
+    stripped and upper-cased, so quoted and padded names read alike."""
+    return tuple(cell.strip().upper() for cell in row)
+
+
+def _table_rows(text: str):
+    """The table's header as ``_header`` reads it, empty when every row is
+    blank, and an iterator of ``_csv_rows`` over the rows after it."""
+    rows = _csv_rows(text)
+    first = next(rows, None)
+    return (() if first is None else _header(first[1])), rows
+
+
 def _csv_rows(text: str):
     """(line, row) for each non-blank row, line being where the row starts."""
     reader = csv.reader(io.StringIO(text))
@@ -254,11 +267,9 @@ def _csv_rows(text: str):
 
 def versions_from_csv(text: str) -> list[dict]:
     """Rows of {version, path, means} from a VERSION[,PATH] table."""
-    rows = _csv_rows(text)
-    first = next(rows, None)
-    if first is None:
+    header, rows = _table_rows(text)
+    if not header:
         raise InputError("empty versions table")
-    header = tuple(cell.strip().upper() for cell in first[1])
     if header == VERSION_PATH_HEADER:
         has_path = True
     elif header == VERSION_HEADER:
@@ -352,8 +363,7 @@ def load_metrics_input(path: str | Path) -> ProjectMetrics:
 
 def sniff(text: str, label: str) -> tuple[str, str | dict]:
     """Classify file content: class model, metrics table, or versions table."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
         except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
@@ -368,9 +378,9 @@ def sniff(text: str, label: str) -> tuple[str, str | dict]:
             return "versions", doc
         raise InputError(f"{label}: unrecognized document "
                          "(no classes, metrics, or versions key)")
-    first = stripped.split("\n", 1)[0].strip().upper()
-    if first.startswith("CLASS,"):
+    header = _table_rows(text)[0]
+    if len(header) > 1 and header[0] == "CLASS":
         return "metrics", text
-    if first.startswith("VERSION,"):
+    if len(header) > 1 and header[0] == "VERSION":
         return "versions", text
     raise InputError(f"{label}: unrecognized file format")

@@ -8,8 +8,8 @@ NOC can be flipped, its reading is disputed in the literature).
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import InputError
 from .metrics import METRICS, ProjectMetrics, check_metric
@@ -18,8 +18,7 @@ from .model import load_class_model  # noqa: F401
 from . import tables
 
 
-@dataclass(frozen=True)
-class VersionRecord:
+class VersionRecord(NamedTuple):
     version_name: str
     source_path: str
     means: dict[str, float]
@@ -28,8 +27,7 @@ class VersionRecord:
         return self.means[metric]
 
 
-@dataclass(frozen=True)
-class VersionVerdict:
+class VersionVerdict(NamedTuple):
     metric: str
     min_versions: tuple[str, ...]
     min_value: float

@@ -1,12 +1,19 @@
 from collections import OrderedDict
 import copy
-from dataclasses import make_dataclass
+from dataclasses import MISSING, field, fields as dataclass_fields, is_dataclass, make_dataclass
+import importlib
+import inspect
 import json
+import math
+from pathlib import Path
+import pkgutil
 import random
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
+import ckeval
+from ckeval.chart import ChartSpec
 from ckeval.errors import DuplicateClassError, InheritanceCycleError, SchemaError
 from ckeval.model import (
     CallRef,
@@ -22,7 +29,12 @@ from ckeval.model import (
     serialize_model,
     validate_model,
 )
+from ckeval.java.parser import (ClassDecl, FieldDecl, MethodDecl, ParseDiagnostic,
+                                SourceUnit, TypeRef)
 from ckeval.metrics import compute_all
+from ckeval.report import Report, Section
+from ckeval.rules import Fact, Interval, RangeFilter, ValueSet
+from ckeval.versions import VersionRecord, VersionVerdict
 from conftest import random_model
 import model_reader_oracle as oracle
 
@@ -298,21 +310,67 @@ _raw_classes = st.tuples(_names, _maybe_names, st.lists(_names, max_size=2).map(
                          st.booleans())
 
 
+def old_value(new_type, *names, **defaults):
+    """A frozen dataclass of ``names`` and then the fields with ``defaults``."""
+    return make_dataclass(new_type.__name__, [(n, object) for n in names]
+                          + [(n, object, field(default=d)) for n, d in defaults.items()],
+                          frozen=True)
+
+
+# the other values as they were: frozen dataclasses of the same fields and defaults
+OLD_VALUES = [
+    (ParseDiagnostic, old_value(ParseDiagnostic, "path", "line", "column", "code", "message")),
+    (TypeRef, old_value(TypeRef, "text", "is_primitive")),
+    (FieldDecl, old_value(FieldDecl, "name", "type", "is_static")),
+    (MethodDecl, old_value(MethodDecl, "name", "params", "body")),
+    (ClassDecl, old_value(ClassDecl, "name", "kind", "extends", "implements", "fields",
+                          "methods")),
+    (SourceUnit, old_value(SourceUnit, "path", "package_name", "imports", "classes")),
+    (Interval, old_value(Interval, "lo", hi=None)),
+    (ValueSet, old_value(ValueSet, "values")),
+    (Fact, old_value(Fact, "metric", "value", scope="project")),
+    (RangeFilter, old_value(RangeFilter, "metric", "condition", "in_range", "out_of_range")),
+    (Section, old_value(Section, "heading", lines=())),
+    (Report, old_value(Report, "title", sections=(), locale="en")),
+    (VersionRecord, old_value(VersionRecord, "version_name", "source_path", "means")),
+    (VersionVerdict, old_value(VersionVerdict, "metric", "min_versions", "min_value",
+                               "max_versions", "max_value", "quality_best",
+                               "quality_worst", "effort_most", "effort_least")),
+    (ChartSpec, old_value(ChartSpec, "groups", "series")),
+    (Diagnostic, old_value(Diagnostic, "code", "location", "message")),
+]
+
+# few cells, so that equal values are drawn often; a dict makes a value unhashable
+_scalars = st.sampled_from(["a", "p.Ä", 0, 1, 1.0, -0.0, math.nan, None, True])
+_cells = (_scalars | st.tuples(_scalars, _scalars) | st.frozensets(_scalars, max_size=2)
+          | st.dictionaries(st.sampled_from(["WMC", "DIT"]), _scalars, max_size=1))
+
+
+def hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError:
+        return TypeError
+
+
 def assert_same_as_dataclass(pairs):
     for new, old in pairs:
-        assert repr(new) == repr(old) and hash(new) == hash(old)
+        assert repr(new) == repr(old) and hash_or_error(new) == hash_or_error(old)
     for new_a, old_a in pairs:
         for new_b, old_b in pairs:
             assert (new_a == new_b) == (old_a == old_b)
             assert (new_a != new_b) == (old_a != old_b)
             if new_a == new_b:
-                assert hash(new_a) == hash(new_b)
+                assert hash_or_error(new_a) == hash_or_error(new_b)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_raw_fields, max_size=6), st.lists(_raw_methods, max_size=6),
-       st.lists(_raw_classes, max_size=6))
-def test_model_values_equal_hash_and_repr_as_the_dataclasses_did(fields, methods, classes):
+       st.lists(_raw_classes, max_size=6),
+       st.lists(st.tuples(*[_cells] * max(len(dataclass_fields(old)) for _, old in OLD_VALUES)),
+                max_size=4))
+def test_model_values_equal_hash_and_repr_as_the_dataclasses_did(fields, methods, classes,
+                                                                 raws):
     assert_same_as_dataclass([(FieldInfo(*f), OldField(*f)) for f in fields])
     assert_same_as_dataclass([(MethodInfo(*m), OldMethod(*m)) for m in methods])
     assert_same_as_dataclass([
@@ -321,6 +379,31 @@ def test_model_values_equal_hash_and_repr_as_the_dataclasses_did(fields, methods
          OldClass(name, superclass, interfaces, tuple(OldField(*f) for f in fs),
                   tuple(OldMethod(*m) for m in ms), external))
         for name, superclass, interfaces, fs, ms, external in classes])
+    for new_type, old_type in OLD_VALUES:
+        arity = len(dataclass_fields(old_type))
+        assert_same_as_dataclass([(new_type(*raw[:arity]), old_type(*raw[:arity]))
+                                  for raw in raws])
+
+
+@pytest.mark.parametrize("new_type, old_type", OLD_VALUES,
+                         ids=[new.__name__ for new, _ in OLD_VALUES])
+def test_values_keep_the_fields_and_defaults_of_the_dataclasses(new_type, old_type):
+    assert issubclass(new_type, tuple)
+    assert new_type._fields == tuple(f.name for f in dataclass_fields(old_type))
+    assert new_type._field_defaults == {f.name: f.default for f in dataclass_fields(old_type)
+                                        if f.default is not MISSING}
+
+
+def test_only_values_with_a_cache_or_mutable_state_are_dataclasses():
+    modules = [importlib.import_module(info.name) for info in pkgutil.walk_packages(
+        ckeval.__path__, "ckeval.")]
+    dataclasses = {name for module in modules
+                   for name, value in inspect.getmembers(module, inspect.isclass)
+                   if value.__module__ == module.__name__ and is_dataclass(value)}
+    assert dataclasses == {"ClassModel", "KnowledgeBase", "Rule", "Assessment",
+                           "ProjectMetrics"}
+    assert not [module.__name__ for module in modules
+                if "object.__setattr__" in Path(module.__file__).read_text(encoding="utf-8")]
 
 
 class Name(str):

@@ -881,3 +881,52 @@ def test_not_utf8_offset_counts_the_byte_order_mark(tmp_path, capsys):
     code, out, err = run_cli(["evaluate", str(table)], capsys)
     assert (code, out) == (2, "")
     assert f"cannot read {table}: not UTF-8 at byte 35:" in err
+
+
+# --- minus zero ----------------------------------------------------------------------
+
+def test_minus_zero_reads_as_zero(fixtures, tmp_path, capsys):
+    table = str(fixtures / "moreunit_classes.csv")
+    code, out, err = run_cli(["evaluate", table, "--select", "WMC=-0",
+                              "--select", "LCOM=-0,4"], capsys)
+    assert (code, err) == (0, "")
+    assert "WMC SELECTION: 0\n" in out and "LCOM SELECTION: 0, 4\n" in out
+    assert run_cli(["evaluate", table, "--select", "WMC=0",
+                    "--select", "LCOM=0,4"], capsys) == (0, out, "")
+    versions = tmp_path / "v.csv"
+    versions.write_text("VERSION,WMC,DIT,NOC,CBO,RFC,LCOM\n"
+                        "v1,-0,1,1,1,1,1\n"
+                        "v2,2,1,1,1,1,-0.0\n", encoding="utf-8")
+    code, out, err = run_cli(["compare", str(versions)], capsys)
+    assert (code, err) == (0, "")
+    versions.write_text(versions.read_text(encoding="utf-8").replace("-0", "0"),
+                        encoding="utf-8")
+    assert run_cli(["compare", str(versions)], capsys) == (0, out, "")
+
+
+# --- table headers as spreadsheets write them ------------------------------------------
+
+@pytest.mark.parametrize("command, fixture, header", [
+    ("evaluate", "moreunit_classes.csv", '"CLASS",WMC,DIT,NOC,CBO,RFC,LCOM'),
+    ("evaluate", "moreunit_classes.csv", "CLASS ,WMC,DIT,NOC,CBO,RFC,LCOM"),
+    ("evaluate", "moreunit_classes.csv", '" class ","WMC","DIT","NOC","CBO","RFC","LCOM"'),
+    ("compare", "five_versions.csv", '"VERSION","PATH",WMC,DIT,NOC,CBO,RFC,LCOM'),
+    ("compare", "five_versions.csv", "VERSION ,PATH,WMC,DIT,NOC,CBO,RFC,LCOM"),
+    ("compare", "five_versions.csv", '"Version ",WMC,DIT,NOC,CBO,RFC,LCOM'),
+], ids=["class-quoted", "class-padded", "class-all-quoted",
+        "version-quoted", "version-padded", "version-no-path"])
+def test_quoted_or_padded_table_header_is_read(fixtures, tmp_path, capsys, command,
+                                                fixture, header):
+    rows = (fixtures / fixture).read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+    if header.count(",") < rows[0].count(","):  # drop the PATH column
+        rows = [row.split(",", 2)[0] + "," + row.split(",", 2)[2] for row in rows]
+    plain, written = tmp_path / "plain" / fixture, tmp_path / "header" / fixture
+    plain.parent.mkdir()
+    written.parent.mkdir()
+    plain.write_text(",".join(c.strip(' "').upper() for c in header.split(",")) + "\n"
+                     + "".join(rows), encoding="utf-8")
+    written.write_text(header + "\n" + "".join(rows), encoding="utf-8")
+    code, out, err = run_cli([command, str(plain)], capsys)
+    assert (code, err) == (0, "")
+    assert run_cli([command, str(written)], capsys) \
+        == (0, out.replace(str(plain), str(written)), "")

@@ -12,7 +12,7 @@ from time import perf_counter
 
 from hypothesis import example, given, settings, strategies as st
 
-from ckeval.java import ParseError, lower_to_model, parse_source
+from ckeval.java import ParseError, SourceUnit, lower_to_model, parse_source
 from frontend_oracle import oracle_lower_to_model, oracle_parse_source
 from test_java_frontend import TORTURE, _generate_source
 from test_lexer import FRAGMENTS, PARSER_WORDS, edited_sources
@@ -36,7 +36,7 @@ def assert_same_frontend(texts: list[str]) -> None:
         path = f"F{n}.java"
         unit = outcome(parse_source, text, path)
         assert unit == outcome(oracle_parse_source, text, path)
-        if not isinstance(unit, tuple):
+        if isinstance(unit, SourceUnit):
             units.append(unit)
     assert outcome(lower_to_model, units, "p") == outcome(oracle_lower_to_model, units, "p")
 
