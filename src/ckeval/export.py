@@ -22,7 +22,6 @@ from json.encoder import JSONEncoder, c_make_encoder, encode_basestring
 from pathlib import Path
 import sys
 
-from .errors import InputError
 from .metrics import value_getter
 from .rules import Assessment, Interval, KnowledgeBase, LEVEL_NAMES, RangeFilter
 from .versions import VersionVerdict
@@ -305,12 +304,3 @@ def _key(key) -> str:
     raise TypeError("keys must be str, int, float, bool or None, "
                     f"not {key.__class__.__name__}")
 
-
-def import_structured(text: str) -> dict:
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise InputError(f"invalid structured document: {exc}") from None
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise InputError("structured document must be an object with a kind")
-    return doc

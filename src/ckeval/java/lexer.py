@@ -7,20 +7,22 @@ counts characters since the last line feed, so CR and tab advance it by one.
 ``tokenize`` returns a ``Tokens``: the kinds and texts of the tokens as two
 parallel tuples, ``kinds`` and ``texts``, which the parser and lowering
 index directly. It is also a read-only sequence of ``Token``s. Positions
-are worked out only when something asks for one. The first read builds a
-table, shared by a ``Tokens`` and its slices, of every token's offset (the
-running sum of the skipped-span and token lengths) and every line's start;
-each read is then one ``bisect`` into the line starts.
+are worked out only when something asks for one, which only diagnostics
+do. The first read builds a table, shared by a ``Tokens`` and its slices,
+of every token's offset and every line's start; each read is then one
+``bisect`` into the line starts. The offsets come from a walk over the
+token texts: from the end of one token, one match of the skip pattern
+(``_SKIP``) finds the start of the next.
 
 One compiled pattern (``_SCAN``) does the work. Each match is a skipped span
 of whitespace and comments followed by one token, one character the
-pattern does not accept, or the end of the text. One ``findall`` gives the
-rows, and C-level passes turn them into columns: ``map`` with
-``itemgetter`` takes out the skipped spans and the token texts, and
-``map`` looks up each kind by the token's text in a per-text table. The
-table starts with the keywords and punctuation and learns each other
-text by its first character the first time it appears, so Python code runs
-once per distinct token text, not per token.
+pattern does not accept, or the end of the text. The skipped span is not
+captured, so one ``findall`` gives (token, declined character) rows, and
+C-level passes turn them into columns: ``map`` with ``itemgetter`` takes
+out the token texts, and ``map`` looks up each kind by the token's text in
+a per-text table. The table starts with the keywords and punctuation and
+learns each other text by its first character the first time it appears,
+so Python code runs once per distinct token text, not per token.
 
 The pattern covers the ASCII language. Identifiers and numbers are defined
 by ``str.isalpha``/``isdigit``/``isalnum``, which accept non-ASCII letters
@@ -39,8 +41,8 @@ import re
 import string
 from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import accumulate, chain
-from operator import itemgetter, methodcaller
+from itertools import accumulate
+from operator import itemgetter
 from typing import NamedTuple
 
 KEYWORDS = {
@@ -93,21 +95,19 @@ class _Positions:
     so a thread sees either no table or a whole one.
     """
 
-    __slots__ = ("text", "skips", "texts", "table")
+    __slots__ = ("text", "texts", "table")
 
-    def __init__(self, text: str, skips: tuple[str, ...], texts: tuple[str, ...]):
+    def __init__(self, text: str, texts: tuple[str, ...]):
         self.text = text
-        self.skips = skips  # the skipped span before each token
         self.texts = texts
         self.table = None
 
     def __call__(self, row: int) -> tuple[int, int]:
         if self.table is None:
-            spans = map(len, chain.from_iterable(zip(self.skips, self.texts)))
             # the start of each line and, past the end, of one more
             line_starts = list(accumulate(
                 map((1).__add__, map(len, self.text.split("\n"))), initial=0))
-            self.table = tuple(accumulate(spans))[::2], line_starts
+            self.table = _offsets(self.text, self.texts), line_starts
         offsets, line_starts = self.table
         offset = offsets[row]
         line = bisect_right(line_starts, offset)
@@ -158,10 +158,12 @@ class Tokens(Sequence[Token]):
         return f"Tokens({tuple(self)!r})"
 
 
+# skipped span: whitespace, line comments, terminated block comments; a
+# whitespace run is one charset repeat, and each comment takes the run after it
+_SKIPPED = r"[ \t\r\n]*(?:(?://[^\n]*|/\*[\s\S]*?\*/)[ \t\r\n]*)*"
+_SKIP = re.compile(_SKIPPED)
 _SCAN = re.compile(
-    # skipped span: whitespace, line comments, terminated block comments
-    r"((?:[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/)*)"
-    r"(?:("
+    _SKIPPED + r"(?:("
     # identifier or keyword, not followed by a character that could extend
     # it: [A-Za-z0-9_$] or any non-ASCII character, as one negated class
     r"[A-Za-z_$][A-Za-z0-9_$]*(?![^\x00-#%-/:-@\[-^`{-\x7f])"
@@ -201,8 +203,7 @@ _KIND_OF_TEXT = {**dict.fromkeys(KEYWORDS, "keyword"),
 _KIND_OF_FIRST = {**dict.fromkeys(string.ascii_letters + "_$", "ident"),
                   **dict.fromkeys(string.digits, "number"),
                   '"': "string", "'": "char"}
-_skip, _text = itemgetter(0), itemgetter(1)  # two columns of a row
-_groups = methodcaller("groups", "")  # as findall gives them
+_text = itemgetter(0)  # the token text of a row
 
 
 def tokenize(text: str) -> Tokens:
@@ -211,38 +212,49 @@ def tokenize(text: str) -> Tokens:
     # the first row without a token is a declined character or the end; a
     # text that ends in a skipped span gives one more, empty, row after it
     end = texts.index("") + 1
-    if rows[end - 1][2]:  # a declined character
-        skips, texts = _exact_rows(text, rows, texts, end - 1)
+    if rows[end - 1][1]:  # a declined character
+        texts = _exact_texts(text, texts[:end - 1])
     else:
-        skips, texts = tuple(map(_skip, rows[:end])), texts[:end]
+        texts = texts[:end]
     kinds = tuple(map(_KindOf(_KIND_OF_TEXT).__getitem__, texts))
-    return Tokens(kinds, texts, _Positions(text, skips, texts), range(len(texts)))
+    return Tokens(kinds, texts, _Positions(text, texts), range(len(texts)))
 
 
-def _exact_rows(text: str, rows: list[tuple[str, str, str]], texts: tuple[str, ...],
-                first: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The skipped spans and token texts of a text whose row ``first`` is a
-    character the pattern declines.
+def _offsets(text: str, texts: Sequence[str]) -> list[int]:
+    """The offset of each token of text, given the texts of its first
+    tokens in order, and last the offset of what follows them."""
+    offsets = []
+    pos = 0
+    skip = _SKIP.match
+    for word in texts:
+        pos = skip(text, pos).end()
+        offsets.append(pos)
+        pos += len(word)
+    offsets.append(skip(text, pos).end())
+    return offsets
 
-    The rows before it stand; from there on, each declined character starts
-    an exact token, and the text after one is scanned row by row up to the
-    next. Raises LexError for anything that is not a token.
+
+def _exact_texts(text: str, texts: tuple[str, ...]) -> tuple[str, ...]:
+    """The token texts of a text whose first tokens are texts and whose
+    next row is a character the pattern declines.
+
+    From there on, each declined character starts an exact token, and the
+    text after one is scanned row by row up to the next. Raises LexError
+    for anything that is not a token.
     """
-    skips, texts = list(map(_skip, rows[:first + 1])), list(texts[:first])
-    pos = sum(map(len, skips)) + sum(map(len, texts))
+    texts = list(texts)
+    pos = _offsets(text, texts)[-1]
     while True:
         end = _exact_token(text, pos)
         texts.append(text[pos:end])
-        pos = end
-        for skip, word, other in map(_groups, _SCAN.finditer(text, pos)):
-            skips.append(skip)
-            pos += len(skip)
-            if other:
+        for match in _SCAN.finditer(text, end):
+            word, declined = match.groups("")
+            if declined:
+                pos = match.start(2)
                 break
             texts.append(word)
-            pos += len(word)
             if not word:
-                return tuple(skips), tuple(texts)
+                return tuple(texts)
 
 
 def _exact_token(text: str, i: int) -> int:

@@ -15,7 +15,6 @@ against it for as long as it lives; the built-in bases live for the process.
 """
 
 from dataclasses import dataclass, field
-from decimal import Decimal, ROUND_HALF_UP
 from enum import IntEnum
 from functools import cache, cached_property
 from importlib import resources
@@ -459,7 +458,16 @@ def _effect(kb: KnowledgeBase, metric: str, value: float) -> tuple[str, dict, di
 
 
 def round_half_up(value: float) -> int:
-    return int(Decimal(str(value)).quantize(Decimal("1"), rounding=ROUND_HALF_UP))
+    """value rounded to the nearest integer, a half away from zero.
+
+    Subtracting the floor of a float is exact, so the fraction is compared
+    with 0.5 as it is; a float of 2**52 or more is an integer already and
+    comes back as int(value).
+    """
+    magnitude = abs(value)
+    whole = math.floor(magnitude)
+    whole += magnitude - whole >= 0.5
+    return whole if value >= 0 else -whole
 
 
 def evaluate_project(pm: ProjectMetrics, kb: KnowledgeBase,

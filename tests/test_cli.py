@@ -11,11 +11,11 @@ import pytest
 import ckeval
 from ckeval.cli import cli_main
 from ckeval.errors import InputError, SchemaError
-from ckeval.export import import_structured
 from ckeval.metrics import compute_all
 from ckeval.model import load_class_model
 from ckeval.rules import load_rules, paper_rule_preset, serialize_rules
 from ckeval.tables import load_metrics_input, metrics_to_document
+from test_report import import_structured
 
 
 def run_cli(argv, capsys):
@@ -617,6 +617,17 @@ def test_metrics_document_rejects_integer_beyond_float(tmp_path, capsys):
     assert code == 2, err
     assert out == ""
     assert "metrics[1].rfc" in err and "too large" in err
+
+
+@pytest.mark.parametrize("scope", ["class", "project"])
+def test_mean_beyond_28_digits_evaluates_at_either_scope(tmp_path, capsys, scope):
+    table = tmp_path / "m.csv"
+    table.write_text("CLASS,WMC,DIT,NOC,CBO,RFC,LCOM\n"
+                     f"a.A,{10 ** 28},0,0,0,0,0\n", encoding="utf-8")
+    code, out, err = run_cli(["evaluate", str(table), "--scope", scope,
+                              "--format", "structured"], capsys)
+    assert code == 0, err
+    assert "wmc-very-high" in out
 
 
 def test_metric_cells_just_inside_float_range_evaluate(tmp_path, capsys):

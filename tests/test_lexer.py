@@ -35,6 +35,15 @@ SEEDS = [
     '"abc', "'a", '"a\\', '"a\nb"', "x /* never closed", "/*", "/*/", "/* a *",
     "/**/x", "/***/", "//*x\ny", "a//b", "x // c\ny", "/* a\n b */ z",
     "", "\n", "\n\n", " ", "`", "#", "\\", "\x00", "a\x85b",
+    # the skipped span: comments next to each other, comment markers inside
+    # the other kind of comment, whitespace and comments in turn before a
+    # declined or exact token, tabs and CRs inside comments
+    "/**//***/", "a/**//***/b", "/***//**/ x", "/**/x/**/", "/* a */ b /* c */ ä",
+    "/* // */x", "a /* // b */ c", "// */ x\ny", "a // b */\nc",
+    "x //", "x // end", "//",
+    " /* a */ \t// b\n /**/\n#", "x \n/* */ // c\r\n ä", "\t//\n/**/ `",
+    "/* c */ä", "// c\nä = 1²;", "/**/1²", "x/* */\n\t1²",
+    "/*\t\r\n\t*/x", "//\t\r x\r\ny", "a/*\r*/\tb", "/*\r\n*/\r\n// \t\r\nz",
 ]
 
 

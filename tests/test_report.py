@@ -18,7 +18,6 @@ from ckeval.export import (
     assessments_text,
     export_structured,
     filters_document,
-    import_structured,
     input_provenance,
     verdicts_document,
 )
@@ -209,6 +208,17 @@ def test_assessment_export_counts(tmp_path):
     assert len(entry["conclusions"]) == 8
     assert entry["firedRules"] == ["paper-1"]
     assert {c["rule"] for c in entry["conclusions"]} == {"paper-1"}
+
+
+def import_structured(text: str) -> dict:
+    """A structured document read back, as a reader of the exports would."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"invalid structured document: {exc}") from None
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise InputError("structured document must be an object with a kind")
+    return doc
 
 
 def test_export_import_export_is_byte_stable(tmp_path):
@@ -498,14 +508,25 @@ def test_chart_legend_lists_all_series():
         assert f">{metric}</text>" in svg
 
 
-def test_cli_import_leaves_xml_sax_and_its_network_modules_out():
-    # saxutils pulls in urllib.request, http.client, email and ssl on every run
+def modules_after_cli_import(where: str) -> str:
+    """The sorted list, as printed, of the modules m in sys.modules for which
+    the expression where holds, after a fresh interpreter imports ckeval.cli."""
     package_root = str(Path(ckeval.__file__).parent.parent)
-    code = ("import sys, ckeval.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('xml', 'http', 'email', 'ssl') or m == 'urllib.request'))")
+    code = f"import sys, ckeval.cli; print(sorted(m for m in sys.modules if {where}))"
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": package_root}, check=True)
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_import_leaves_xml_sax_and_its_network_modules_out():
+    # saxutils pulls in urllib.request, http.client, email and ssl on every run
+    assert modules_after_cli_import(
+        "m.split('.')[0] in ('xml', 'http', 'email', 'ssl') or m == 'urllib.request'") == "[]\n"
+
+
+def test_cli_import_leaves_decimal_and_numbers_out():
+    # project-scope rounding is float arithmetic; decimal would load numbers too
+    assert modules_after_cli_import("m in ('decimal', '_decimal', 'numbers')") == "[]\n"
 
 
 @given(st.text())

@@ -1,10 +1,11 @@
+from decimal import ROUND_HALF_UP, Decimal
 import json
 import math
 import random
 import sys
 import threading
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from ckeval.errors import RuleError, RuleOverlapError, UsageError
@@ -277,6 +278,39 @@ def test_project_scope_rounds_half_up():
     out = evaluate_project(pm, default_rule_base(), scope="project")
     # WMC mean 5.5 rounds to 6, which falls in the 6-10 band
     assert "wmc-below-normal" in out[0].fired_rules
+
+
+def decimal_round_half_up(value: float) -> int:
+    """The Decimal form round_half_up replaced, kept as its oracle below 2**53:
+    the shortest repr of value, rounded with a half away from zero."""
+    return int(Decimal(str(value)).quantize(Decimal("1"), rounding=ROUND_HALF_UP))
+
+
+@st.composite
+def near_halves(draw):
+    """A float at n + 0.5 or one step either side of it, of either sign."""
+    half = draw(st.integers(0, 2**52 - 1)) + 0.5
+    near = draw(st.sampled_from([math.nextafter(half, 0), half,
+                                 math.nextafter(half, math.inf)]))
+    return draw(st.sampled_from([near, -near]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.floats(-(2.0**53), 2.0**53, exclude_max=True, exclude_min=True),
+                 near_halves()))
+@example(0.49999999999999994)
+@example(-0.49999999999999994)
+@example(-0.0)
+@example(2.0**52 - 0.5)
+def test_round_half_up_matches_decimal_rounding(value):
+    assert round_half_up(value) == decimal_round_half_up(value)
+
+
+@pytest.mark.parametrize("value", [2.0**53, 2.0**60 + 2**8, 1e28, 1e29, sys.float_info.max])
+def test_round_half_up_returns_large_floats_as_their_integers(value):
+    # every float from 2**53 up is an integer
+    assert round_half_up(value) == int(value)
+    assert round_half_up(-value) == -int(value)
 
 
 def test_filter_by_ranges_published_rows(fixtures):
