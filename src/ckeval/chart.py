@@ -4,7 +4,9 @@ The SVG is assembled as plain markup with fixed numeric formatting, so
 identical specs produce identical bytes.
 """
 
+import math
 from pathlib import Path
+import sys
 from typing import NamedTuple
 
 from .errors import InputError
@@ -52,7 +54,8 @@ def build_chart_svg(spec: ChartSpec, title: str = "") -> str:
     plot_h = HEIGHT - margin_top - margin_bottom
 
     peak = max((v for _, values in spec.series for v in values), default=0.0)
-    axis_max = peak * 1.1 if peak > 0 else 1.0
+    # capped, so that a peak near the largest float still gets a finite axis
+    axis_max = min(peak * 1.1, sys.float_info.max) if peak > 0 else 1.0
 
     n_groups = len(spec.groups)
     n_series = max(len(spec.series), 1)
@@ -73,6 +76,8 @@ def build_chart_svg(spec: ChartSpec, title: str = "") -> str:
     # y axis with 5 gridline divisions
     for i in range(6):
         value = axis_max * i / 5
+        if value == math.inf:  # axis_max * i overflowed; i / 5 <= 1 cannot
+            value = axis_max * (i / 5)
         y = y0 - plot_h * i / 5
         parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y)}" '
                      f'x2="{_fmt(x0 + plot_w)}" y2="{_fmt(y)}" '

@@ -22,11 +22,10 @@ each field use costs an OR over (methods in the class)/64 machine words.
 ``MetricRecord`` is a ``NamedTuple`` of the class name and the six values
 in METRICS order, so the table readers build many of them in C with
 ``tuple.__new__``. It equals, hashes and orders as that 7-tuple.
-``ProjectMetrics`` builds its by-name table on the first ``record()`` call.
+``ProjectMetrics`` is a ``NamedTuple`` of the project name, the records in
+class-name order and the per-metric means; it has no by-name lookup.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -67,19 +66,10 @@ def value_getter(metric: str) -> Callable[[MetricRecord], int]:
     return itemgetter(1 + METRICS.index(metric))
 
 
-@dataclass(frozen=True)
-class ProjectMetrics:
+class ProjectMetrics(NamedTuple):
     project_name: str
     per_class: tuple[MetricRecord, ...]
     means: dict[str, float]
-
-    @cached_property
-    def _by_class(self) -> dict[str, MetricRecord]:
-        """Built on the first lookup; the first row of a name wins."""
-        return {rec.class_name: rec for rec in reversed(self.per_class)}
-
-    def record(self, class_name: str) -> MetricRecord | None:
-        return self._by_class.get(class_name)
 
 
 def wmc(cls: ClassInfo, complexity: Callable[[MethodInfo], int] | None = None) -> int:

@@ -7,10 +7,10 @@ validate before anything downstream sees the data.
 
 The document reader checks each class, method and call entry in one pass,
 in a fixed order, and spells out an entry's location (such as
-``classes[3].methods[0].calls[2].arity``) only when a check fails. It sorts
-members as ``build_model`` normalizes them, so ``build_model`` keeps the
-classes it is given instead of copying them; it still normalizes any other
-input, and ``_check`` is the one validation pass for both paths.
+``classes[3].methods[0].calls[2].arity``) only when a check fails. It keeps
+members in document order: ``build_model`` is the one step that sorts and
+de-duplicates them, for both paths, and keeps a class whose members are
+already in order. ``_check`` is the one validation pass.
 
 The value types ``FieldInfo``, ``CallRef``, ``MethodInfo``, ``ClassInfo``
 and ``Diagnostic`` are ``NamedTuple``s: each is iterable, equals and hashes
@@ -228,7 +228,7 @@ def _normalize(cls: ClassInfo) -> ClassInfo:
     name (then arity) order; ``cls`` itself when it is already in that form.
 
     Sorting members that are already in order costs one comparison per
-    member, so a class read from a document is checked, not copied.
+    member, so a class whose members are in order is checked, not copied.
     """
     interfaces = tuple(sorted(set(cls.interfaces)))
     fields = tuple(sorted(cls.fields, key=_FIELD_KEY))
@@ -284,8 +284,8 @@ def _read_class(entry, i: int) -> ClassInfo:
     Checks run in a fixed order: name, external, extends, self-extends,
     implements, fields (an array, then each entry's type and name),
     methods, then the external-stub rule; the first that fails raises, and only then is its
-    location spelled out. Members come out
-    sorted as ``build_model`` keeps them, so it need not copy the class.
+    location spelled out. Members stay in document order for ``build_model``
+    to sort.
     """
     if not isinstance(entry, dict):
         raise SchemaError(f"classes[{i}]", "class entry must be an object")
@@ -329,10 +329,7 @@ def _read_class(entry, i: int) -> ClassInfo:
     if external and (fields or methods or extends):
         raise SchemaError(f"classes[{i}]", "external stub must not carry members or extends")
 
-    fields.sort(key=_FIELD_KEY)
-    methods.sort(key=_METHOD_KEY)
-    return ClassInfo(name, extends, tuple(sorted(set(implements))) if implements else (),
-                     tuple(fields), tuple(methods), external)
+    return ClassInfo(name, extends, tuple(implements), tuple(fields), tuple(methods), external)
 
 
 def _read_method(m, i: int, j: int) -> MethodInfo:

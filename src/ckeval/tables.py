@@ -8,6 +8,8 @@ Two delimited text layouts are accepted, told apart by the header:
 plus equivalent JSON documents (``schemaVersion: 1`` with a ``metrics`` or
 ``versions`` array). Everything that consumes a ProjectMetrics accepts
 either representation, so external tools can feed the evaluator directly.
+The version readers give one ``VersionRecord`` per row, in row order; a
+row without a PATH has an empty ``source_path``.
 """
 
 import csv
@@ -18,6 +20,7 @@ import json
 import math
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CkevalError, InputError, SchemaError
 from .metrics import METRICS, MetricRecord, ProjectMetrics, project_means
@@ -265,8 +268,17 @@ def _csv_rows(text: str):
 
 # --- version mean tables -----------------------------------------------------
 
-def versions_from_csv(text: str) -> list[dict]:
-    """Rows of {version, path, means} from a VERSION[,PATH] table."""
+class VersionRecord(NamedTuple):
+    version_name: str
+    source_path: str
+    means: dict[str, float]
+
+    def mean(self, metric: str) -> float:
+        return self.means[metric]
+
+
+def versions_from_csv(text: str) -> list[VersionRecord]:
+    """One record per row of a VERSION[,PATH] table."""
     header, rows = _table_rows(text)
     if not header:
         raise InputError("empty versions table")
@@ -287,13 +299,11 @@ def versions_from_csv(text: str) -> list[dict]:
             raise InputError(f"line {lineno}: empty version name")
         means = {m: read_number(cell.strip(), f"line {lineno}: {m}")
                  for m, cell in zip(METRICS, row[offset:])}
-        out.append({"version": name,
-                    "path": row[1].strip() if has_path else "",
-                    "means": means})
+        out.append(VersionRecord(name, row[1].strip() if has_path else "", means))
     return out
 
 
-def versions_from_document(doc: dict) -> list[dict]:
+def versions_from_document(doc: dict) -> list[VersionRecord]:
     rows = doc.get("versions")
     if not isinstance(rows, list):
         raise SchemaError("versions", "must be an array")
@@ -318,7 +328,7 @@ def versions_from_document(doc: dict) -> list[dict]:
         source = row.get("path", "")
         if not isinstance(source, str):
             raise SchemaError(f"{path}.path", "must be a string")
-        out.append({"version": name, "path": source, "means": means})
+        out.append(VersionRecord(name, source, means))
     return out
 
 
@@ -337,11 +347,11 @@ def read_text(path: str | Path) -> str:
 
 
 def read_input(path: str | Path,
-               versions: bool = True) -> ProjectMetrics | list[dict]:
+               versions: bool = True) -> ProjectMetrics | list[VersionRecord]:
     """Read, sniff and parse one input file.
 
     A metrics table or class model gives a ProjectMetrics named after the
-    file, a versions table its rows as ``versions_from_csv`` gives them. With
+    file, a versions table its rows as ``VersionRecord``s. With
     ``versions`` false a versions table is refused before it is parsed.
     """
     kind, payload = sniff(read_text(path), str(path))

@@ -16,15 +16,7 @@ from .metrics import METRICS, ProjectMetrics, check_metric
 # not called here; bench/layers.py traces the model layer at this name too
 from .model import load_class_model  # noqa: F401
 from . import tables
-
-
-class VersionRecord(NamedTuple):
-    version_name: str
-    source_path: str
-    means: dict[str, float]
-
-    def mean(self, metric: str) -> float:
-        return self.means[metric]
+from .tables import VersionRecord
 
 
 class VersionVerdict(NamedTuple):
@@ -74,9 +66,10 @@ def load_versions(paths: list[str | Path],
                   name_prefix: str = "VERSION") -> list[VersionRecord]:
     """One record per input row/file, in input order.
 
-    Each path may be a versions table (one record per row), a per-class
-    metrics table, or a class model document; for the latter two the means
-    are computed and the version is named ``{name_prefix}-k`` by position.
+    Each path may be a versions table (one record per row; a row without a
+    PATH takes the table's path), a per-class metrics table, or a class
+    model document; for the latter two the means are computed and the
+    version is named ``{name_prefix}-k`` by position.
     """
     records: list[VersionRecord] = []
     for path in paths:
@@ -87,8 +80,6 @@ def load_versions(paths: list[str | Path],
                 source_path=str(path),
                 means=dict(loaded.means)))
         else:
-            records.extend(VersionRecord(version_name=row["version"],
-                                         source_path=row["path"] or str(path),
-                                         means=row["means"])
-                           for row in loaded)
+            records.extend(r if r.source_path else r._replace(source_path=str(path))
+                           for r in loaded)
     return records

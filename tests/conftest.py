@@ -1,5 +1,6 @@
 import random
 from pathlib import Path
+import sys
 
 import pytest
 
@@ -14,6 +15,9 @@ from ckeval.model import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# the benchmark's generators and reference results, which do not use ckeval
+sys.path.append(str(Path(__file__).parent.parent / "bench"))
 
 
 @pytest.fixture(scope="session")

@@ -131,6 +131,11 @@ def method(name, arity=0, used=(), calls=(), refs=()):
                       referenced_classes=frozenset(refs))
 
 
+def by_name(pm: ProjectMetrics) -> dict[str, MetricRecord]:
+    """The records of ``pm`` keyed by class name."""
+    return {rec.class_name: rec for rec in pm.per_class}
+
+
 def test_wmc_counts_methods():
     assert wmc(cls_of()) == 0
     assert wmc(cls_of([method(f"m{i}") for i in range(4)])) == 4
@@ -280,16 +285,13 @@ def test_fixture_shaped_class_matches_published_first_row():
     others += [cls_of([method("u", calls=[CallRef("C", "m2", 0)], refs=["C"])],
                       name=f"D{i}") for i in (4, 5, 6)]
     model = build_model("t", [fixture] + others)
-    record = compute_all(model).record("C")
+    record = by_name(compute_all(model))["C"]
     assert record.values() == (4, 1, 0, 6, 9, 4)
 
 
-def test_record_lookup_keeps_first_row_and_dataclass_identity():
+def test_project_metrics_equal_and_print_as_the_dataclass_did():
     first, second = MetricRecord("A", 1, 0, 0, 0, 1, 0), MetricRecord("A", 2, 0, 0, 0, 2, 0)
     pm = ProjectMetrics("p", (first, second, MetricRecord("B", 3, 0, 0, 0, 3, 0)), {})
-    assert pm.record("A") is first
-    assert pm.record("B").wmc == 3
-    assert pm.record("C") is None
     assert pm == ProjectMetrics("p", pm.per_class, {})
     assert repr(pm) == f"ProjectMetrics(project_name='p', per_class={pm.per_class!r}, means={{}})"
 
@@ -472,10 +474,10 @@ def deep_model(rng: random.Random, max_classes: int, depth: int) -> ClassModel:
 
 
 def assert_index_metrics_match_oracles(model: ClassModel, rng: random.Random):
-    pm = compute_all(model)
+    records = by_name(compute_all(model))
     names = [c.qualified_name for c in model.classes]
     for cls in model.internal_classes():
-        assert pm.record(cls.qualified_name).values() == (
+        assert records[cls.qualified_name].values() == (
             len(cls.methods), dit_oracle(cls, model), noc_oracle(cls, model),
             cbo_oracle(cls, model), rfc_oracle(cls), lcom_oracle(cls))
     # a same-name class that is not the model's own object: own uses come
@@ -616,11 +618,10 @@ def test_consistent_rename_leaves_metrics_unchanged():
         mapping = {c.qualified_name: f"z.R{i}"
                    for i, c in enumerate(model.classes)}
         renamed = rename_everywhere(model, mapping)
-        before = {c.qualified_name: compute_all(model).record(c.qualified_name)
-                  for c in model.internal_classes()}
-        after = compute_all(renamed)
+        before = by_name(compute_all(model))
+        after = by_name(compute_all(renamed))
         for old_name, record in before.items():
-            new = after.record(mapping[old_name])
+            new = after[mapping[old_name]]
             assert new.values() == record.values()
 
 

@@ -31,7 +31,7 @@ from ckeval.model import (
 )
 from ckeval.java.parser import (ClassDecl, FieldDecl, MethodDecl, ParseDiagnostic,
                                 SourceUnit, TypeRef)
-from ckeval.metrics import compute_all
+from ckeval.metrics import ProjectMetrics, compute_all
 from ckeval.report import Report, Section
 from ckeval.rules import Fact, Interval, RangeFilter, ValueSet
 from ckeval.versions import VersionRecord, VersionVerdict
@@ -332,6 +332,7 @@ OLD_VALUES = [
     (RangeFilter, old_value(RangeFilter, "metric", "condition", "in_range", "out_of_range")),
     (Section, old_value(Section, "heading", lines=())),
     (Report, old_value(Report, "title", sections=(), locale="en")),
+    (ProjectMetrics, old_value(ProjectMetrics, "project_name", "per_class", "means")),
     (VersionRecord, old_value(VersionRecord, "version_name", "source_path", "means")),
     (VersionVerdict, old_value(VersionVerdict, "metric", "min_versions", "min_value",
                                "max_versions", "max_value", "quality_best",
@@ -400,8 +401,7 @@ def test_only_values_with_a_cache_or_mutable_state_are_dataclasses():
     dataclasses = {name for module in modules
                    for name, value in inspect.getmembers(module, inspect.isclass)
                    if value.__module__ == module.__name__ and is_dataclass(value)}
-    assert dataclasses == {"ClassModel", "KnowledgeBase", "Rule", "Assessment",
-                           "ProjectMetrics"}
+    assert dataclasses == {"ClassModel", "KnowledgeBase", "Rule", "Assessment"}
     assert not [module.__name__ for module in modules
                 if "object.__setattr__" in Path(module.__file__).read_text(encoding="utf-8")]
 
@@ -439,6 +439,24 @@ def test_uses_undeclared_field_rejected_at_load():
     with pytest.raises(SchemaError) as err:
         load_class_model(document)
     assert "UNKNOWN_FIELD" in str(err.value)
+
+
+def test_unsorted_members_load_to_the_model_of_their_sorted_form():
+    def entry(implements, fields, methods):
+        return {"name": "p.A", "implements": implements,
+                "fields": [{"name": f} for f in fields],
+                "methods": [{"name": n, "arity": a, "usesFields": [f]} for n, a, f in methods]}
+
+    unsorted = entry(["q.J", "q.I", "q.J"], ["y", "x"],
+                     [("run", 1, "x"), ("get", 0, "y"), ("run", 0, "y")])
+    ordered = entry(["q.I", "q.J"], ["x", "y"],
+                    [("get", 0, "y"), ("run", 0, "y"), ("run", 1, "x")])
+    model = load_class_model(doc([unsorted]))
+    assert model == load_class_model(doc([ordered]))
+    cls = model.get("p.A")
+    assert cls.interfaces == ("q.I", "q.J")
+    assert [f.name for f in cls.fields] == ["x", "y"]
+    assert [(m.name, m.arity) for m in cls.methods] == [("get", 0), ("run", 0), ("run", 1)]
 
 
 # --- the one-pass reader against the old reader (tests/model_reader_oracle.py) ------

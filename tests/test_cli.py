@@ -463,10 +463,10 @@ def test_deep_inheritance_chain_evaluates(tmp_path, capsys):
     path.write_text(json.dumps(chain_document(1500)), encoding="utf-8")
     code, _, err = run_cli(["evaluate", str(path)], capsys)
     assert code == 0, err
-    pm = load_metrics_input(path)
-    assert pm.record("p.C0000").dit == 1499
-    assert pm.record("p.C1499").dit == 0
-    assert pm.record("p.C1499").noc == 1
+    records = {rec.class_name: rec for rec in load_metrics_input(path).per_class}
+    assert records["p.C0000"].dit == 1499
+    assert records["p.C1499"].dit == 0
+    assert records["p.C1499"].noc == 1
 
     def metrics_seconds(depth: int) -> float:
         best = float("inf")

@@ -11,7 +11,7 @@ import pytest
 
 import ckeval
 from ckeval import export
-from ckeval.chart import ChartSpec, build_chart_svg, emit_chart, escape
+from ckeval.chart import HEIGHT, ChartSpec, build_chart_svg, emit_chart, escape
 from ckeval.errors import InputError
 from ckeval.export import (
     assessments_document,
@@ -484,6 +484,18 @@ def test_chart_single_all_zero_version():
 def test_chart_two_versions_one_metric():
     spec = ChartSpec(groups=("v1", "v2"), series=(("WMC", (1.0, 2.0)),))
     assert len(bar_rects(build_chart_svg(spec))) == 2
+
+
+@pytest.mark.parametrize("peak", [3.2e307, 3.3e307, 1e308, 1.7e308, sys.float_info.max])
+def test_chart_of_huge_means_keeps_finite_labels_and_bars(peak):
+    svg = build_chart_svg(ChartSpec(groups=("v1", "v2"), series=(("WMC", (peak, 1.0)),)))
+    ns = "{http://www.w3.org/2000/svg}"
+    labels = [float(t.text) for t in ET.fromstring(svg).iter(f"{ns}text")
+              if t.get("font-size") == "11"]
+    assert len(labels) == 6 and labels[0] == 0 and all(map(math.isfinite, labels))
+    assert labels == sorted(labels) and labels[-1] >= peak
+    tall, low = (float(r.get("height")) for r in bar_rects(svg))
+    assert 0 < tall <= HEIGHT - 88 and low == 0  # 88: the top and bottom margins
 
 
 def test_chart_zero_groups_rejected():
