@@ -29,6 +29,8 @@ class ChartSpec(NamedTuple):
         for name, values in self.series:
             if len(values) != len(self.groups):
                 raise InputError(f"series {name!r} must carry one value per group")
+            if not all(map(math.isfinite, values)):
+                raise InputError(f"series {name!r} contains a value that is not finite")
             if any(v < 0 for v in values):
                 raise InputError(f"series {name!r} contains a negative value")
 

@@ -29,21 +29,28 @@ class Report(NamedTuple):
 
 
 def render_text(report: Report) -> str:
-    """Title, then sections in order; headings uppercased; aligned ' : '."""
+    """Title, then sections in order; headings uppercased; aligned ' : '.
+
+    A section's keys are padded to its widest key that has a value; each
+    padded key is built once per width, in one table per width.
+    """
     out = [report.title]
     append = out.append
-    pads: dict[tuple[str, int], str] = {}  # (key, width) -> the line up to its value
+    pads_by_width: dict[int, dict[str, str]] = {}  # width -> key -> the line up to its value
     for section in report.sections:
         append("")
         append(_upper(section.heading, report.locale))
         width = max([len(k) for k, v in section.lines if v is not None], default=0)
+        pads = pads_by_width.get(width)
+        if pads is None:
+            pads = pads_by_width[width] = {}
         for key, value in section.lines:
             if value is None:
                 append(key)
                 continue
-            pad = pads.get((key, width))
+            pad = pads.get(key)
             if pad is None:
-                pad = pads[key, width] = f"{key:<{width}} : "
+                pad = pads[key] = f"{key:<{width}} : "
             append(f"{pad}{value}")
     append("")  # the final newline, without copying the joined text
     return "\n".join(out)
@@ -218,6 +225,13 @@ def assessment_report(assessments: list[Assessment], locale: str = "en",
     it: one section per class, or the one project section."""
     s = STRINGS[locale]
     wording: dict[tuple, Line] = {}  # (attribute, level) -> its line
+
+    def word(pair: tuple[str, Level]) -> Line:
+        attribute, level = pair
+        line = wording[pair] = (attribute_text(attribute, locale),
+                                level_text(attribute, level, locale))
+        return line
+
     sections = []
     for a in assessments:
         if scope == "project":
@@ -226,16 +240,12 @@ def assessment_report(assessments: list[Assessment], locale: str = "en",
         else:
             heading = s["class_heading"]
             name_line = (s["class_key"], a.scope)
-        lines: list[Line] = [name_line]
-        for pair in a.pairs():
-            line = wording.get(pair)
-            if line is None:
-                attribute, level = pair
-                line = wording[pair] = (attribute_text(attribute, locale),
-                                        level_text(attribute, level, locale))
-            lines.append(line)
-        lines.append((s["fired_rules"], ", ".join(a.fired_rules) or s["none"]))
-        sections.append(Section(heading=heading, lines=tuple(lines)))
+        found = list(map(wording.get, a.derived.items()))
+        if not all(found):
+            found = [line or word(pair) for line, pair in zip(found, a.derived.items())]
+        sections.append(Section(heading, (
+            name_line, *found,
+            (s["fired_rules"], ", ".join(a.fired_rules) or s["none"]))))
     return Report(title=s["title"], sections=tuple(sections), locale=locale)
 
 

@@ -12,6 +12,11 @@ rules files, not in code, and users may load their own.
 
 Each base keeps the effect of every distinct (metric, value) fact chained
 against it for as long as it lives; the built-in bases live for the process.
+``evaluate_project`` reads its rows a column at a time: each distinct value
+of a metric gets its effect from that table once, and each row's six effects
+are merged as three pairs from a table that lives for the one call. Rows it
+cannot take that way (a repeated scope, a NaN or unhashable value, a faulty
+fact) are chained fact by fact by ``_chain``, which ``forward_chain`` uses.
 """
 
 from dataclasses import dataclass, field
@@ -476,15 +481,78 @@ def evaluate_project(pm: ProjectMetrics, kb: KnowledgeBase,
 
     Either way this is forward_chain over six facts per scope, in METRICS
     order: each class's values taken straight from its record, or the
-    rounded means under the one scope ``project``.
+    rounded means under the one scope ``project``. The rows are chained a
+    column at a time by ``_chain_columns``, whose table of merged effect
+    pairs lives for this call only. Rows with a repeated scope, a NaN or
+    unhashable value or a faulty fact go to ``_chain`` instead, which merges
+    the scopes and raises at the first fault in row order.
     """
     if scope == "class":
-        return _chain(((rec.class_name, zip(METRICS, rec.values()))
-                       for rec in pm.per_class), kb)
-    if scope == "project":
-        return _chain((("project", [(m, round_half_up(pm.means[m]))
-                                    for m in METRICS]),), kb)
-    raise UsageError(f"unknown scope {scope!r}; expected class or project")
+        rows = pm.per_class
+    elif scope == "project":
+        rows = (("project", *[round_half_up(pm.means[m]) for m in METRICS]),)
+    else:
+        raise UsageError(f"unknown scope {scope!r}; expected class or project")
+    assessments = _chain_columns(rows, kb)
+    if assessments is None:
+        assessments = _chain(((row[0], zip(METRICS, row[1:])) for row in rows), kb)
+    return assessments
+
+
+class _Pairs(dict):
+    """(id of one effect, id of the next) -> the two merged as (rule ids,
+    derived, derived_by), each entry built on its first lookup."""
+
+    def __init__(self, effects: dict[int, tuple[tuple, dict, dict]]):
+        self.effects = effects
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[tuple, dict, dict]:
+        a, b = map(self.effects.__getitem__, key)
+        merged = self[key] = (a[0] + b[0], {**a[1], **b[1]}, {**a[2], **b[2]})
+        return merged
+
+
+def _chain_columns(rows, kb: KnowledgeBase) -> list[Assessment] | None:
+    """_chain over (scope, six values) rows, a column at a time; None when
+    a scope repeats, a value is NaN or unhashable, or a fact is faulty.
+
+    Each distinct value of a metric gets its effect once, from the base's
+    table as ``_chain`` keeps it. Each row's six effects are merged as three
+    pairs, (WMC, DIT), (NOC, CBO) and (RFC, LCOM), each distinct pair once
+    per call; update is associative, so every Assessment has fresh dicts
+    equal to six updates in order.
+    """
+    columns = list(zip(*rows))
+    if not columns:
+        return []
+    names = columns[0]
+    table = kb._effect_table
+    # id -> effect, as a pair's half; the base holds every effect, so no id is reused
+    effects: dict[int, tuple[tuple, dict, dict]] = {}
+    ids = []  # per metric, each row's effect as its id
+    try:
+        if len(set(names)) != len(names):
+            return None
+        for metric, column in zip(METRICS, columns[1:]):
+            id_of = {}
+            for value in dict.fromkeys(column):
+                key = metric, value
+                effect = table.get(key, table)
+                if effect is table:
+                    if value != value:
+                        return None
+                    effect = table[key] = _effect(kb, metric, value)
+                id_of[value] = id(effect)
+                effects[id(effect)] = (((), {}, {}) if effect is None
+                                       else ((effect[0],), effect[1], effect[2]))
+            ids.append(map(id_of.__getitem__, column))
+    except Exception:  # an unhashable value or a faulty fact: _chain raises it in row order
+        return None
+    pairs = _Pairs(effects).__getitem__
+    return [Assessment(name, {**a[1], **b[1], **c[1]}, {**a[2], **b[2], **c[2]},
+                       [*a[0], *b[0], *c[0]])
+            for name, a, b, c in zip(names, *(map(pairs, zip(*ids[i:i + 2]))
+                                              for i in (0, 2, 4)))]
 
 
 # --- manual range selection --------------------------------------------------

@@ -42,6 +42,18 @@ def test_compare_matches_golden(fixtures, capsys):
     assert out == golden
 
 
+@pytest.mark.parametrize("golden, options", [
+    ("moreunit_evaluate_class_en.txt", []),
+    ("moreunit_evaluate_class_tr.txt", ["--locale", "tr"]),
+    ("moreunit_evaluate_project_tr.txt", ["--locale", "tr", "--scope", "project"]),
+])
+def test_evaluate_matches_golden(fixtures, capsys, golden, options):
+    code, out, _ = run_cli(
+        ["evaluate", str(fixtures / "moreunit_classes.csv"), *options], capsys)
+    assert code == 0
+    assert out == (fixtures / "golden" / golden).read_text(encoding="utf-8")
+
+
 def test_evaluate_select_filter_report(fixtures, capsys):
     code, out, _ = run_cli(
         ["evaluate", str(fixtures / "moreunit_classes.csv"),

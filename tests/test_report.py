@@ -52,7 +52,15 @@ from ckeval.rules import (
 )
 from ckeval.tables import metrics_from_csv, metrics_to_document
 from ckeval.versions import compare_versions
+import report_oracle
 from test_version_compare import FIVE_VERSIONS
+
+
+def rendered(report: Report) -> str:
+    """render_text of the report, checked byte for byte against the oracle's."""
+    text = render_text(report)
+    assert text == report_oracle.render_text(report)
+    return text
 
 
 def test_render_empty_report_is_title_line_only():
@@ -97,7 +105,7 @@ def test_render_turkish_uppercasing_keeps_dotted_i():
 
 def test_turkish_comparison_lines_match_published_wording():
     verdicts = compare_versions(FIVE_VERSIONS, metrics=["WMC"])
-    text = render_text(comparison_report(verdicts, locale="tr"))
+    text = rendered(comparison_report(verdicts, locale="tr"))
     assert "ELDE EDİLEN BULGULAR WMC METRİĞİ AÇISINDAN İNCELENDİĞİNDE," in text
     assert "EN KÜÇÜK değere sahip sürüm/ler : SÜRÜM-5 (0)" in text
     assert "EN BÜYÜK değere sahip sürüm/ler : SÜRÜM-2 ve SÜRÜM-3 (5)" in text
@@ -110,7 +118,7 @@ def test_turkish_comparison_lines_match_published_wording():
 
 def test_turkish_golden_file(fixtures):
     verdicts = compare_versions(FIVE_VERSIONS, metrics=["WMC"])
-    text = render_text(comparison_report(verdicts, locale="tr"))
+    text = rendered(comparison_report(verdicts, locale="tr"))
     golden = (fixtures / "golden" / "five_versions_wmc_tr.txt").read_text(encoding="utf-8")
     assert text == golden
 
@@ -118,7 +126,7 @@ def test_turkish_golden_file(fixtures):
 def test_english_comparison_lines():
     verdicts = compare_versions(
         [r for r in FIVE_VERSIONS], metrics=["WMC"])
-    text = render_text(comparison_report(verdicts, locale="en"))
+    text = rendered(comparison_report(verdicts, locale="en"))
     assert "SMALLEST value version/s : SÜRÜM-5 (0)" in text
     assert "LARGEST value version/s  : SÜRÜM-2 and SÜRÜM-3 (5)" in text
 
@@ -186,7 +194,7 @@ def test_filter_report_condition_display(fixtures):
     pm = metrics_from_csv((fixtures / "moreunit_classes.csv").read_text(encoding="utf-8"))
     filters = filter_by_ranges(pm, {"WMC": Interval(2, 5),
                                     "LCOM": ValueSet(frozenset({0, 1, 2}))})
-    text = render_text(filter_report(filters, locale="en"))
+    text = rendered(filter_report(filters, locale="en"))
     assert "WMC SELECTION: 2 - 5" in text
     assert "LCOM SELECTION: 0, 1, 2" in text
     assert "moreUnit.elements.ClassTypeFacade (9)" in text  # out of range
@@ -195,7 +203,44 @@ def test_filter_report_condition_display(fixtures):
 def test_render_deterministic():
     verdicts = compare_versions(FIVE_VERSIONS)
     report = comparison_report(verdicts, locale="tr")
-    assert render_text(report) == render_text(report)
+    assert rendered(report) == render_text(report)
+
+
+# --- the report builders against their oracles -----------------------------------
+
+report_keys = st.one_of(st.sampled_from(["k", "key", "wider key", "Sınıf", "i", ""]),
+                        st.text("aiıİ :;", max_size=12))
+report_lines = st.lists(st.tuples(report_keys, st.none() | st.text("xyı", max_size=6)),
+                        max_size=8).map(tuple)
+reports = st.builds(Report, st.text(max_size=8),
+                    st.lists(st.builds(Section, st.text("aiıİ z", max_size=10), report_lines),
+                             max_size=8).map(tuple),
+                    st.sampled_from(LOCALES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports)
+@example(Report("T", (Section("a", (("key", "1"), ("sub;", None), ("wider key", None))),
+                      Section("b", (("key", None),)), Section("c", ()),
+                      Section("d", (("key", "2"), ("k", "3"))))))
+def test_render_text_is_the_oracle(report):
+    assert render_text(report) == report_oracle.render_text(report)
+
+
+assessments = st.lists(st.builds(
+    Assessment, st.sampled_from(["p.A", "p.B", "İ.i"]),
+    st.dictionaries(st.sampled_from(sorted(ATTRIBUTES | {"noWording"})),
+                    st.sampled_from(list(Level)), max_size=13),
+    st.builds(dict), st.lists(st.sampled_from(["r1", "wmc-low"]), max_size=6)), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(assessments, st.sampled_from(LOCALES), st.sampled_from(["class", "project"]),
+       st.sampled_from(["", "shop"]))
+def test_assessment_report_is_the_oracle(assessments, locale, scope, project_name):
+    report = assessment_report(assessments, locale, project_name, scope)
+    assert report == report_oracle.assessment_report(assessments, locale, project_name, scope)
+    assert rendered(report) == report_oracle.render_text(report)
 
 
 # --- structured export ----------------------------------------------------------
@@ -496,6 +541,13 @@ def test_chart_of_huge_means_keeps_finite_labels_and_bars(peak):
     assert labels == sorted(labels) and labels[-1] >= peak
     tall, low = (float(r.get("height")) for r in bar_rects(svg))
     assert 0 < tall <= HEIGHT - 88 and low == 0  # 88: the top and bottom margins
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_chart_refuses_a_value_that_is_not_finite(bad):
+    spec = ChartSpec(groups=("a", "b"), series=(("WMC", (1.0, 2.0)), ("CBO", (bad, 1.0))))
+    with pytest.raises(InputError, match=r"^series 'CBO' contains a value that is not finite"):
+        build_chart_svg(spec)
 
 
 def test_chart_zero_groups_rejected():

@@ -581,6 +581,71 @@ def test_class_scope_chaining_examples():
             evaluate_project(pm, default_rule_base(), "class")
 
 
+# --- the column path of evaluate_project against the oracle ---------------------
+
+def assert_table_holds_the_scan(kb: KnowledgeBase, keys) -> None:
+    """Each of keys that the base's table holds maps to the effect of the
+    rule the scan finds; NaN, unhashable and negative values are not held."""
+    table = kb._effect_table
+    for metric, value in keys:
+        if isinstance(value, Unhashable):
+            continue
+        if value != value or value < 0:
+            assert (metric, value) not in table
+        elif (metric, value) in table:
+            rule = scan_oracle(kb, metric, value)
+            assert table[metric, value] is (None if rule is None else rule._effect)
+
+
+means = st.tuples(*[st.floats(0, 40) | st.floats(-3, 0) | st.integers(0, 40)] * 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BUILTIN_BASES).map(resolve_rule_base) | knowledge_bases(),
+       st.lists(st.tuples(st.sampled_from(["p.A", "p.B", "p.C", "p.D"]),
+                          st.lists(record_values, min_size=6, max_size=6)), max_size=10),
+       means)
+@example(paper_rule_preset(), [], (0, 0, 0, 0, 0, 0))
+@example(default_rule_base(), [("p.A", [1, 0, 0, 0, 0, -1]), ("p.B", [-2, 0, 0, 0, 0, 0])],
+         (1, 2, 3, 4, 5, 6))
+@example(default_rule_base(), [("p.A", [1, 0, 0, 0, 0, math.nan]), ("p.B", [1, 0, 0, -1, 0, 0])],
+         (1, 2, 3, 4, 5, 6))
+@example(default_rule_base(), [("p.A", [1, math.nan, 0, 0, 0, 2]), ("p.B", [1, 0, 0, 0, 0, 0])],
+         (1, 2, 3, 4, 5, 6))
+@example(default_rule_base(), [("p.B", [1, 0, 3, 0, 0, 2]), ("p.A", [0, 0, 0, 0, 0, 0]),
+                               ("p.B", [4, 5.0, 0, 9, 1, 0])], (1, 2, 3, 4, 5, 6))
+def test_both_scopes_chain_as_the_oracle(kb, rows, row_means):
+    """Any rows: repeated class names merge, the first faulty fact in row
+    order raises, NaN and unhashable values match as the scan does."""
+    per_class = tuple(MetricRecord(name, *cells) for name, cells in rows)
+    pm = ProjectMetrics("p", per_class, dict(zip(METRICS, row_means)))
+    class_facts = [Fact(m, v, rec.class_name) for rec in per_class
+                   for m, v in zip(METRICS, rec.values())]
+    project_facts = [Fact(m, round_half_up(pm.means[m])) for m in METRICS]
+    for scope, fact_list in (("class", class_facts), ("project", project_facts)):
+        expected = outcome(lambda: chain_oracle(fact_list, kb))
+        for _ in range(2):  # the second call reads what the first one kept
+            assert outcome(lambda: evaluate_project(pm, kb, scope)) == expected
+        assert_table_holds_the_scan(kb, [(f.metric, f.value) for f in fact_list])
+
+
+def test_assessments_share_no_dict_or_list():
+    # few distinct values, so rows meet the same effects and the same pairs
+    rng = random.Random(3)
+    pm = ProjectMetrics("p", tuple(MetricRecord(f"p.C{i}", *(rng.randrange(3) for _ in METRICS))
+                                   for i in range(60)), dict.fromkeys(METRICS, 1.0))
+    kb = default_rule_base()
+    made = [a for _ in range(2) for scope in ("class", "project")
+            for a in evaluate_project(pm, kb, scope)]
+    objects = [id(o) for a in made for o in (a.derived, a.derived_by, a.fired_rules)]
+    objects += [id(d) for rule in kb.rules for d in rule._effect[1:]]
+    assert len(set(objects)) == len(objects)
+    made[0].derived.clear()
+    made[0].fired_rules.append("x")
+    assert outcome(lambda: evaluate_project(pm, kb, "class")) == outcome(lambda: chain_oracle(
+        [Fact(m, rec.value(m), rec.class_name) for rec in pm.per_class for m in METRICS], kb))
+
+
 @settings(max_examples=200, deadline=None)
 @given(records(), st.dictionaries(st.sampled_from(METRICS), conditions, min_size=1))
 def test_filter_by_ranges_partitions_the_rows_in_order(rows, selection):
