@@ -10,7 +10,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import InputError
-from .tables import format_value
+from .tables import format_value, write_text
 
 # One fixed color per metric, in canonical metric order.
 SERIES_COLORS = ("#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#b07aa1", "#76b7b2")
@@ -127,8 +127,5 @@ def build_chart_svg(spec: ChartSpec, title: str = "") -> str:
 def emit_chart(spec: ChartSpec, destination: str | Path, title: str = "") -> str:
     """Write the chart and return the SVG text."""
     svg = build_chart_svg(spec, title=title)
-    try:
-        Path(destination).write_text(svg, encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot write {destination}: {exc.strerror or exc}") from None
+    write_text(destination, svg)
     return svg

@@ -130,10 +130,7 @@ def main() -> None:
 
 def _write_output(text: str, out: str | None) -> None:
     if out:
-        try:
-            Path(out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise InputError(f"cannot write {out}: {exc.strerror or exc}") from None
+        tables.write_text(out, text)
     else:
         sys.stdout.write(text)
 

@@ -55,15 +55,20 @@ def lower_to_model(units: list[SourceUnit], project_name: str = "") -> ClassMode
 
     classes: list[ClassInfo] = []
     for unit in units:
-        # simple name -> qualified name; a same-package class hides an
-        # import of the same simple name. A written type name n resolves
-        # to names.get(n, n): a dotted name is never a key, so it stays.
-        names = {**{q.rsplit(".", 1)[-1]: q
-                    for q, on_demand in unit.imports if not on_demand},
-                 **package_index.get(unit.package_name, {})}
+        # simple name -> qualified name: the package's table, plus the
+        # unit's single-type imports while the unit is lowered; a
+        # same-package class hides an import of the same simple name. A
+        # written type name n resolves to names.get(n, n): a dotted name is
+        # never a key, so it stays.
+        names = package_index[unit.package_name]
+        added = {simple: q for q, on_demand in unit.imports
+                 if not on_demand and (simple := q.rsplit(".", 1)[-1]) not in names}
+        names.update(added)
         for decl in unit.classes:
             own_name = qualified_name(unit.package_name, decl.name)
             classes.append(_lower_class(decl, own_name, names))
+        for simple in added:
+            del names[simple]
     return build_model(project_name, classes)
 
 

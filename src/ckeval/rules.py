@@ -10,13 +10,13 @@ disjoint bands covering every non-negative value) and ``paper`` (the three
 published example rules, encoded verbatim). Band thresholds live in the
 rules files, not in code, and users may load their own.
 
-Each base keeps the effect of every distinct (metric, value) fact chained
-against it for as long as it lives; the built-in bases live for the process.
+Each base keeps one effect table for as long as it lives, and it alone
+matches facts and builds effects; the built-in bases live for the process.
 ``evaluate_project`` reads its rows a column at a time: each distinct value
 of a metric gets its effect from that table once, and each row's six effects
 are merged as three pairs from a table that lives for the one call. Rows it
-cannot take that way (a repeated scope, a NaN or unhashable value, a faulty
-fact) are chained fact by fact by ``_chain``, which ``forward_chain`` uses.
+cannot take that way (a repeated scope, an unhashable value, a faulty fact)
+are chained fact by fact by ``_chain``, which ``forward_chain`` uses.
 """
 
 from dataclasses import dataclass, field
@@ -122,8 +122,7 @@ def conditions_overlap(a: Condition, b: Condition) -> float | None:
     return hits[0] if hits else None
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     id: str
     metric: str
     condition: Condition
@@ -131,12 +130,6 @@ class Rule:
 
     def matches(self, value: float) -> bool:
         return self.condition.matches(value)
-
-    @cached_property
-    def _effect(self) -> tuple[str, dict, dict]:
-        """What firing asserts, built once: (id, {attribute: level}, {attribute: id})."""
-        derived = dict(self.conclusions)
-        return self.id, derived, dict.fromkeys(derived, self.id)
 
 
 class Fact(NamedTuple):
@@ -156,11 +149,44 @@ class Assessment:
         return list(self.derived.items())
 
 
+class _EffectTable(dict):
+    """(metric, value) -> the effect of that fact: (ids of the rules it
+    fires, {attribute: level}, {attribute: rule id}), one per rule, built
+    with the table; facts that fire nothing share ``NONE``. A missing fact
+    is checked, matched, and kept if its value equals itself (not NaN); a
+    faulty fact raises and adds nothing. Entries are only added, each whole.
+    """
+
+    NONE = ((), {}, {})
+
+    def __init__(self, kb: "KnowledgeBase"):
+        self.match = kb.match
+        self.of_rule = {}  # id of each rule, which the base keeps alive -> its effect
+        for rule in kb.rules:
+            derived = dict(rule.conclusions)
+            self.of_rule[id(rule)] = (rule.id,), derived, dict.fromkeys(derived, rule.id)
+
+    def effect(self, metric: str, value: float) -> tuple[tuple, dict, dict]:
+        """The effect of one fact, checked and matched afresh."""
+        if value < 0:
+            raise RuleError(f"fact {metric}={value} is negative")
+        if metric not in METRICS:
+            raise RuleError(f"fact has unknown metric {metric!r}")
+        rule = self.match(metric, value)
+        return self.NONE if rule is None else self.of_rule[id(rule)]
+
+    def __missing__(self, key: tuple[str, float]) -> tuple[tuple, dict, dict]:
+        effect = self.effect(*key)
+        if key[1] == key[1]:
+            self[key] = effect
+        return effect
+
+
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """Rules in order, plus an effect table that ``_chain`` grows for as
-    long as the base lives: entries are only added, each whole, so a base
-    may be shared across threads; ==, repr and hash ignore the table."""
+    """Rules in order, plus an effect table kept for as long as the base
+    lives; the table only grows, so a base may be shared across threads.
+    ==, repr and hash ignore the table."""
 
     name: str
     rules: tuple[Rule, ...]
@@ -176,9 +202,8 @@ class KnowledgeBase:
         return None
 
     @cached_property
-    def _effect_table(self) -> dict[tuple[str, float], tuple[str, dict, dict] | None]:
-        """(metric, value) -> the effect of the rule that value fires, or None."""
-        return {}
+    def _effect_table(self) -> _EffectTable:
+        return _EffectTable(self)
 
     def is_complete(self) -> bool:
         """Whether every non-negative integer of every metric matches a rule.
@@ -423,13 +448,8 @@ def forward_chain(facts: list[Fact], kb: KnowledgeBase) -> list[Assessment]:
 
 
 def _chain(groups, kb: KnowledgeBase) -> list[Assessment]:
-    """forward_chain over (scope, [(metric, value), ...]) groups of facts.
-
-    Facts that compare equal are checked and matched alike, so the effect of
-    each key whose value is hashable and equals itself (not NaN) is kept in
-    the base's table for the base's lifetime. A faulty fact adds no entry and
-    raises on every call; NaN and unhashable values are matched each time.
-    """
+    """forward_chain over (scope, [(metric, value), ...]) groups of facts,
+    each fact's effect read from the base's table."""
     assessments: dict[str, Assessment] = {}
     table = kb._effect_table
     for scope, facts in groups:
@@ -437,29 +457,14 @@ def _chain(groups, kb: KnowledgeBase) -> list[Assessment]:
         for key in facts:
             try:
                 effect = table[key]
-            except KeyError:
-                effect = _effect(kb, *key)
-                if key[1] == key[1]:
-                    table[key] = effect
             except TypeError:  # an unhashable value
-                effect = _effect(kb, *key)
+                effect = table.effect(*key)
             if assessment is None:
                 assessment = assessments[scope] = Assessment(scope=scope)
-            if effect is not None:
-                assessment.fired_rules.append(effect[0])
-                assessment.derived.update(effect[1])
-                assessment.derived_by.update(effect[2])
+            assessment.fired_rules.extend(effect[0])
+            assessment.derived.update(effect[1])
+            assessment.derived_by.update(effect[2])
     return list(assessments.values())
-
-
-def _effect(kb: KnowledgeBase, metric: str, value: float) -> tuple[str, dict, dict] | None:
-    """The effect of one fact: that of the rule it fires, None when none does."""
-    if value < 0:
-        raise RuleError(f"fact {metric}={value} is negative")
-    if metric not in METRICS:
-        raise RuleError(f"fact has unknown metric {metric!r}")
-    rule = kb.match(metric, value)
-    return None if rule is None else rule._effect
 
 
 def round_half_up(value: float) -> int:
@@ -483,7 +488,7 @@ def evaluate_project(pm: ProjectMetrics, kb: KnowledgeBase,
     order: each class's values taken straight from its record, or the
     rounded means under the one scope ``project``. The rows are chained a
     column at a time by ``_chain_columns``, whose table of merged effect
-    pairs lives for this call only. Rows with a repeated scope, a NaN or
+    pairs lives for this call only. Rows with a repeated scope, an
     unhashable value or a faulty fact go to ``_chain`` instead, which merges
     the scopes and raises at the first fault in row order.
     """
@@ -514,21 +519,20 @@ class _Pairs(dict):
 
 def _chain_columns(rows, kb: KnowledgeBase) -> list[Assessment] | None:
     """_chain over (scope, six values) rows, a column at a time; None when
-    a scope repeats, a value is NaN or unhashable, or a fact is faulty.
+    a scope repeats, a value is unhashable or a fact is faulty.
 
     Each distinct value of a metric gets its effect once, from the base's
-    table as ``_chain`` keeps it. Each row's six effects are merged as three
-    pairs, (WMC, DIT), (NOC, CBO) and (RFC, LCOM), each distinct pair once
-    per call; update is associative, so every Assessment has fresh dicts
-    equal to six updates in order.
+    table. Each row's six effects are merged as three pairs, (WMC, DIT),
+    (NOC, CBO) and (RFC, LCOM), each distinct pair once per call; update is
+    associative, so every Assessment has fresh dicts equal to six updates in
+    order.
     """
     columns = list(zip(*rows))
     if not columns:
         return []
     names = columns[0]
     table = kb._effect_table
-    # id -> effect, as a pair's half; the base holds every effect, so no id is reused
-    effects: dict[int, tuple[tuple, dict, dict]] = {}
+    effects: dict[int, tuple[tuple, dict, dict]] = {}  # id -> effect, as a pair's half
     ids = []  # per metric, each row's effect as its id
     try:
         if len(set(names)) != len(names):
@@ -536,15 +540,9 @@ def _chain_columns(rows, kb: KnowledgeBase) -> list[Assessment] | None:
         for metric, column in zip(METRICS, columns[1:]):
             id_of = {}
             for value in dict.fromkeys(column):
-                key = metric, value
-                effect = table.get(key, table)
-                if effect is table:
-                    if value != value:
-                        return None
-                    effect = table[key] = _effect(kb, metric, value)
+                effect = table[metric, value]
                 id_of[value] = id(effect)
-                effects[id(effect)] = (((), {}, {}) if effect is None
-                                       else ((effect[0],), effect[1], effect[2]))
+                effects[id(effect)] = effect
             ids.append(map(id_of.__getitem__, column))
     except Exception:  # an unhashable value or a faulty fact: _chain raises it in row order
         return None

@@ -346,6 +346,14 @@ def read_text(path: str | Path) -> str:
     return text.removeprefix("\ufeff")
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write text to a file as UTF-8."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def read_input(path: str | Path,
                versions: bool = True) -> ProjectMetrics | list[VersionRecord]:
     """Read, sniff and parse one input file.

@@ -1,3 +1,5 @@
+from contextlib import redirect_stderr, redirect_stdout
+import io
 import json
 import os
 import re
@@ -6,6 +8,7 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 import ckeval
@@ -13,7 +16,7 @@ from ckeval.cli import cli_main
 from ckeval.errors import InputError, SchemaError
 from ckeval.metrics import compute_all
 from ckeval.model import load_class_model
-from ckeval.rules import load_rules, paper_rule_preset, serialize_rules
+from ckeval.rules import default_rule_base, load_rules, paper_rule_preset, serialize_rules
 from ckeval.tables import load_metrics_input, metrics_to_document
 from test_report import import_structured
 
@@ -953,3 +956,66 @@ def test_quoted_or_padded_table_header_is_read(fixtures, tmp_path, capsys, comma
     assert (code, err) == (0, "")
     assert run_cli([command, str(written)], capsys) \
         == (0, out.replace(str(plain), str(written)), "")
+
+
+# --- files that cannot be written ----------------------------------------------------
+
+@pytest.mark.parametrize("option", ["--out", "--chart"])
+def test_unwritable_output_is_an_input_error(fixtures, tmp_path, capsys, option):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(["compare", str(fixtures / "five_versions.csv"),
+                              option, str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"ckeval: error: cannot write {target}: No such file or directory\n"
+
+
+# --- mutated inputs never end in an internal error -------------------------------------
+
+# short tokens that break the syntax or the values of every input kind
+TOKENS = [b"{", b"}", b"[", b"(", b",", b";", b'"', b"-1", b"1e999", b"nan", b"null",
+          b"\xef\xbb\xbf", b"\x00", b"\xff", b"\n", b" ", b"A", b"0"]
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def mutated_inputs():
+    """Each input kind's valid file, and the argv that reads it as FILE."""
+    pm = load_metrics_input(FIXTURES / "moreunit_classes.csv")
+    table = str(FIXTURES / "moreunit_classes.csv")
+    return [
+        ("Cart.java", (FIXTURES / "corpus" / "shop" / "Cart.java").read_bytes(),
+         ["analyze", "{input}", "--strict"]),
+        ("m.csv", (FIXTURES / "moreunit_classes.csv").read_bytes(), ["evaluate", "{input}"]),
+        ("m.json", json.dumps(metrics_to_document(pm)).encode("utf-8"),
+         ["evaluate", "{input}", "--scope", "project", "--format", "structured"]),
+        ("v.csv", (FIXTURES / "five_versions.csv").read_bytes(), ["compare", "{input}"]),
+        ("r.json", serialize_rules(default_rule_base()).encode("utf-8"),
+         ["evaluate", table, "--rules", "{input}"]),
+    ]
+
+
+MUTATED = mutated_inputs()
+
+
+@st.composite
+def edits(draw, data: bytes) -> bytes:
+    """data with a few bytes or short tokens inserted, deleted or replaced."""
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        end = at + draw(st.integers(0, min(4, len(data) - at)))
+        piece = draw(st.sampled_from(TOKENS) | st.binary(max_size=2))
+        data = data[:at] + piece + data[end:]
+    return data
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=st.data())
+@pytest.mark.parametrize("name, data, argv", MUTATED, ids=[m[0] for m in MUTATED])
+def test_mutated_inputs_end_in_a_result_or_an_input_error(tmp_path, name, data, argv, drawn):
+    path = tmp_path / name
+    path.write_bytes(drawn.draw(edits(data)))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = cli_main([str(path) if a == "{input}" else a for a in argv])
+    assert code in (0, 1, 2), stderr.getvalue()
+    assert "internal error" not in stderr.getvalue()

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ckeval.errors import DuplicateClassError
 from ckeval.java import (ParseError, Token, Tokens, decode_source, lower_to_model,
                          parse_source)
+from ckeval.java import lower as lower_module
 from ckeval.model import CallRef, validate_model
 
 
@@ -135,6 +136,33 @@ def test_import_resolution():
     model = lower_to_model([parse_source(source, "A.java")])
     calls = model.get("p.A").methods[0].called_methods
     assert calls == frozenset({CallRef("q.Util", "go", 2)})
+
+
+def test_units_of_one_package_share_one_name_table(monkeypatch):
+    # each unit's imports join the package's table only while that unit is
+    # lowered, so no unit copies the table and lowering stays linear in the
+    # classes of a package
+    seen = []
+
+    def lower_class(decl, own_name, names):
+        seen.append((own_name, names))  # kept alive, so ids are not reused
+        return real(decl, own_name, names)
+
+    real = lower_module._lower_class
+    monkeypatch.setattr(lower_module, "_lower_class", lower_class)
+    sources = ["package p; import q.X; import q.C; class A { X x; C c; }",
+               "package p; import r.X; class B { X x; }",
+               "package p; class C { X x; } class D { A a; }",
+               "package s; import q.X; class E { X x; }"]
+    model = lower_to_model([parse_source(text, f"{n}.java")
+                            for n, text in enumerate(sources)])
+    assert [name for name, _ in seen] == ["p.A", "p.B", "p.C", "p.D", "s.E"]
+    assert len({id(table) for name, table in seen if name.startswith("p.")}) == 1
+    types = {info.qualified_name: [f.declared_type for f in info.fields]
+             for info in model.classes}
+    # an import holds for its own unit only, and a same-package class hides it
+    assert types == {"p.A": ["p.C", "q.X"], "p.B": ["r.X"], "p.C": ["X"], "p.D": ["p.A"],
+                     "s.E": ["q.X"]}
 
 
 def test_this_member_access():

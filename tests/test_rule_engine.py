@@ -583,10 +583,19 @@ def test_class_scope_chaining_examples():
 
 # --- the column path of evaluate_project against the oracle ---------------------
 
+def effect_of(rule: Rule | None) -> tuple[tuple, dict, dict]:
+    """What firing ``rule`` asserts: (rule ids, {attribute: level}, {attribute: id})."""
+    if rule is None:
+        return (), {}, {}
+    return (rule.id,), dict(rule.conclusions), {a: rule.id for a, _ in rule.conclusions}
+
+
 def assert_table_holds_the_scan(kb: KnowledgeBase, keys) -> None:
     """Each of keys that the base's table holds maps to the effect of the
-    rule the scan finds; NaN, unhashable and negative values are not held."""
+    rule the scan finds, one object per rule; NaN, unhashable and negative
+    values are not held."""
     table = kb._effect_table
+    effect_by_rule = {}
     for metric, value in keys:
         if isinstance(value, Unhashable):
             continue
@@ -594,7 +603,9 @@ def assert_table_holds_the_scan(kb: KnowledgeBase, keys) -> None:
             assert (metric, value) not in table
         elif (metric, value) in table:
             rule = scan_oracle(kb, metric, value)
-            assert table[metric, value] is (None if rule is None else rule._effect)
+            assert table[metric, value] == effect_of(rule)
+            assert table[metric, value] is effect_by_rule.setdefault(
+                None if rule is None else id(rule), table[metric, value])
 
 
 means = st.tuples(*[st.floats(0, 40) | st.floats(-3, 0) | st.integers(0, 40)] * 6)
@@ -638,7 +649,8 @@ def test_assessments_share_no_dict_or_list():
     made = [a for _ in range(2) for scope in ("class", "project")
             for a in evaluate_project(pm, kb, scope)]
     objects = [id(o) for a in made for o in (a.derived, a.derived_by, a.fired_rules)]
-    objects += [id(d) for rule in kb.rules for d in rule._effect[1:]]
+    effects = {id(effect): effect for effect in kb._effect_table.values()}.values()
+    objects += [id(d) for effect in effects for d in effect[1:]]
     assert len(set(objects)) == len(objects)
     made[0].derived.clear()
     made[0].fired_rules.append("x")
@@ -711,8 +723,8 @@ def test_effect_tables_are_kept_per_base():
                 == outcome(lambda: chain_oracle(facts, kb))
     assert low == twin and repr(low) == repr(twin) and hash(low) == hash(twin)
     assert low._effect_table is not twin._effect_table
-    assert low._effect_table[("WMC", 9)][0] == "low-1"
-    assert high._effect_table[("WMC", 9)][0] == "high-0"
+    assert low._effect_table[("WMC", 9)][0] == ("low-1",)
+    assert high._effect_table[("WMC", 9)][0] == ("high-0",)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -751,8 +763,8 @@ def test_nan_and_unhashable_values_add_no_entry():
     fact_list = odd + [Fact("WMC", 3), Fact("WMC", 3.0), Fact("DIT", True), Fact("DIT", 1)]
     assert outcome(lambda: forward_chain(fact_list, kb)) \
         == outcome(lambda: chain_oracle(fact_list, kb))
-    assert kb._effect_table == {("WMC", 3): kb.rules[0]._effect,
-                                ("DIT", True): kb.rules[1]._effect}
+    assert kb._effect_table == {("WMC", 3): effect_of(kb.rules[0]),
+                                ("DIT", True): effect_of(kb.rules[1])}
 
 
 def test_a_base_shared_across_threads_chains_as_the_oracle():
@@ -782,4 +794,4 @@ def test_a_base_shared_across_threads_chains_as_the_oracle():
     assert kb._effect_table
     for (metric, value), effect in kb._effect_table.items():
         rule = scan_oracle(kb, metric, value)
-        assert effect == (None if rule is None else rule._effect)
+        assert effect == effect_of(rule)
