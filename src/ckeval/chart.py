@@ -48,6 +48,24 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+# characters of font-size 11 that fit left of the y axis, in the 56 px margin
+AXIS_LABEL_CHARS = 8
+
+
+def _axis_label(value: float) -> str:
+    """A gridline value, as a report prints it when that fits the margin;
+    otherwise in three significant digits with a bare exponent ("2.2e307"),
+    or in all of them where three would round past the largest float."""
+    text = format_value(round(value, 3))
+    if len(text) <= AXIS_LABEL_CHARS:
+        return text
+    text = f"{value:.3g}"
+    if float(text) == math.inf:
+        text = f"{value:.17g}"
+    mantissa, exponent = text.split("e")
+    return f"{mantissa}e{int(exponent)}"
+
+
 def build_chart_svg(spec: ChartSpec, title: str = "") -> str:
     spec.validate()
     margin_left, margin_right = 56.0, 160.0
@@ -86,7 +104,7 @@ def build_chart_svg(spec: ChartSpec, title: str = "") -> str:
                      f'stroke="#dddddd" stroke-width="1"/>')
         parts.append(f'<text x="{_fmt(x0 - 6)}" y="{_fmt(y + 4)}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="11">'
-                     f'{escape(format_value(round(value, 3)))}</text>')
+                     f'{_axis_label(value)}</text>')
     parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(margin_top)}" '
                  f'x2="{_fmt(x0)}" y2="{_fmt(y0)}" stroke="#333333" stroke-width="1"/>')
     parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" '

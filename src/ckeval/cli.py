@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 input error, 3 internal error.
 """
 
 import argparse
+import functools
 from pathlib import Path
 import sys
 
@@ -27,7 +28,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}".rstrip())
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call; parsing
+    leaves it unchanged, so every call shares it."""
     parser = _ArgumentParser(
         prog="ckeval",
         description="Compute C&K object-oriented metrics, evaluate them with "

@@ -31,15 +31,20 @@ class Report(NamedTuple):
 def render_text(report: Report) -> str:
     """Title, then sections in order; headings uppercased; aligned ' : '.
 
-    A section's keys are padded to its widest key that has a value; each
-    padded key is built once per width, in one table per width.
+    Each distinct heading is uppercased once. A section's keys are padded
+    to its widest key that has a value; each padded key is built once per
+    width, in one table per width.
     """
     out = [report.title]
     append = out.append
+    headings: dict[str, str] = {}  # heading -> uppercased
     pads_by_width: dict[int, dict[str, str]] = {}  # width -> key -> the line up to its value
     for section in report.sections:
         append("")
-        append(_upper(section.heading, report.locale))
+        heading = headings.get(section.heading)
+        if heading is None:
+            heading = headings[section.heading] = _upper(section.heading, report.locale)
+        append(heading)
         width = max([len(k) for k, v in section.lines if v is not None], default=0)
         pads = pads_by_width.get(width)
         if pads is None:

@@ -1,3 +1,4 @@
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 import io
 import json
@@ -5,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from time import perf_counter
 
@@ -12,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 import ckeval
-from ckeval.cli import cli_main
+from ckeval.cli import build_parser, cli_main
 from ckeval.errors import InputError, SchemaError
 from ckeval.metrics import compute_all
 from ckeval.model import load_class_model
@@ -49,6 +51,7 @@ def test_compare_matches_golden(fixtures, capsys):
     ("moreunit_evaluate_class_en.txt", []),
     ("moreunit_evaluate_class_tr.txt", ["--locale", "tr"]),
     ("moreunit_evaluate_project_tr.txt", ["--locale", "tr", "--scope", "project"]),
+    ("moreunit_select_en.txt", ["--select", "WMC=2-5", "--select", "LCOM=0,1,2"]),
 ])
 def test_evaluate_matches_golden(fixtures, capsys, golden, options):
     code, out, _ = run_cli(
@@ -355,6 +358,26 @@ def test_compare_chart_respects_metric_subset(fixtures, tmp_path, capsys):
     assert ">LCOM</text>" not in svg
 
 
+# eight characters of font-size 11 fill the 50 px left of the y axis
+AXIS_LABEL_CHARS = 8
+
+
+def test_chart_axis_labels_of_a_huge_mean_fit_the_margin(tmp_path, capsys):
+    table = tmp_path / "v.csv"
+    table.write_text("VERSION,WMC,DIT,NOC,CBO,RFC,LCOM\n"
+                     "v1,1e308,1,1,1,1,1\n"
+                     "v2,1,1,1,1,1,1\n", encoding="utf-8")
+    chart = tmp_path / "c.svg"
+    code, _, _ = run_cli(["compare", str(table), "--chart", str(chart),
+                          "--metrics", "WMC"], capsys)
+    assert code == 0
+    labels = re.findall(r'font-size="11">([^<]*)</text>', chart.read_text(encoding="utf-8"))
+    assert len(labels) == 6
+    assert all(len(label) <= AXIS_LABEL_CHARS for label in labels), labels
+    assert [float(label) for label in labels] == pytest.approx(
+        [1.1e308 * (i / 5) for i in range(6)], rel=0.01)
+
+
 @pytest.mark.parametrize("metrics", ["WMC,wmc", "RFC, WMC ,RFC"])
 def test_compare_refuses_a_metric_listed_twice(fixtures, tmp_path, capsys, metrics):
     chart = tmp_path / "twice.svg"
@@ -450,18 +473,95 @@ def test_class_model_member_that_is_not_an_array_exits_2(tmp_path, capsys, metho
     assert f"{where}: must be an array" in err and "internal error" not in err
 
 
-def test_module_entry_point(fixtures):
+def run_in_new_process(argv) -> subprocess.CompletedProcess:
+    """argv run by ``python -m ckeval.cli`` in a new interpreter."""
     # the child imports the same ckeval as this test, installed or not
     package_root = str(Path(ckeval.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "ckeval.cli", "compare",
-         str(fixtures / "five_versions.csv"), "--metrics", "WMC",
-         "--locale", "tr"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "ckeval.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point(fixtures):
+    proc = run_in_new_process(["compare", str(fixtures / "five_versions.csv"),
+                               "--metrics", "WMC", "--locale", "tr"])
     assert proc.returncode == 0
     assert "SÜRÜM-2 ve SÜRÜM-3 (5)" in proc.stdout
+
+
+# --- one argument parser per process --------------------------------------------
+
+def test_build_parser_returns_one_parser_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_a_selection_does_not_carry_into_the_next_call(fixtures, capsys):
+    # argparse copies the append default before it appends, so default=[] never grows
+    table = str(fixtures / "moreunit_classes.csv")
+    assert run_cli(["evaluate", table, "--select", "WMC=2-5"], capsys)[0] == 0
+    code, out, _ = run_cli(["evaluate", table, "--select", "CBO=6-10"], capsys)
+    assert code == 0 and out.count("SELECTION:") == 1
+    assert out == run_in_new_process(["evaluate", table, "--select", "CBO=6-10"]).stdout
+    code, out, _ = run_cli(["evaluate", table], capsys)
+    assert code == 0 and out == run_in_new_process(["evaluate", table]).stdout
+    assert build_parser().parse_args(["evaluate", table]).select == []
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["compare", "x.csv", "--frobnicate"], 1),
+    (["evaluate"], 1),
+    (["--help"], 0),
+    (["evaluate", "--help"], 0),
+])
+def test_usage_error_and_help_repeat_after_a_successful_call(fixtures, capsys, argv,
+                                                             expected):
+    assert run_cli(["evaluate", str(fixtures / "moreunit_classes.csv")], capsys)[0] == 0
+    first = run_cli(argv, capsys)
+    assert first[0] == expected and (first[1] or first[2])
+    assert run_cli(argv, capsys) == first
+
+
+def test_threads_sharing_the_parser_write_what_a_serial_run_writes(fixtures, tmp_path):
+    table = str(fixtures / "moreunit_classes.csv")
+    versions = str(fixtures / "five_versions.csv")
+    argvs = [
+        ["evaluate", table],
+        ["evaluate", table, "--locale", "tr", "--scope", "project"],
+        ["evaluate", table, "--select", "WMC=2-5", "--select", "LCOM=0,1,2"],
+        ["evaluate", table, "--rules", "paper", "--format", "structured"],
+        ["compare", versions, "--locale", "tr"],
+        ["compare", versions, "--metrics", "WMC,RFC", "--format", "structured"],
+        ["rules", "list"],
+        ["rules", "list", "--rules", "paper", "--locale", "tr"],
+    ]
+
+    def run(argv, name: str) -> tuple[int, str]:
+        out = tmp_path / name
+        code = cli_main([*argv, "--out", str(out)])
+        return code, out.read_text(encoding="utf-8")
+
+    serial = [run(argv, f"serial-{i}.txt") for i, argv in enumerate(argvs)]
+    assert all(code == 0 for code, _ in serial)
+    start = threading.Barrier(len(argvs), timeout=60)
+
+    def worker(t: int) -> list[tuple[int, str]]:
+        start.wait()
+        return [run(argvs[i % len(argvs)], f"thread-{t}-{k}.txt")
+                for k, i in enumerate(range(t, t + 3 * len(argvs)))]
+
+    # eight threads on fewer cores, switching often, so parses interleave
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(argvs)) as pool:
+            futures = [pool.submit(worker, t) for t in range(len(argvs))]
+            results = [future.result(timeout=300) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for t, runs in enumerate(results):
+        for k, result in enumerate(runs):
+            assert result == serial[(t + k) % len(argvs)], (t, k)
 
 
 def chain_document(depth: int) -> dict:
