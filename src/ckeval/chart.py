@@ -53,9 +53,10 @@ AXIS_LABEL_CHARS = 8
 
 
 def _axis_label(value: float) -> str:
-    """A gridline value, as a report prints it when that fits the margin;
-    otherwise in three significant digits with a bare exponent ("2.2e307"),
-    or in all of them where three would round past the largest float."""
+    """A gridline or tooltip value, as a report prints it when that fits
+    the margin; otherwise in three significant digits with a bare exponent
+    ("2.2e307"), or in all of them where three would round past the largest
+    float."""
     text = format_value(round(value, 3))
     if len(text) <= AXIS_LABEL_CHARS:
         return text
@@ -120,9 +121,12 @@ def build_chart_svg(spec: ChartSpec, title: str = "") -> str:
             x = cluster_left + s * bar_w
             y = y0 - h
             color = SERIES_COLORS[s % len(SERIES_COLORS)]
+            text = format_value(value)
+            if len(text) > AXIS_LABEL_CHARS:  # a tooltip has no room either
+                text = _axis_label(value)
             parts.append(f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(bar_w)}" '
                          f'height="{_fmt(h)}" fill="{color}">'
-                         f'<title>{escape(f"{group} {name}: {format_value(value)}")}'
+                         f'<title>{escape(f"{group} {name}: {text}")}'
                          f'</title></rect>')
         parts.append(f'<text x="{_fmt(x0 + group_w * (g + 0.5))}" '
                      f'y="{_fmt(y0 + 18)}" text-anchor="middle" '

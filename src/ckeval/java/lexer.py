@@ -15,14 +15,21 @@ token texts: from the end of one token, one match of the skip pattern
 (``_SKIP``) finds the start of the next.
 
 One compiled pattern (``_SCAN``) does the work. Each match is a skipped span
-of whitespace and comments followed by one token, one character the
-pattern does not accept, or the end of the text. The skipped span is not
-captured, so one ``findall`` gives (token, declined character) rows, and
-C-level passes turn them into columns: ``map`` with ``itemgetter`` takes
-out the token texts, and ``map`` looks up each kind by the token's text in
-a per-text table. The table starts with the keywords and punctuation and
-learns each other text by its first character the first time it appears,
-so Python code runs once per distinct token text, not per token.
+of whitespace and comments followed by one token or one character the
+pattern does not accept. Only the token is captured, so one ``findall``
+over the text plus a line feed and a NUL gives one string per row: the
+token, or the empty string for a declined character. The line feed ends a
+trailing line comment or literal, so the NUL is always declined. In a
+text the pattern accepts whole, the only empty row is therefore the last,
+and it becomes the empty text of the end; an earlier one marks the first
+declined character. ``map`` then looks up each kind by the token's text
+in one table (``_KindOf``) that every text and thread of the process
+shares. The table starts with the keywords and punctuation and learns each
+identifier and number text by its first character the first time it
+appears, so Python code runs once per distinct text in the process, not
+per token. Literals are classified but not kept, and a table that has
+learned ``_LEARNED_TEXTS`` texts is replaced by a fresh one, never
+cleared, so a seeded text always reads as its kind.
 
 The pattern covers the ASCII language. Identifiers and numbers are defined
 by ``str.isalpha``/``isdigit``/``isalnum``, which accept non-ASCII letters
@@ -31,10 +38,10 @@ character neither continues it nor is non-ASCII. Everything the pattern
 declines goes to ``_exact_token``, which lexes one token with the
 character predicates: identifiers and numbers that start with or run into
 a non-ASCII character, literals holding a backslash-newline, and every
-error (unterminated literal or block comment, unexpected character). After
-an exact token the rest of the text is scanned lazily, row by row, so each
-character is scanned a bounded number of times however many exact tokens
-there are.
+error (unterminated literal or block comment, unexpected character).
+After an exact token the rest of the text is scanned lazily with the same
+pattern, row by row, so each character is scanned a bounded number of
+times however many exact tokens there are.
 """
 
 import re
@@ -42,7 +49,6 @@ import string
 from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import accumulate
-from operator import itemgetter
 from typing import NamedTuple
 
 KEYWORDS = {
@@ -177,24 +183,31 @@ _SCAN = re.compile(
     # string and char literals without a line feed
     r'|"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*"'
     r"|'[^'\\\n]*(?:\\[^\n][^'\\\n]*)*'"
-    r")|([\s\S])|\Z)")
+    r")|[\s\S])")
+# appended to each scanned text: the line feed ends a trailing line comment
+# or literal, so every scan declines the NUL, and its row is the last
+_TAIL = "\n\x00"
 
 
 class _KindOf(dict):
-    """Token text -> kind, for one lexed text.
+    """Token text -> kind, shared by every lexed text in the process.
 
     It starts from the texts that fix their kind alone: keywords,
-    punctuation and the empty text of the end. Any other text is learned
-    from its first character when first seen, so each distinct text costs
-    one Python call and every repeat a C-level lookup.
+    punctuation and the empty text of the end. An identifier or number text
+    is learned from its first character when first seen, so each distinct
+    text costs one Python call and every repeat a C-level lookup. Literal
+    texts are classified the same way but not kept, and the table stops
+    learning once it holds ``_LEARNED_TEXTS`` texts past its seed.
     """
 
     def __missing__(self, text: str) -> str:
         first = text[0]
         # only an exact identifier or number starts with a non-ASCII
         # character, and no character is both alphabetic and a digit
-        kind = self[text] = _KIND_OF_FIRST.get(first) or (
+        kind = _KIND_OF_FIRST.get(first) or (
             "number" if first.isdigit() else "ident")
+        if kind in ("ident", "number") and len(self) < _SEEDED + _LEARNED_TEXTS:
+            self[text] = kind
         return kind
 
 
@@ -203,20 +216,27 @@ _KIND_OF_TEXT = {**dict.fromkeys(KEYWORDS, "keyword"),
 _KIND_OF_FIRST = {**dict.fromkeys(string.ascii_letters + "_$", "ident"),
                   **dict.fromkeys(string.digits, "number"),
                   '"': "string", "'": "char"}
-_text = itemgetter(0)  # the token text of a row
+_SEEDED = len(_KIND_OF_TEXT)
+_LEARNED_TEXTS = 2**16
+# a full table is replaced, never cleared: a thread still reading the old
+# one finds every seeded text in it
+_kind_of = _KindOf(_KIND_OF_TEXT)
 
 
 def tokenize(text: str) -> Tokens:
-    rows = _SCAN.findall(text)
-    texts = tuple(map(_text, rows))
-    # the first row without a token is a declined character or the end; a
-    # text that ends in a skipped span gives one more, empty, row after it
-    end = texts.index("") + 1
-    if rows[end - 1][1]:  # a declined character
-        texts = _exact_texts(text, texts[:end - 1])
+    global _kind_of
+    texts = _SCAN.findall(text + _TAIL)
+    end = texts.index("")
+    # the NUL's empty row is last and becomes the end's; an earlier one is a
+    # declined character of the text
+    if end + 1 < len(texts):
+        texts = _exact_texts(text, texts[:end])
     else:
-        texts = texts[:end]
-    kinds = tuple(map(_KindOf(_KIND_OF_TEXT).__getitem__, texts))
+        texts = tuple(texts)
+    kind_of = _kind_of
+    if len(kind_of) >= _SEEDED + _LEARNED_TEXTS:
+        kind_of = _kind_of = _KindOf(_KIND_OF_TEXT)
+    kinds = tuple(map(kind_of.__getitem__, texts))
     return Tokens(kinds, texts, _Positions(text, texts), range(len(texts)))
 
 
@@ -234,7 +254,7 @@ def _offsets(text: str, texts: Sequence[str]) -> list[int]:
     return offsets
 
 
-def _exact_texts(text: str, texts: tuple[str, ...]) -> tuple[str, ...]:
+def _exact_texts(text: str, texts: list[str]) -> tuple[str, ...]:
     """The token texts of a text whose first tokens are texts and whose
     next row is a character the pattern declines.
 
@@ -242,19 +262,19 @@ def _exact_texts(text: str, texts: tuple[str, ...]) -> tuple[str, ...]:
     text after one is scanned row by row up to the next. Raises LexError
     for anything that is not a token.
     """
-    texts = list(texts)
     pos = _offsets(text, texts)[-1]
-    while True:
+    padded = text + _TAIL
+    while pos < len(text):  # the NUL of the tail ends the last scan
         end = _exact_token(text, pos)
         texts.append(text[pos:end])
-        for match in _SCAN.finditer(text, end):
-            word, declined = match.groups("")
-            if declined:
-                pos = match.start(2)
+        for match in _SCAN.finditer(padded, end):
+            word = match.group(1)
+            if word is None:  # a declined character, the last of the match
+                pos = match.end() - 1
                 break
             texts.append(word)
-            if not word:
-                return tuple(texts)
+    texts.append("")
+    return tuple(texts)
 
 
 def _exact_token(text: str, i: int) -> int:

@@ -73,12 +73,15 @@ class SourceUnit(NamedTuple):
 
 
 def decode_source(data: bytes, path: str) -> str:
-    """The text of a source file, as ``Path.read_text(encoding="utf-8")``
-    gives it: UTF-8 with CR LF and lone CR read as LF.
+    """The text of a source file, as ``Path.read_text(encoding="utf-8-sig")``
+    gives it: UTF-8 without one leading byte-order mark, with CR LF and lone
+    CR read as LF.
 
     Raises ParseError with a DECODE_ERROR diagnostic at the first byte that
-    is not UTF-8, its line and column counted as the lexer counts them.
+    is not UTF-8, its line and column counted as the lexer counts them in
+    the text after the mark.
     """
+    data = data.removeprefix(b"\xef\xbb\xbf")
     try:
         return _universal_newlines(data.decode("utf-8"))
     except UnicodeDecodeError as exc:

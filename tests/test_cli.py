@@ -104,6 +104,17 @@ def test_analyze_corpus_matches_expected(fixtures, capsys):
     assert out == expected
 
 
+def test_analyze_java_edge_fixture_matches_expected(fixtures, capsys):
+    # a file with a byte-order mark, a non-ASCII identifier, and a file that
+    # ends in a line comment without a line feed
+    edge = fixtures / "java_edge"
+    assert (edge / "p" / "A.java").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert not (edge / "p" / "C.java").read_bytes().endswith(b"\n")
+    code, out, err = run_cli(["analyze", str(edge), "--strict"], capsys)
+    assert (code, err) == (0, "")
+    assert out == (edge / "expected_metrics.csv").read_text(encoding="utf-8")
+
+
 def test_analyze_skips_bad_files_unless_strict(tmp_path, capsys):
     (tmp_path / "Good.java").write_text("package p; class Good {}",
                                         encoding="utf-8")
@@ -378,6 +389,22 @@ def test_chart_axis_labels_of_a_huge_mean_fit_the_margin(tmp_path, capsys):
         [1.1e308 * (i / 5) for i in range(6)], rel=0.01)
 
 
+def test_chart_tooltip_of_a_huge_mean_is_short(tmp_path, capsys):
+    # the text report prints every digit of the mean; a bar's tooltip gives
+    # the axis label's short form, and a value that fits as it is
+    table = tmp_path / "v.csv"
+    table.write_text("VERSION,WMC,DIT,NOC,CBO,RFC,LCOM\n"
+                     "v1,1e308,1,1,1,1,1\n"
+                     "v2,1234567.5,1,1,1,1,1\n"
+                     "v3,1234.125,1,1,1,1,1\n", encoding="utf-8")
+    chart = tmp_path / "c.svg"
+    code, out, _ = run_cli(["compare", str(table), "--chart", str(chart),
+                            "--metrics", "WMC"], capsys)
+    assert code == 0 and "1000000000000000010979063" in out
+    titles = re.findall(r"<title>([^<]*)</title>", chart.read_text(encoding="utf-8"))
+    assert titles == ["v1 WMC: 1e308", "v2 WMC: 1.23e6", "v3 WMC: 1234.125"]
+
+
 @pytest.mark.parametrize("metrics", ["WMC,wmc", "RFC, WMC ,RFC"])
 def test_compare_refuses_a_metric_listed_twice(fixtures, tmp_path, capsys, metrics):
     chart = tmp_path / "twice.svg"
@@ -615,6 +642,21 @@ def test_analyze_skips_non_utf8_file_unless_strict(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "DECODE_ERROR" in err
+
+
+def test_analyze_reads_a_source_file_that_starts_with_a_bom(tmp_path, capsys):
+    (tmp_path / "p").mkdir()
+    (tmp_path / "p" / "A.java").write_bytes(b"\xef\xbb\xbfpackage p;\nclass A {}\n")
+    (tmp_path / "p" / "B.java").write_text("package p; class B extends A {}",
+                                           encoding="utf-8")
+    code, out, err = run_cli(["analyze", str(tmp_path), "--strict"], capsys)
+    assert (code, err) == (0, "")
+    assert out == "CLASS,WMC,DIT,NOC,CBO,RFC,LCOM\np.A,0,0,1,0,0,0\np.B,0,1,0,0,0,0\n"
+    # a decode error after the mark counts its column from after it
+    (tmp_path / "p" / "A.java").write_bytes(b"\xef\xbb\xbfclass A { \xff }")
+    code, out, err = run_cli(["analyze", str(tmp_path)], capsys)
+    assert code == 0
+    assert f"{(tmp_path / 'p' / 'A.java').as_posix()}:1:11: DECODE_ERROR: " in err
 
 
 def test_analyze_unreadable_file_is_an_input_error(tmp_path, capsys, monkeypatch):

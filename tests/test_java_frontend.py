@@ -2,7 +2,7 @@ import io
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ckeval.errors import DuplicateClassError
 from ckeval.java import (ParseError, Token, Tokens, decode_source, lower_to_model,
@@ -360,21 +360,26 @@ def test_counted_identifiers_appear_in_source():
 # --- reading source bytes -----------------------------------------------------
 
 def read_text_oracle(data: bytes, errors: str = "strict") -> str:
-    """What Path.read_text(encoding="utf-8") makes of the bytes."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors).read()
+    """What Path.read_text(encoding="utf-8-sig") makes of the bytes: UTF-8
+    without one leading byte-order mark."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", errors=errors).read()
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet=st.sampled_from("a\r\n é²\t")).map(str.encode) | st.text().map(str.encode))
+@given(st.text(alphabet=st.sampled_from("a\r\n é²\t\ufeff")).map(str.encode)
+       | st.text().map(str.encode))
+@example(b"\xef\xbb\xbfclass A {}")
+@example(b"\xef\xbb\xbf\xef\xbb\xbf\r\n")
 def test_decode_source_matches_read_text(data):
     assert decode_source(data, "F.java") == read_text_oracle(data)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet=st.sampled_from("ab\r\n é\t")),
+@given(st.text(alphabet=st.sampled_from("ab\r\n é\t\ufeff")),
        # bytes that no suffix can complete into a character
        st.sampled_from([b"\xe9 ", b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\xf0\x9f!"]),
        st.binary(max_size=8))
+@example("\ufeffab", b"\xff", b"")
 def test_decode_error_points_at_first_bad_character(prefix, bad, suffix):
     data = prefix.encode() + bad + suffix
     with pytest.raises(ParseError) as err:

@@ -44,6 +44,11 @@ SEEDS = [
     " /* a */ \t// b\n /**/\n#", "x \n/* */ // c\r\n ä", "\t//\n/**/ `",
     "/* c */ä", "// c\nä = 1²;", "/**/1²", "x/* */\n\t1²",
     "/*\t\r\n\t*/x", "//\t\r x\r\ny", "a/*\r*/\tb", "/*\r\n*/\r\n// \t\r\nz",
+    # next to the line feed and NUL the scan appends: a comment running to
+    # the end, a declined character last, NULs of the text, unterminated
+    # constructs at the end, and texts with no token at all
+    "a // é", "a é", "a #", "a\x00b", '"a\x00b"', "# // c", "x /* é", 'x "é',
+    " \t\r\n ", "\n\n\t", "// c", "/* c */", "/* a */ // b", "/**/\n//\n/* */ ",
 ]
 
 
@@ -199,6 +204,82 @@ def test_tokens_shared_between_threads_read_the_same_positions():
     assert not any(t.is_alive() for t in threads)
     for read_tokens in results:
         assert read_tokens and all(tok == expected[i] for i, tok in read_tokens)
+
+
+KEYWORD_AND_PUNCTUATION = " ".join(sorted(lexer.KEYWORDS | lexer.PUNCTUATION))
+
+
+def test_seeded_kinds_hold_whatever_was_lexed_before(monkeypatch):
+    # a small bound, so that the table is replaced several times on the way
+    monkeypatch.setattr(lexer, "_LEARNED_TEXTS", 16)
+    texts = [KEYWORD_AND_PUNCTUATION, "é", "1²", "a", '"class"', "'x'"]
+    texts += [" ".join(f"{word}{k} {k}{k}" for word in sorted(lexer.KEYWORDS))
+              for k in range(4)]
+    for text in texts:
+        assert_same_as_oracle(text)
+        tokens = tokenize(KEYWORD_AND_PUNCTUATION)
+        assert set(tokens.kinds) == {"keyword", "punct", "eof"}
+        assert all(lexer._kind_of[word] == kind
+                   for word, kind in lexer._KIND_OF_TEXT.items())
+
+
+def test_literal_texts_are_never_stored(monkeypatch):
+    monkeypatch.setattr(lexer, "_kind_of", lexer._KindOf(lexer._KIND_OF_TEXT))
+    literals = ['"a literal"', "'\\u0041'", '"x\\"y"']
+    tokens = tokenize("s = 42 + " + " + ".join(literals))
+    assert tokens.kinds == ("ident", "punct", "number", "punct", "string",
+                            "punct", "char", "punct", "string", "eof")
+    assert dict(lexer._kind_of) == {**lexer._KIND_OF_TEXT, "s": "ident", "42": "number"}
+
+
+def test_a_full_kind_table_is_replaced_and_tokens_stay_the_same(monkeypatch):
+    bound = 8
+    monkeypatch.setattr(lexer, "_LEARNED_TEXTS", bound)
+    monkeypatch.setattr(lexer, "_kind_of", lexer._KindOf(lexer._KIND_OF_TEXT))
+    tables = {}  # each table by its id, kept alive so no id is reused
+    for k in range(40):
+        text = f"class A{k} {{ int f{k} = {k}; void m{k}() {{ g{k}(f{k}, 0x{k}); }} }}"
+        assert_same_as_oracle(text)
+        tables[id(lexer._kind_of)] = lexer._kind_of
+        assert len(lexer._kind_of) <= lexer._SEEDED + bound
+    assert len(tables) > 1
+
+
+def test_threads_sharing_the_kind_table_lex_what_a_serial_run_lexes(monkeypatch):
+    # a small bound, so that threads also replace the table under each other
+    monkeypatch.setattr(lexer, "_LEARNED_TEXTS", 64)
+    monkeypatch.setattr(lexer, "_kind_of", lexer._KindOf(lexer._KIND_OF_TEXT))
+    rng = random.Random(5)
+    names = [f"T{i}" for i in range(8)]
+    texts = [_generate_source(rng, i, names) for i in range(len(names))]
+    texts += [text.replace("a", "á") for text in texts]
+
+    def lex_all(offset: int) -> list:
+        return [tuple(tokenize(texts[(offset + k) % len(texts)]))
+                for k in range(len(texts))]
+
+    serial = lex_all(0)
+    assert serial == [oracle_tokens(text) for text in texts]
+    start = threading.Barrier(8, timeout=60)
+    results = [None] * 8
+
+    def worker(slot: int) -> None:
+        start.wait()
+        results[slot] = lex_all(slot)
+
+    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for slot, lexed_texts in enumerate(results):
+        assert lexed_texts == serial[slot:] + serial[:slot], slot
 
 
 @pytest.mark.parametrize("name", ["f", "fé"])  # the ASCII path and the exact path
