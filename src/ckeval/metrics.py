@@ -19,13 +19,19 @@ six metrics over a model then cost O(classes + references + inheritance
 edges), whatever the inheritance depth, apart from LCOM's word-level term:
 each field use costs an OR over (methods in the class)/64 machine words.
 
+``compute_all`` makes one pass over the model's classes with the index's
+tables at hand; each record equals the one ``compute_record`` gives, and
+CBO's interval test lives in ``_coupled``, which ``cbo`` uses too.
+
 ``MetricRecord`` is a ``NamedTuple`` of the class name and the six values
-in METRICS order, so the table readers build many of them in C with
-``tuple.__new__``. It equals, hashes and orders as that 7-tuple.
-``ProjectMetrics`` is a ``NamedTuple`` of the project name, the records in
-class-name order and the per-metric means; it has no by-name lookup.
+in METRICS order, so ``compute_all`` and the table readers build many of
+them in C with ``tuple.__new__``. It equals, hashes and orders as that
+7-tuple. ``ProjectMetrics`` is a ``NamedTuple`` of the project name, the
+records in class-name order and the per-metric means; it has no by-name
+lookup.
 """
 
+from functools import partial
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -119,6 +125,12 @@ def cbo(cls: ClassInfo, model: ClassModel) -> int:
     uses = index.uses.get(name) if model.get(name) is cls else None
     if uses is None:  # a stand-in for the model's entry, or an external class
         uses = _uses(cls)
+    return _coupled(index, name, uses)
+
+
+def _coupled(index: "_Index", name: str, uses: set[str]) -> int:
+    """CBO of the class named ``name`` whose own use set is ``uses``: its
+    internal partners either way, less its ancestors and descendants."""
     partners = (uses | index.used_by.get(name, _NO_NAMES)) & index.internal
     enter, last = index.enter, index.last
     low = enter.get(name)
@@ -147,23 +159,31 @@ class _Index:
     """
 
     def __init__(self, model: ClassModel):
+        by_name = model._by_name
         self.internal = {c.qualified_name for c in model.classes if not c.is_external}
-        self.uses: dict[str, set[str]] = {}
-        self.used_by: dict[str, set[str]] = {}
-        self.children: dict[str, int] = {}
-        parent: dict[str, str | None] = {}
+        own_uses: dict[str, set[str]] = {}
+        used_by: dict[str, set[str]] = {}
+        children: dict[str, int] = {}
         for c in model.classes:
-            if c.superclass is not None:
-                self.children[c.superclass] = self.children.get(c.superclass, 0) + 1
+            sup = c.superclass
+            if sup is not None:
+                children[sup] = children.get(sup, 0) + 1
             if not c.is_external:
+                name = c.qualified_name
                 uses = _uses(c)
-                if model.get(c.qualified_name) is c:
-                    self.uses[c.qualified_name] = uses
+                if by_name[name] is c:
+                    own_uses[name] = uses
                 for used in uses:
-                    self.used_by.setdefault(used, set()).add(c.qualified_name)
-            sup = model.get(c.qualified_name).superclass
-            parent[c.qualified_name] = sup if sup in model else None
+                    users = used_by.get(used)
+                    if users is None:
+                        used_by[used] = {name}
+                    else:
+                        users.add(name)
+        self.uses, self.used_by, self.children = own_uses, used_by, children
 
+        # each name's superclass, when it names a class in the model
+        parent = {name: c.superclass if c.superclass in by_name else None
+                  for name, c in by_name.items()}
         kids: dict[str, list[str]] = {}
         for name, sup in parent.items():
             if sup is not None:
@@ -178,11 +198,11 @@ class _Index:
             self.enter[name] = self.last[name] = len(order)
             order.append(name)
             sup = parent[name]
-            self.depth[name] = (0 if sup is None or model.get(sup).is_external
+            self.depth[name] = (0 if sup is None or by_name[sup].is_external
                                 else self.depth[sup] + 1)
             stack.extend(kids.get(name, ()))
         if len(order) < len(parent):  # the missed classes hang off a cycle
-            raise InheritanceCycleError(_find_cycle({n: model.get(n) for n in parent}))
+            raise InheritanceCycleError(_find_cycle(by_name))
         for name in reversed(order):
             sup = parent[name]
             if sup is not None and self.last[name] > self.last[sup]:
@@ -264,10 +284,30 @@ def project_means(records: list[MetricRecord] | tuple[MetricRecord, ...]) -> dic
     return {m: total / n for m, total in zip(METRICS, map(sum, columns))}
 
 
+# a MetricRecord built in C from its seven fields, and a record's class name
+_new_record = partial(tuple.__new__, MetricRecord)
+_record_name = itemgetter(0)
+
+
 def compute_all(model: ClassModel) -> ProjectMetrics:
-    """One record per non-external class, ordered by qualified name."""
-    records = tuple(sorted((compute_record(c, model) for c in model.internal_classes()),
-                           key=lambda rec: rec.class_name))
-    return ProjectMetrics(project_name=model.project_name,
-                          per_class=records,
-                          means=project_means(records))
+    """One record per non-external class, ordered by qualified name.
+
+    Each record equals ``compute_record(cls, model)``: one pass over the
+    classes reads DIT, NOC and the own use set from the index and builds
+    the record in C.
+    """
+    index = _index(model)
+    by_name, depth, children, own_uses = model._by_name, index.depth, index.children, index.uses
+    records = []
+    for cls in model.classes:
+        if cls.is_external:
+            continue
+        name = cls.qualified_name
+        # a class that shares its name with a later one is not the model's entry
+        uses = own_uses[name] if by_name[name] is cls else _uses(cls)
+        records.append(_new_record((
+            name, len(cls.methods), depth.get(name, 0), children.get(name, 0),
+            _coupled(index, name, uses), rfc(cls), lcom(cls))))
+    records.sort(key=_record_name)
+    records = tuple(records)
+    return ProjectMetrics(model.project_name, records, project_means(records))

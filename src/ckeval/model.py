@@ -7,19 +7,27 @@ validate before anything downstream sees the data.
 
 The document reader checks each class, method and call entry in one pass,
 in a fixed order, and spells out an entry's location (such as
-``classes[3].methods[0].calls[2].arity``) only when a check fails. It keeps
-members in document order: ``build_model`` is the one step that sorts and
+``classes[3].methods[0].calls[2].arity``) only when a check fails. A call
+entry as a JSON parser gives it (a ``dict`` whose values are exactly
+``str``, ``int`` or ``None``) passes one exact-type test; any other entry,
+such as a ``str`` subclass, a ``bool`` arity or an ``OrderedDict``, goes
+through the ``isinstance`` checks, which accept or refuse it as before. An
+array of names is checked by one ``str.join``. The reader keeps members in
+document order: ``build_model`` is the one step that sorts and
 de-duplicates them, for both paths, and keeps a class whose members are
 already in order. ``_check`` is the one validation pass.
 
 The value types ``FieldInfo``, ``CallRef``, ``MethodInfo``, ``ClassInfo``
 and ``Diagnostic`` are ``NamedTuple``s: each is iterable, equals and hashes
 as its plain tuple of fields, orders against plain tuples, and is copied
-with ``_replace`` (``dataclasses.replace`` does not apply). ``ClassModel``
-is a frozen dataclass whose caches, built on first use, take no part in
-``==``, ``repr`` or ``hash``. The reader and the Java lowering both build a
-method through ``make_method``, which turns each call triple into a
-``CallRef`` with ``tuple.__new__``.
+with ``_replace`` (``dataclasses.replace`` does not apply). The reader
+builds them in C with ``tuple.__new__``, not through the ``NamedTuple``'s
+Python-level ``__new__``. ``ClassModel`` is a frozen dataclass whose
+caches, built on first use, take no part in ``==``, ``repr`` or ``hash``.
+The reader and the Java lowering both build a method through
+``make_method``, which turns each call triple into a ``CallRef`` and gives
+every method without used fields, calls or referenced classes one shared
+empty ``frozenset``.
 """
 
 from dataclasses import dataclass
@@ -53,12 +61,17 @@ class CallRef(NamedTuple):
         return (self.class_name or "", self.method, -1 if self.arity is None else self.arity)
 
 
+# the member set of every method that has none: many methods use no field
+# or make no call, and on 3.11 each ``frozenset()`` call builds a new set
+_NO_MEMBERS: frozenset = frozenset()
+
+
 class MethodInfo(NamedTuple):
     name: str
     arity: int
-    used_fields: frozenset[str] = frozenset()
-    called_methods: frozenset[CallRef] = frozenset()
-    referenced_classes: frozenset[str] = frozenset()
+    used_fields: frozenset[str] = _NO_MEMBERS
+    called_methods: frozenset[CallRef] = _NO_MEMBERS
+    referenced_classes: frozenset[str] = _NO_MEMBERS
 
 
 _new_tuple = tuple.__new__
@@ -70,11 +83,14 @@ def make_method(name: str, arity: int, used_fields, calls, referenced_classes) -
 
     Equal to ``MethodInfo(name, arity, frozenset(used_fields),
     frozenset(CallRef(*t) for t in calls), frozenset(referenced_classes))``,
-    without a Python-level ``__new__`` per ``CallRef``.
+    built in C with ``tuple.__new__``; an empty member set is one shared
+    ``frozenset()``.
     """
-    return MethodInfo(name, arity, frozenset(used_fields),
-                      frozenset([_new_tuple(CallRef, t) for t in calls]),
-                      frozenset(referenced_classes))
+    return _new_tuple(MethodInfo, (
+        name, arity,
+        frozenset(used_fields) if used_fields else _NO_MEMBERS,
+        frozenset([_new_tuple(CallRef, t) for t in calls]) if calls else _NO_MEMBERS,
+        frozenset(referenced_classes) if referenced_classes else _NO_MEMBERS))
 
 
 class ClassInfo(NamedTuple):
@@ -240,14 +256,18 @@ def _normalize(cls: ClassInfo) -> ClassInfo:
 
 # --- document loading -------------------------------------------------------
 
-def load_class_model(document: str | dict) -> ClassModel:
-    """Parse and validate a class model document (text or parsed JSON)."""
+def load_class_model(document: str | dict, project_name: str = "") -> ClassModel:
+    """Parse and validate a class model document (text or parsed JSON).
+
+    The model is named by the document's ``projectName``, or by
+    ``project_name`` when the document has none.
+    """
     doc = _parse_json(document, "class model")
     if not isinstance(doc, dict):
         raise SchemaError("$", "document must be an object")
     if doc.get("schemaVersion") != SCHEMA_VERSION:
         raise SchemaError("schemaVersion", f"expected {SCHEMA_VERSION}")
-    project = read_project_name(doc)
+    project = read_project_name(doc, project_name)
     raw_classes = doc.get("classes")
     if not isinstance(raw_classes, list):
         raise SchemaError("classes", _ARRAY)
@@ -319,7 +339,7 @@ def _read_class(entry, i: int) -> ClassInfo:
         fname = f.get("name")
         if not isinstance(fname, str) or not fname:
             raise SchemaError(f"classes[{i}].fields[{k}].name", _NON_EMPTY)
-        fields.append(FieldInfo(fname, ftype))
+        fields.append(_new_tuple(FieldInfo, (fname, ftype)))
 
     raw_methods = get("methods", [])
     if not isinstance(raw_methods, list):
@@ -329,12 +349,18 @@ def _read_class(entry, i: int) -> ClassInfo:
     if external and (fields or methods or extends):
         raise SchemaError(f"classes[{i}]", "external stub must not carry members or extends")
 
-    return ClassInfo(name, extends, tuple(implements), tuple(fields), tuple(methods), external)
+    return _new_tuple(ClassInfo, (name, extends, tuple(implements), tuple(fields),
+                                  tuple(methods), external))
 
 
 def _read_method(m, i: int, j: int) -> MethodInfo:
     """``classes[i].methods[j]``: name, arity, usesFields, calls (an array,
-    then each call's class, arity and method), then touchesClasses."""
+    then each call's class, arity and method), then touchesClasses.
+
+    A call entry that a JSON parser gives (a ``dict`` of ``str``, ``int``
+    and ``None`` values) is checked by exact type; any other entry goes to
+    ``_read_call``, which checks it as the reader always has.
+    """
     if not isinstance(m, dict):
         raise SchemaError(f"classes[{i}].methods[{j}]", "method entry must be an object")
     get = m.get
@@ -353,23 +379,17 @@ def _read_method(m, i: int, j: int) -> MethodInfo:
     if not isinstance(raw_calls, list):
         raise SchemaError(f"classes[{i}].methods[{j}].calls", _ARRAY)
     calls = []
-    for k, c in enumerate(raw_calls):
-        if not isinstance(c, dict):
-            raise SchemaError(f"classes[{i}].methods[{j}].calls[{k}]",
-                              "call entry must be an object")
-        target = c.get("class")
-        if target is not None and not isinstance(target, str):
-            raise SchemaError(f"classes[{i}].methods[{j}].calls[{k}].class",
-                              "must be a string or null (unresolved)")
-        call_arity = c.get("arity")
-        if call_arity is not None and (not isinstance(call_arity, int)
-                                       or isinstance(call_arity, bool) or call_arity < 0):
-            raise SchemaError(f"classes[{i}].methods[{j}].calls[{k}].arity",
-                              "must be a non-negative integer when present")
-        method = c.get("method")
-        if not isinstance(method, str) or not method:
-            raise SchemaError(f"classes[{i}].methods[{j}].calls[{k}].method", _NON_EMPTY)
-        calls.append((target, method, call_arity))
+    for c in raw_calls:
+        if c.__class__ is dict:
+            target = c.get("class")
+            method = c.get("method")
+            call_arity = c.get("arity")
+            if ((target is None or target.__class__ is str) and method.__class__ is str
+                    and method and (call_arity is None
+                                    or call_arity.__class__ is int and call_arity >= 0)):
+                calls.append((target, method, call_arity))
+                continue
+        calls.append(_read_call(c, i, j, len(calls)))
 
     touches = get("touchesClasses", [])
     if not isinstance(touches, list) or not _all_strings(touches):
@@ -378,10 +398,34 @@ def _read_method(m, i: int, j: int) -> MethodInfo:
     return make_method(name, arity, uses, calls, touches)
 
 
+def _read_call(c, i: int, j: int, k: int) -> tuple:
+    """The ``(class, method, arity)`` triple of ``classes[i].methods[j].calls[k]``:
+    an object, then its class, arity and method, each by ``isinstance``."""
+    if not isinstance(c, dict):
+        raise SchemaError(f"classes[{i}].methods[{j}].calls[{k}]",
+                          "call entry must be an object")
+    target = c.get("class")
+    if target is not None and not isinstance(target, str):
+        raise SchemaError(f"classes[{i}].methods[{j}].calls[{k}].class",
+                          "must be a string or null (unresolved)")
+    call_arity = c.get("arity")
+    if call_arity is not None and (not isinstance(call_arity, int)
+                                   or isinstance(call_arity, bool) or call_arity < 0):
+        raise SchemaError(f"classes[{i}].methods[{j}].calls[{k}].arity",
+                          "must be a non-negative integer when present")
+    method = c.get("method")
+    if not isinstance(method, str) or not method:
+        raise SchemaError(f"classes[{i}].methods[{j}].calls[{k}].method", _NON_EMPTY)
+    return target, method, call_arity
+
+
 def _all_strings(items: list) -> bool:
-    for item in items:
-        if not isinstance(item, str):
-            return False
+    """Whether every item is a ``str``: ``str.join`` refuses the first that
+    is not, in C."""
+    try:
+        "".join(items)
+    except TypeError:
+        return False
     return True
 
 

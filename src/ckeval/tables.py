@@ -14,7 +14,6 @@ row without a PATH has an empty ``source_path``.
 
 import csv
 import io
-from functools import partial
 from itertools import chain
 import json
 import math
@@ -23,7 +22,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import CkevalError, InputError, SchemaError
-from .metrics import METRICS, MetricRecord, ProjectMetrics, project_means
+from .metrics import (METRICS, MetricRecord, ProjectMetrics, _new_record, _record_name,
+                      project_means)
 from .model import SCHEMA_VERSION, load_class_model, read_project_name
 from . import metrics as _metrics
 
@@ -91,8 +91,6 @@ def metrics_to_document(pm: ProjectMetrics) -> dict:
 
 
 _row_cells = itemgetter("class", *(m.lower() for m in METRICS))
-_record_name = itemgetter(0)
-_new_record = partial(tuple.__new__, MetricRecord)
 
 
 def metrics_from_document(doc: dict, project_name: str = "") -> ProjectMetrics:
@@ -358,13 +356,15 @@ def read_input(path: str | Path,
                versions: bool = True) -> ProjectMetrics | list[VersionRecord]:
     """Read, sniff and parse one input file.
 
-    A metrics table or class model gives a ProjectMetrics named after the
-    file, a versions table its rows as ``VersionRecord``s. With
-    ``versions`` false a versions table is refused before it is parsed.
+    A metrics table or class model gives a ProjectMetrics named by its
+    ``projectName``, or after the file's stem where it has none (a CSV
+    table never has one); a versions table gives its rows as
+    ``VersionRecord``s. With ``versions`` false a versions table is refused
+    before it is parsed.
     """
     kind, payload = sniff(read_text(path), str(path))
     if kind == "model":
-        return _metrics.compute_all(load_class_model(payload))
+        return _metrics.compute_all(load_class_model(payload, project_name=Path(path).stem))
     document = isinstance(payload, dict)
     if kind == "metrics":
         read = metrics_from_document if document else metrics_from_csv

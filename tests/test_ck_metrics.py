@@ -15,9 +15,11 @@ from ckeval.metrics import (
     ProjectMetrics,
     cbo,
     compute_all,
+    compute_record,
     dit,
     lcom,
     noc,
+    project_means,
     rfc,
     wmc,
 )
@@ -537,23 +539,29 @@ def has_extends_cycle(model: ClassModel) -> bool:
     return False
 
 
+def unvalidated_model(rng: random.Random) -> ClassModel:
+    """Cycles through internal and external classes, self-extends, dangling
+    superclasses and duplicate names: a model only a hand-built
+    ``ClassModel`` can hold."""
+    names = [f"p.C{i}" for i in range(rng.randint(1, 12))]
+    classes = []
+    for name in names + rng.choices(names, k=rng.randint(0, 3)):
+        refs = rng.sample(names, rng.randint(0, min(3, len(names))))
+        calls = [CallRef(rng.choice(names + [None]), "f", 0) for _ in range(rng.randint(0, 2))]
+        classes.append(cls_of(
+            [method("m", calls=calls, refs=refs, used=rng.sample("ab", rng.randint(0, 2)))]
+            + [method("n", used=["a"])] * rng.randint(0, 1), name=name,
+            superclass=rng.choice(names + [None, "gone.X"]),
+            external=rng.random() < 0.15))
+    return ClassModel("t", tuple(classes))
+
+
 def test_index_matches_chain_walk_on_unvalidated_models():
-    # cycles through internal and external classes, self-extends, dangling
-    # superclasses and duplicate names: models only a hand-built ClassModel
-    # can hold. A model with a cycle raises; every other one matches the
-    # oracles.
+    # a model with a cycle raises; every other one matches the oracles
     rng = random.Random(21)
     cycles = 0
     for _ in range(300):
-        names = [f"p.C{i}" for i in range(rng.randint(1, 12))]
-        classes = []
-        for name in names + rng.choices(names, k=rng.randint(0, 3)):
-            refs = rng.sample(names, rng.randint(0, min(3, len(names))))
-            classes.append(cls_of(
-                [method("m", refs=refs)], name=name,
-                superclass=rng.choice(names + [None, "gone.X"]),
-                external=rng.random() < 0.15))
-        model = ClassModel("t", tuple(classes))
+        model = unvalidated_model(rng)
         if has_extends_cycle(model):
             cycles += 1
             for metric in (dit, noc, cbo):
@@ -565,6 +573,45 @@ def test_index_matches_chain_walk_on_unvalidated_models():
             assert noc(cls, model) == noc_oracle(cls, model)
             assert cbo(cls, model) == cbo_oracle(cls, model)
     assert 0 < cycles < 300
+
+
+def records_one_by_one(model: ClassModel) -> ProjectMetrics:
+    """``compute_all`` as it was: ``compute_record`` per internal class, on a
+    copy of the model that shares no index with it."""
+    model = ClassModel(model.project_name, model.classes)
+    records = tuple(sorted((compute_record(c, model) for c in model.internal_classes()),
+                           key=lambda rec: rec.class_name))
+    return ProjectMetrics(model.project_name, records, project_means(records))
+
+
+def assert_compute_all_is_records_one_by_one(model: ClassModel):
+    pm = compute_all(model)
+    assert pm == records_one_by_one(model)
+    assert all(type(rec) is MetricRecord for rec in pm.per_class)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(0, 40))
+def test_compute_all_is_the_per_class_records_on_generated_models(seed, max_classes, depth):
+    assert_compute_all_is_records_one_by_one(deep_model(random.Random(seed), max_classes, depth))
+
+
+def test_compute_all_is_the_per_class_records_on_unvalidated_models():
+    # duplicate names: an entry that is not the one ``model.get`` returns is
+    # a stand-in, with its own uses and its name's depth, children and users
+    rng = random.Random(24)
+    seen = {"cycle": 0, "stand-in": 0}
+    for _ in range(300):
+        model = unvalidated_model(rng)
+        if has_extends_cycle(model):
+            seen["cycle"] += 1
+            with pytest.raises(InheritanceCycleError):
+                compute_all(model)
+            continue
+        seen["stand-in"] += any(model.get(c.qualified_name) is not c and not c.is_external
+                                for c in model.classes)
+        assert_compute_all_is_records_one_by_one(model)
+    assert all(seen.values()), seen
 
 
 def test_index_shared_across_threads():

@@ -1,6 +1,7 @@
 from collections import OrderedDict
 import copy
 from dataclasses import MISSING, field, fields as dataclass_fields, is_dataclass, make_dataclass
+from enum import IntEnum
 import importlib
 import inspect
 import json
@@ -735,6 +736,86 @@ def test_hand_built_document_faults_are_refused_where_the_oracle_refuses(fault, 
     expected = ("raised", SchemaError, f"{path}: {message}", path, None)
     assert expected_outcome(document) == expected
     assert outcome(load_class_model, document) == expected
+
+
+class Arity(IntEnum):
+    ONE = 1
+
+
+def fallback_document(method: dict, call: dict) -> dict:
+    """One class ``A`` with one method that makes one call, and a class ``B``;
+    ``method`` and ``call`` replace or add keys of the plain entries."""
+    call = {"class": "B", "method": "f", "arity": 0, **call}
+    method = {"name": "m", "arity": 1, "usesFields": ["x", "y"],
+              "calls": [{"class": None, "method": "g"}, call],
+              "touchesClasses": ["B"], **method}
+    return {"schemaVersion": 1, "classes": [
+        {"name": "A", "fields": [{"name": "x"}, {"name": "y"}], "methods": [method]},
+        {"name": "B"}]}
+
+
+@pytest.mark.parametrize("method, call", [
+    # accepted, through the isinstance checks
+    ({"name": Name("m")}, {"class": Name("B"), "method": Name("f")}),
+    ({"usesFields": [Name("x"), "y"], "touchesClasses": ["B", Name("B")]}, {}),
+    ({"arity": Arity.ONE}, {"arity": Arity.ONE}),
+    ({"arity": Count(2)}, {"arity": Count(0)}),
+    ({}, {"arity": None}),
+    ({}, {"class": ""}),
+    # refused, at the same path and with the same message as the oracle
+    ({"arity": True}, {}),
+    ({"arity": False}, {}),
+    ({}, {"arity": True}),
+    ({}, {"arity": False}),
+    ({}, {"arity": -1}),
+    ({}, {"arity": 1.0}),
+    ({}, {"method": ""}),
+    ({}, {"method": Name("")}),
+    ({}, {"method": None}),
+    ({}, {"class": 3, "arity": -1}),
+    ({}, {"class": Name("B"), "arity": True, "method": 5}),
+    ({"usesFields": ["x", 1]}, {}),
+    ({"usesFields": ["x", "y", None]}, {}),
+    ({"touchesClasses": ["B", None]}, {}),
+    ({"touchesClasses": ["B", "B", b"B"]}, {}),
+])
+@pytest.mark.parametrize("container", [dict, OrderedDict, Entry])
+def test_reader_fallback_matches_oracle(method, call, container):
+    document = fallback_document(method, call)
+    klass = document["classes"][0]
+    entry = klass["methods"][0]
+    entry["calls"][1] = container(entry["calls"][1])
+    klass["methods"][0] = container(entry)
+    document["classes"][0] = container(klass)
+    assert outcome(load_class_model, document) == expected_outcome(document)
+
+
+def test_reader_fallback_reaches_every_outcome():
+    refused = set()
+    for method, call in [({"arity": True}, {}), ({}, {"arity": True}), ({}, {"method": ""}),
+                         ({}, {"class": 3}), ({"usesFields": ["x", 1]}, {}),
+                         ({"touchesClasses": ["B", None]}, {})]:
+        with pytest.raises(SchemaError) as err:
+            load_class_model(fallback_document(method, call))
+        refused.add(err.value.path)
+    assert refused == {"classes[0].methods[0].arity", "classes[0].methods[0].calls[1].arity",
+                       "classes[0].methods[0].calls[1].method",
+                       "classes[0].methods[0].calls[1].class",
+                       "classes[0].methods[0].usesFields",
+                       "classes[0].methods[0].touchesClasses"}
+    model = load_class_model(fallback_document({}, {"class": Name("B"), "arity": Arity.ONE}))
+    assert model.get("A").methods[0].called_methods == {(None, "g", None), ("B", "f", 1)}
+    assert all(type(ref) is CallRef for ref in model.get("A").methods[0].called_methods)
+
+
+def test_methods_without_members_equal_those_built_with_fresh_sets():
+    model = load_class_model(doc([{"name": "A", "methods": [
+        {"name": "m", "arity": 0}, {"name": "n", "arity": 0, "usesFields": [], "calls": [],
+                                    "touchesClasses": []}]}]))
+    fresh = [MethodInfo(m.name, 0, frozenset(), frozenset(), frozenset())
+             for m in model.get("A").methods]
+    assert list(model.get("A").methods) == fresh
+    assert [hash(m) for m in model.get("A").methods] == [hash(m) for m in fresh]
 
 
 @settings(max_examples=100, deadline=None)

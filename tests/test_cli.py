@@ -60,6 +60,20 @@ def test_evaluate_matches_golden(fixtures, capsys, golden, options):
     assert out == (fixtures / "golden" / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("golden, argv", [
+    ("shop_v1_evaluate_tr.txt", ["evaluate", "shop_v1.json", "--locale", "tr"]),
+    ("shop_v2_evaluate_project_tr.txt",
+     ["evaluate", "shop_v2.json", "--locale", "tr", "--scope", "project"]),
+    ("shop_compare_en.txt", ["compare", "shop_v1.json", "shop_v2.json"]),
+])
+def test_class_model_documents_match_golden(fixtures, capsys, golden, argv):
+    models = fixtures / "model"
+    argv = [str(models / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out == (fixtures / "golden" / golden).read_text(encoding="utf-8")
+
+
 def test_evaluate_select_filter_report(fixtures, capsys):
     code, out, _ = run_cli(
         ["evaluate", str(fixtures / "moreunit_classes.csv"),
@@ -993,6 +1007,24 @@ def test_metrics_document_project_name_must_be_a_string(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "projectName: must be a string" in err
+
+
+@pytest.mark.parametrize("document, name", [
+    ('{"schemaVersion": 1, "classes": [{"name": "A"}]}', "m"),
+    ('{"schemaVersion": 1, "metrics": [{"class": "A", "wmc": 1, "dit": 0, "noc": 0,'
+     ' "cbo": 0, "rfc": 1, "lcom": 0}]}', "m"),
+    ('{"schemaVersion": 1, "projectName": "", "classes": [{"name": "A"}]}', "project"),
+    ('{"schemaVersion": 1, "projectName": "shop", "classes": [{"name": "A"}]}', "shop"),
+], ids=["model", "metrics", "empty-name", "named"])
+def test_a_document_without_a_project_name_is_named_after_its_file(tmp_path, capsys,
+                                                                   document, name):
+    path = tmp_path / "m.json"
+    path.write_text(document, encoding="utf-8")
+    code, out, err = run_cli(["evaluate", str(path), "--scope", "project"], capsys)
+    assert (code, err) == (0, "")
+    assert re.search(r"^Project +: (.*)$", out, re.M).group(1) == name
+    pm = load_metrics_input(path)
+    assert pm.project_name == ("" if name == "project" else name)
 
 
 BOM = "\ufeff".encode("utf-8")
