@@ -121,12 +121,9 @@ def build_chart_svg(spec: ChartSpec, title: str = "") -> str:
             x = cluster_left + s * bar_w
             y = y0 - h
             color = SERIES_COLORS[s % len(SERIES_COLORS)]
-            text = format_value(value)
-            if len(text) > AXIS_LABEL_CHARS:  # a tooltip has no room either
-                text = _axis_label(value)
             parts.append(f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(bar_w)}" '
                          f'height="{_fmt(h)}" fill="{color}">'
-                         f'<title>{escape(f"{group} {name}: {text}")}'
+                         f'<title>{escape(f"{group} {name}: {_axis_label(value)}")}'
                          f'</title></rect>')
         parts.append(f'<text x="{_fmt(x0 + group_w * (g + 0.5))}" '
                      f'y="{_fmt(y0 + 18)}" text-anchor="middle" '

@@ -94,10 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="list or check rule bases")
     p_rules.add_argument("action", choices=("list", "check"))
     p_rules.add_argument("file", nargs="?", metavar="FILE",
-                         help="rules file (required for check)")
-    p_rules.add_argument("--rules", default="default",
-                         metavar="FILE|default|paper",
-                         help="rule base to list (default: default)")
+                         help="rules file to check (check only)")
+    p_rules.add_argument("--rules", metavar="FILE|default|paper",
+                         help="rule base to list (list only; default: default)")
     return parser
 
 
@@ -253,6 +252,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_rules(args) -> int:
     if args.action == "check":
+        if args.rules is not None:
+            raise UsageError("rules check reads no --rules; "
+                             "give the rules file as FILE")
         if not args.file:
             raise UsageError("rules check requires a FILE argument")
         kb = rules_mod.load_rules(tables.read_text(args.file))
@@ -260,7 +262,10 @@ def _cmd_rules(args) -> int:
         _write_output(f"OK: {len(kb.rules)} rules, {complete} cover\n", args.out)
         return 0
 
-    kb = rules_mod.resolve_rule_base(args.rules)
+    if args.file is not None:
+        raise UsageError("rules list reads no FILE; "
+                         f"use --rules {args.file} to list it")
+    kb = rules_mod.resolve_rule_base(args.rules or "default")
     if args.format == "structured":
         _write_output(rules_mod.serialize_rules(kb), args.out)
         return 0

@@ -87,13 +87,12 @@ def _lower_class(decl: ClassDecl, own_name: str, names: dict[str, str]) -> Class
     if decl.kind == "interface":
         # interfaces carry abstract methods only; their extends list is
         # interface inheritance, which stays off the class tree
-        interfaces = tuple(sorted(names.get(n, n)
-                                  for n in decl.extends + decl.implements))
+        interfaces = tuple(names.get(n, n) for n in decl.extends + decl.implements)
         return ClassInfo(qualified_name=own_name, superclass=None,
                          interfaces=interfaces, fields=(), methods=methods)
 
     superclass = names.get(decl.extends[0], decl.extends[0]) if decl.extends else None
-    interfaces = tuple(sorted(names.get(n, n) for n in decl.implements))
+    interfaces = tuple(names.get(n, n) for n in decl.implements)
     fields = tuple(FieldInfo(name=f.name, declared_type=t)
                    for f, t in zip(decl.fields, types))
     return ClassInfo(qualified_name=own_name, superclass=superclass,

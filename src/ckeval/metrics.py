@@ -11,16 +11,17 @@ All functions are pure; per-class results are independent of each other.
 
 DIT, NOC and CBO need the whole model. They read a per-model index, built
 in linear time on first use and kept on the model: the internal class
-names, each internal class's use set and the reverse use sets (who uses
-each name), child counts, and the extends forest with each class's DIT and
-its preorder interval, so "A is an ancestor of B" is two comparisons. LCOM
-counts the method pairs that share a field with one bit mask per field. All
-six metrics over a model then cost O(classes + references + inheritance
-edges), whatever the inheritance depth, apart from LCOM's word-level term:
-each field use costs an OR over (methods in the class)/64 machine words.
+names, one use set per entry of ``model.classes`` and the reverse use sets
+(who uses each name), child counts, and the extends forest with each
+class's DIT and its preorder interval, so "A is an ancestor of B" is two
+comparisons. LCOM counts the method pairs that share a field with one bit
+mask per field. All six metrics over a model then cost O(classes +
+references + inheritance edges), whatever the inheritance depth, apart
+from LCOM's word-level term: each field use costs an OR over (methods in
+the class)/64 machine words.
 
-``compute_all`` makes one pass over the model's classes with the index's
-tables at hand; each record equals the one ``compute_record`` gives, and
+``compute_all`` makes one pass over the model's classes beside their use
+sets, with the index's tables at hand; each record equals the one ``compute_record`` gives, and
 CBO's interval test lives in ``_coupled``, which ``cbo`` uses too.
 
 ``MetricRecord`` is a ``NamedTuple`` of the class name and the six values
@@ -36,7 +37,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .errors import CkevalError, InheritanceCycleError, InputError
-from .model import ClassInfo, ClassModel, MethodInfo, _find_cycle
+from .model import ClassInfo, ClassModel, _find_cycle
 
 METRICS = ("WMC", "DIT", "NOC", "CBO", "RFC", "LCOM")
 
@@ -78,11 +79,9 @@ class ProjectMetrics(NamedTuple):
     means: dict[str, float]
 
 
-def wmc(cls: ClassInfo, complexity: Callable[[MethodInfo], int] | None = None) -> int:
-    """Sum of per-method complexities; defaults to 1 per method."""
-    if complexity is None:
-        return len(cls.methods)
-    return sum(complexity(m) for m in cls.methods)
+def wmc(cls: ClassInfo) -> int:
+    """Method count: every method weighs 1."""
+    return len(cls.methods)
 
 
 def dit(cls: ClassInfo, model: ClassModel) -> int:
@@ -120,12 +119,7 @@ def cbo(cls: ClassInfo, model: ClassModel) -> int:
     excluded, as are external stubs and unresolved targets. The class's own
     uses come from ``cls``; who uses it, and the hierarchy, from ``model``.
     """
-    index = _index(model)
-    name = cls.qualified_name
-    uses = index.uses.get(name) if model.get(name) is cls else None
-    if uses is None:  # a stand-in for the model's entry, or an external class
-        uses = _uses(cls)
-    return _coupled(index, name, uses)
+    return _coupled(_index(model), cls.qualified_name, _uses(cls))
 
 
 def _coupled(index: "_Index", name: str, uses: set[str]) -> int:
@@ -151,34 +145,37 @@ _NO_NAMES: frozenset[str] = frozenset()
 class _Index:
     """Whole-model lookups behind DIT, NOC and CBO; read-only once built.
 
-    Names resolve as ``ClassModel.get`` resolves them, and ``uses`` holds
-    the use set of each internal class that ``get`` returns. The extends
-    forest follows each name's superclass while it names a class in the
-    model. A hand-built model that was never validated may hold an extends
-    cycle; its index raises InheritanceCycleError, as ``build_model`` does.
+    ``uses`` lines up with ``model.classes``: each internal entry's use
+    set, ``None`` for an external one; ``used_by`` gathers the uses of
+    every entry, so a name's users are those of all its entries. Names in
+    the extends forest resolve as ``ClassModel.get`` resolves them: it
+    follows each name's superclass while it names a class in the model. A
+    hand-built model that was never validated may hold an extends cycle;
+    its index raises InheritanceCycleError, as ``build_model`` does.
     """
 
     def __init__(self, model: ClassModel):
         by_name = model._by_name
         self.internal = {c.qualified_name for c in model.classes if not c.is_external}
-        own_uses: dict[str, set[str]] = {}
+        own_uses: list[set[str] | None] = []
         used_by: dict[str, set[str]] = {}
         children: dict[str, int] = {}
         for c in model.classes:
             sup = c.superclass
             if sup is not None:
                 children[sup] = children.get(sup, 0) + 1
-            if not c.is_external:
-                name = c.qualified_name
-                uses = _uses(c)
-                if by_name[name] is c:
-                    own_uses[name] = uses
-                for used in uses:
-                    users = used_by.get(used)
-                    if users is None:
-                        used_by[used] = {name}
-                    else:
-                        users.add(name)
+            if c.is_external:
+                own_uses.append(None)
+                continue
+            name = c.qualified_name
+            uses = _uses(c)
+            own_uses.append(uses)
+            for used in uses:
+                users = used_by.get(used)
+                if users is None:
+                    used_by[used] = {name}
+                else:
+                    users.add(name)
         self.uses, self.used_by, self.children = own_uses, used_by, children
 
         # each name's superclass, when it names a class in the model
@@ -293,18 +290,16 @@ def compute_all(model: ClassModel) -> ProjectMetrics:
     """One record per non-external class, ordered by qualified name.
 
     Each record equals ``compute_record(cls, model)``: one pass over the
-    classes reads DIT, NOC and the own use set from the index and builds
-    the record in C.
+    classes reads DIT, NOC and each entry's use set from the index and
+    builds the record in C.
     """
     index = _index(model)
-    by_name, depth, children, own_uses = model._by_name, index.depth, index.children, index.uses
+    depth, children = index.depth, index.children
     records = []
-    for cls in model.classes:
-        if cls.is_external:
+    for cls, uses in zip(model.classes, index.uses):
+        if uses is None:  # an external class
             continue
         name = cls.qualified_name
-        # a class that shares its name with a later one is not the model's entry
-        uses = own_uses[name] if by_name[name] is cls else _uses(cls)
         records.append(_new_record((
             name, len(cls.methods), depth.get(name, 0), children.get(name, 0),
             _coupled(index, name, uses), rfc(cls), lcom(cls))))

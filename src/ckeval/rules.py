@@ -31,6 +31,7 @@ from typing import NamedTuple
 
 from .errors import RuleError, RuleOverlapError, SchemaError, UsageError
 from .metrics import METRICS, ProjectMetrics, check_metric, value_getter
+from .model import _parse_json
 from .tables import format_value, read_number, read_text
 
 BUILTIN_BASES = ("default", "paper")
@@ -271,13 +272,7 @@ def _rule_sort_key(rule: Rule) -> tuple:
 
 def load_rules(document: str | dict) -> KnowledgeBase:
     """Parse a rules document and validate the resulting base."""
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except (ValueError, RecursionError) as exc:
-            raise SchemaError("$", f"not valid JSON (rules): {exc}") from None
-    else:
-        doc = document
+    doc = _parse_json(document, "rules")
     if not isinstance(doc, dict):
         raise SchemaError("$", "rules document must be an object")
     name = doc.get("name", "unnamed")

@@ -149,11 +149,6 @@ def test_wmc_counts_constructors():
     assert wmc(cls_of(methods)) == 4
 
 
-def test_wmc_pluggable_complexity():
-    cls = cls_of([method("a"), method("b")])
-    assert wmc(cls, complexity=lambda m: 3) == 6
-
-
 def test_dit_root_is_zero():
     model = build_model("t", [ClassInfo("A")])
     assert dit(model.get("A"), model) == 0

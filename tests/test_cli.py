@@ -232,6 +232,29 @@ def test_rules_check_refuses_an_attribute_outside_the_vocabulary(tmp_path, capsy
     assert "rule 'r': unregistered attribute 'elegance'" in err
 
 
+PAPER_RULES = str(Path(ckeval.__file__).parent / "data" / "paper_rules.json")
+
+
+@pytest.mark.parametrize("argv, advice", [
+    (["rules", "list", PAPER_RULES], f"rules list reads no FILE; use --rules {PAPER_RULES}"),
+    (["rules", "check", PAPER_RULES, "--rules", "x.json"],
+     "rules check reads no --rules; give the rules file as FILE"),
+    (["rules", "check", PAPER_RULES, "--rules", "default"],
+     "rules check reads no --rules; give the rules file as FILE"),
+], ids=["list-file", "check-rules", "check-rules-default"])
+def test_rules_refuses_the_argument_its_action_does_not_read(capsys, argv, advice):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert advice in err
+
+
+def test_rules_list_reads_a_file_through_rules(capsys):
+    assert run_cli(["rules", "list", "--rules", PAPER_RULES], capsys)[:2] == \
+        run_cli(["rules", "list", "--rules", "paper"], capsys)[:2]
+    assert run_cli(["rules", "list", "--rules", "default"], capsys)[:2] == \
+        run_cli(["rules", "list"], capsys)[:2]
+
+
 @pytest.mark.parametrize("bands, cover", [
     ([{"range": [0, 1000]}, {"range": [2000, None]}], "incomplete"),
     ([{"range": [0, 1000]}, {"range": [1001, None]}], "complete"),

@@ -6,12 +6,14 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 import pytest
 
 import ckeval
 from ckeval import export
-from ckeval.chart import HEIGHT, ChartSpec, build_chart_svg, emit_chart, escape
+from ckeval.chart import (
+    AXIS_LABEL_CHARS, HEIGHT, ChartSpec, _axis_label, build_chart_svg, emit_chart, escape,
+)
 from ckeval.errors import InputError
 from ckeval.export import (
     assessments_document,
@@ -50,7 +52,7 @@ from ckeval.rules import (
     load_rules,
     paper_rule_preset,
 )
-from ckeval.tables import metrics_from_csv, metrics_to_document
+from ckeval.tables import format_value, metrics_from_csv, metrics_to_document
 from ckeval.versions import compare_versions
 import report_oracle
 from test_version_compare import FIVE_VERSIONS
@@ -564,6 +566,21 @@ def test_chart_is_wellformed_single_root_and_deterministic(tmp_path):
                        title="Metrik Değerlerine Göre Sürümler")
     assert again == svg
     assert (tmp_path / "chart.svg").read_text(encoding="utf-8") == svg
+
+
+@given(st.one_of(st.floats(0, 1e4), st.integers(0, 2 * 10**7).map(lambda k: k / 2000),
+                 st.integers(0, 10**8).map(float), st.floats(0, allow_infinity=False)))
+@example(0.0005)
+@example(2.0005)
+@example(1234.5675)
+@example(99999999.9994)
+@example(99999999.9996)
+@example(5e-324)
+def test_chart_axis_label_is_the_report_text_where_that_fits(value):
+    # a bar's tooltip is _axis_label(value), which a report's text must match
+    text = format_value(value)
+    assume(len(text) <= AXIS_LABEL_CHARS)
+    assert _axis_label(value) == text
 
 
 def test_chart_legend_lists_all_series():
