@@ -17,20 +17,19 @@ document order: ``build_model`` is the one step that sorts and
 de-duplicates them, for both paths, and keeps a class whose members are
 already in order. ``_check`` is the one validation pass.
 
-The value types ``FieldInfo``, ``CallRef``, ``MethodInfo``, ``ClassInfo``
-and ``Diagnostic`` are ``NamedTuple``s: each is iterable, equals and hashes
-as its plain tuple of fields, orders against plain tuples, and is copied
-with ``_replace`` (``dataclasses.replace`` does not apply). The reader
-builds them in C with ``tuple.__new__``, not through the ``NamedTuple``'s
-Python-level ``__new__``. ``ClassModel`` is a frozen dataclass whose
-caches, built on first use, take no part in ``==``, ``repr`` or ``hash``.
+Every value type here is a ``NamedTuple``: it is iterable, equals and
+hashes as its plain tuple of fields, orders against plain tuples, and is
+copied with ``_replace``. The reader builds ``FieldInfo``, ``CallRef``,
+``MethodInfo`` and ``ClassInfo`` in C with ``tuple.__new__``, not through
+the ``NamedTuple``'s Python-level ``__new__``. ``ClassModel`` keeps its
+caches, built on first use, in its instance ``__dict__``: they take no part
+in ``==``, ``repr`` or ``hash``, and a ``_replace`` copy starts without them.
 The reader and the Java lowering both build a method through
 ``make_method``, which turns each call triple into a ``CallRef`` and gives
 every method without used fields, calls or referenced classes one shared
 empty ``frozenset``.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 import json
 from operator import attrgetter
@@ -102,11 +101,8 @@ class ClassInfo(NamedTuple):
     is_external: bool = False
 
 
-@dataclass(frozen=True)
-class ClassModel:
-    project_name: str
-    classes: tuple[ClassInfo, ...]
-
+class ClassModel(NamedTuple("ClassModel", [("project_name", str),
+                                             ("classes", tuple[ClassInfo, ...])])):
     @cached_property
     def _by_name(self) -> dict[str, ClassInfo]:
         return {c.qualified_name: c for c in self.classes}
@@ -287,6 +283,8 @@ def read_project_name(doc: dict, default: str = "") -> str:
 def _parse_json(document: str | dict, what: str):
     if isinstance(document, (dict, list)):
         return document
+    if not isinstance(document, (str, bytes, bytearray)):
+        raise SchemaError("$", f"{what} must be JSON text or a parsed document")
     try:
         return json.loads(document)
     except (ValueError, RecursionError) as exc:

@@ -19,14 +19,13 @@ cannot take that way (a repeated scope, an unhashable value, a faulty fact)
 are chained fact by fact by ``_chain``, which ``forward_chain`` uses.
 """
 
-from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cache, cached_property
-from importlib import resources
 from itertools import combinations, compress
 import json
 import math
 from operator import not_
+import pkgutil
 from typing import NamedTuple
 
 from .errors import RuleError, RuleOverlapError, SchemaError, UsageError
@@ -139,12 +138,14 @@ class Fact(NamedTuple):
     scope: str = "project"
 
 
-@dataclass
-class Assessment:
+class Assessment(NamedTuple):
+    """One scope's conclusions; chaining fills the dicts and the list in
+    place, so an Assessment is not hashable."""
+
     scope: str
-    derived: dict[str, Level] = field(default_factory=dict)
-    derived_by: dict[str, str] = field(default_factory=dict)
-    fired_rules: list[str] = field(default_factory=list)
+    derived: dict[str, Level]
+    derived_by: dict[str, str]
+    fired_rules: list[str]
 
     def pairs(self) -> list[tuple[str, Level]]:
         return list(self.derived.items())
@@ -183,14 +184,10 @@ class _EffectTable(dict):
         return effect
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
-    """Rules in order, plus an effect table kept for as long as the base
-    lives; the table only grows, so a base may be shared across threads.
-    ==, repr and hash ignore the table."""
-
-    name: str
-    rules: tuple[Rule, ...]
+class KnowledgeBase(NamedTuple("KnowledgeBase", [("name", str), ("rules", tuple[Rule, ...])])):
+    """Rules in order, plus an effect table kept in the instance ``__dict__``
+    for as long as the base lives; the table only grows, so a base may be
+    shared across threads. ==, repr and hash ignore the table."""
 
     def rules_for(self, metric: str) -> list[Rule]:
         return [r for r in self.rules if r.metric == metric]
@@ -409,8 +406,7 @@ def _load_builtin(name: str) -> KnowledgeBase:
 
     Bases are frozen, so every caller can share the one object.
     """
-    return load_rules((resources.files("ckeval") / "data" / f"{name}_rules.json")
-                      .read_text("utf-8"))
+    return load_rules(pkgutil.get_data("ckeval", f"data/{name}_rules.json").decode("utf-8"))
 
 
 def default_rule_base() -> KnowledgeBase:
@@ -455,7 +451,7 @@ def _chain(groups, kb: KnowledgeBase) -> list[Assessment]:
             except TypeError:  # an unhashable value
                 effect = table.effect(*key)
             if assessment is None:
-                assessment = assessments[scope] = Assessment(scope=scope)
+                assessment = assessments[scope] = Assessment(scope, {}, {}, [])
             assessment.fired_rules.extend(effect[0])
             assessment.derived.update(effect[1])
             assessment.derived_by.update(effect[2])

@@ -34,7 +34,9 @@ from ckeval.java.parser import (ClassDecl, FieldDecl, MethodDecl, ParseDiagnosti
                                 SourceUnit, TypeRef)
 from ckeval.metrics import ProjectMetrics, compute_all
 from ckeval.report import Report, Section
-from ckeval.rules import Fact, Interval, RangeFilter, Rule, ValueSet
+from ckeval.rules import (Assessment, Fact, Interval, KnowledgeBase, Level, RangeFilter, Rule,
+                          ValueSet, default_rule_base, evaluate_project, paper_rule_preset)
+from ckeval.tables import metrics_from_csv
 from ckeval.versions import VersionRecord, VersionVerdict
 from conftest import random_model
 import model_reader_oracle as oracle
@@ -397,13 +399,81 @@ def test_values_keep_the_fields_and_defaults_of_the_dataclasses(new_type, old_ty
                                         if f.default is not MISSING}
 
 
-def test_only_values_with_a_cache_or_mutable_state_are_dataclasses():
+# the three values that keep a cache or mutable state, as they were
+OldModel = make_dataclass("ClassModel", [("project_name", str), ("classes", tuple)], frozen=True)
+OldBase = make_dataclass("KnowledgeBase", [("name", str), ("rules", tuple)], frozen=True)
+OldAssessment = make_dataclass("Assessment", [("scope", str), ("derived", dict),
+                                              ("derived_by", dict), ("fired_rules", list)])
+
+_RULES = default_rule_base().rules[::5] + paper_rule_preset().rules
+
+
+def fill_caches(value):
+    """``value`` once every cache it keeps holds entries."""
+    if isinstance(value, ClassModel):
+        for cls in value.classes:
+            assert value.get(cls.qualified_name) is cls
+        compute_all(value)
+        assert set(vars(value)) == {"_by_name", "_metric_index"}
+    else:
+        evaluate_project(metrics_from_csv("CLASS,WMC,DIT,NOC,CBO,RFC,LCOM\nA,1,2,3,4,5,6\n"),
+                         value)
+        assert list(vars(value)) == ["_effect_table"] and value._effect_table
+    return value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["", "p"]), st.integers(0, 3)), max_size=5),
+       st.lists(st.tuples(st.sampled_from(["default", "x"]),
+                          st.lists(st.sampled_from(_RULES), max_size=2).map(tuple)),
+                max_size=5),
+       st.lists(st.tuples(_names, st.dictionaries(_names, st.sampled_from(list(Level)),
+                                                  max_size=2),
+                          st.dictionaries(_names, _names, max_size=2),
+                          st.lists(_names, max_size=2)), max_size=5))
+def test_cached_and_mutable_values_equal_hash_and_repr_as_the_dataclasses_did(
+        models, bases, assessments):
+    # every other value has its caches filled, which must change nothing
+    model_pairs = []
+    for i, (name, seed) in enumerate(models):
+        classes = random_model(random.Random(seed), max_classes=3).classes
+        model = ClassModel(name, classes)
+        model_pairs.append((fill_caches(model) if i % 2 else model, OldModel(name, classes)))
+    assert_same_as_dataclass(model_pairs)
+    base_pairs = []
+    for i, raw in enumerate(bases):
+        base = KnowledgeBase(*raw)
+        base_pairs.append((fill_caches(base) if i % 2 else base, OldBase(*raw)))
+    assert_same_as_dataclass(base_pairs)
+    assessment_pairs = [(Assessment(*raw), OldAssessment(*raw)) for raw in assessments]
+    assert_same_as_dataclass(assessment_pairs)
+    assert all(hash_or_error(new) is TypeError for new, _ in assessment_pairs)
+
+
+def test_replace_gives_a_value_whose_caches_start_empty():
+    for seed in range(10):
+        model = fill_caches(random_model(random.Random(seed)))
+        other = random_model(random.Random(seed + 100))
+        fresh = ClassModel(model.project_name, other.classes)
+        replaced = model._replace(classes=other.classes)
+        assert type(replaced) is ClassModel and vars(replaced) == {} and replaced == fresh
+        assert compute_all(replaced) == compute_all(fresh)
+        assert all(replaced.get(c.qualified_name) is c for c in other.classes)
+
+    pm = metrics_from_csv("CLASS,WMC,DIT,NOC,CBO,RFC,LCOM\nA,0,1,2,3,4,50\n")
+    base = fill_caches(KnowledgeBase("b", default_rule_base().rules))
+    replaced = base._replace(rules=paper_rule_preset().rules)
+    assert type(replaced) is KnowledgeBase and vars(replaced) == {}
+    assert evaluate_project(pm, replaced) == evaluate_project(pm, paper_rule_preset())
+    assert evaluate_project(pm, replaced) != evaluate_project(pm, base)
+
+
+def test_no_class_is_a_dataclass():
     modules = [importlib.import_module(info.name) for info in pkgutil.walk_packages(
         ckeval.__path__, "ckeval.")]
-    dataclasses = {name for module in modules
-                   for name, value in inspect.getmembers(module, inspect.isclass)
-                   if value.__module__ == module.__name__ and is_dataclass(value)}
-    assert dataclasses == {"ClassModel", "KnowledgeBase", "Assessment"}
+    assert not [f"{module.__name__}.{name}" for module in modules
+                for name, value in inspect.getmembers(module, inspect.isclass)
+                if value.__module__ == module.__name__ and is_dataclass(value)]
     assert not [module.__name__ for module in modules
                 if "object.__setattr__" in Path(module.__file__).read_text(encoding="utf-8")]
 

@@ -888,6 +888,24 @@ def test_json_readers_turn_parser_limits_into_input_errors(value):
         load_rules('{"name": "n", "rules": [], "n": %s}' % value)
 
 
+@pytest.mark.parametrize("document", [None, 3, 1.5, True, ("{}",), {"{}"}],
+                         ids=["None", "int", "float", "bool", "tuple", "set"])
+@pytest.mark.parametrize("load", [load_class_model, load_rules])
+def test_document_of_no_json_type_is_a_schema_error(load, document):
+    # json.loads raised TypeError here, outside the InputError family
+    with pytest.raises(SchemaError, match="must be JSON text or a parsed document") as info:
+        load(document)
+    assert info.value.path == "$"
+
+
+def test_document_as_bytes_is_read_as_json_text():
+    model = '{"schemaVersion": 1, "projectName": "p", "classes": [{"name": "p.A"}]}'
+    rules = serialize_rules(paper_rule_preset())
+    for encode in (str.encode, lambda text: bytearray(text.encode())):
+        assert load_class_model(encode(model)) == load_class_model(model)
+        assert load_rules(encode(rules)) == paper_rule_preset()
+
+
 @pytest.mark.parametrize("command, header", [
     ("evaluate", "CLASS,WMC,DIT,NOC,CBO,RFC,LCOM"),
     ("compare", "VERSION,WMC,DIT,NOC,CBO,RFC,LCOM"),

@@ -610,6 +610,13 @@ def test_cli_import_leaves_decimal_and_numbers_out():
     assert modules_after_cli_import("m in ('decimal', '_decimal', 'numbers')") == "[]\n"
 
 
+def test_cli_import_leaves_dataclasses_inspect_and_importlib_resources_out():
+    # the values are NamedTuples and the built-in bases are read through
+    # pkgutil; dataclasses alone would load inspect, ast, dis and tokenize
+    assert modules_after_cli_import(
+        "m in ('dataclasses', 'inspect', 'importlib.resources')") == "[]\n"
+
+
 @given(st.text())
 @example("a & b < c > d &amp; \"q\" 'r'")
 def test_chart_escape_is_saxutils_escape(text):

@@ -431,7 +431,7 @@ def chain_oracle(facts: list[Fact], kb: KnowledgeBase) -> list[Assessment]:
             raise RuleError(f"fact {fact.metric}={fact.value} is negative")
         if fact.metric not in METRICS:
             raise RuleError(f"fact has unknown metric {fact.metric!r}")
-        scope = assessments.setdefault(fact.scope, Assessment(scope=fact.scope))
+        scope = assessments.setdefault(fact.scope, Assessment(fact.scope, {}, {}, []))
         rule = scan_oracle(kb, fact.metric, fact.value)
         if rule is None:
             continue
