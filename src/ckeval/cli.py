@@ -160,7 +160,7 @@ def _cmd_analyze(args) -> int:
         try:
             data = path.read_bytes()
         except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}") from None
+            raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
         name = path.as_posix()
         try:
             units.append(parse_source(decode_source(data, name), name))
@@ -186,11 +186,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     pm = tables.load_metrics_input(args.input)
-    inputs = export_mod.input_provenance([args.input])
     if args.select:
         filters = rules_mod.filter_by_ranges(pm, rules_mod.parse_selection(args.select))
         if args.format == "structured":
-            doc = export_mod.filters_document(filters, inputs)
+            doc = export_mod.filters_document(filters, export_mod.input_provenance([args.input]))
             _write_output(export_mod.export_structured(doc), args.out)
         else:
             report = report_mod.filter_report(filters, locale=args.locale)
@@ -200,6 +199,7 @@ def _cmd_evaluate(args) -> int:
     kb = rules_mod.resolve_rule_base(args.rules)
     assessments = rules_mod.evaluate_project(pm, kb, scope=args.scope)
     if args.format == "structured":
+        inputs = export_mod.input_provenance([args.input])
         _write_output(export_mod.assessments_text(assessments, kb, args.scope, inputs),
                       args.out)
     else:

@@ -37,8 +37,8 @@ class InheritanceCycleError(InputError):
 
 
 class DuplicateClassError(InputError):
-    def __init__(self, name: str):
-        super().__init__(f"duplicate class name: {name}")
+    def __init__(self, name: str, where: str = ""):
+        super().__init__(f"duplicate class name: {name}" + (where and f", {where}"))
         self.name = name
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import sys
 
 from .metrics import value_getter
-from .rules import Assessment, Interval, KnowledgeBase, LEVEL_NAMES, RangeFilter
+from .rules import Assessment, KnowledgeBase, LEVEL_NAMES, RangeFilter
 from .versions import VersionVerdict
 
 EXPORT_SCHEMA_VERSION = 1
@@ -163,14 +163,10 @@ def verdicts_document(verdicts: list[VersionVerdict],
 def filters_document(filters: list[RangeFilter], inputs: list[dict]) -> dict:
     out = []
     for f in filters:
-        if isinstance(f.condition, Interval):
-            condition = {"range": [f.condition.lo, f.condition.hi]}
-        else:
-            condition = {"values": sorted(f.condition.values)}
         column = value_getter(f.metric)
         out.append({
             "metric": f.metric,
-            "condition": condition,
+            "condition": f.condition.document(),
             "inRange": [{"class": r.class_name, "value": column(r)}
                         for r in f.in_range],
             "outOfRange": [{"class": r.class_name, "value": column(r)}

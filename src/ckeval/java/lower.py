@@ -24,6 +24,7 @@ end of the body if none does. No argument list is scanned twice, so
 lowering stays linear in the body however deeply calls nest.
 """
 
+from ..errors import DuplicateClassError
 from ..model import ClassInfo, ClassModel, FieldInfo, build_model, make_method
 from .lexer import PRIMITIVES
 from .parser import ClassDecl, MethodDecl, SourceUnit
@@ -46,12 +47,19 @@ def qualified_name(package: str, simple: str) -> str:
 
 
 def lower_to_model(units: list[SourceUnit], project_name: str = "") -> ClassModel:
-    """Join parsed units into one validated ClassModel."""
+    """Join parsed units into one validated ClassModel; a class declared
+    twice raises DuplicateClassError naming the files of both."""
     package_index: dict[str, dict[str, str]] = {}
+    declared_in: dict[str, str] = {}  # qualified name -> its unit's path
     for unit in units:
         bucket = package_index.setdefault(unit.package_name, {})
         for decl in unit.classes:
-            bucket[decl.name] = qualified_name(unit.package_name, decl.name)
+            name = bucket[decl.name] = qualified_name(unit.package_name, decl.name)
+            if name in declared_in:
+                first = declared_in[name]
+                raise DuplicateClassError(name, f"twice in {first}" if first == unit.path
+                                          else f"in {first} and {unit.path}")
+            declared_in[name] = unit.path
 
     classes: list[ClassInfo] = []
     for unit in units:

@@ -92,6 +92,12 @@ class Interval(NamedTuple):
             return f"{format_value(self.lo)}+"
         return f"{format_value(self.lo)} - {format_value(self.hi)}"
 
+    def bounds(self) -> tuple[float, ...]:
+        return (self.lo,) if self.hi is None else (self.lo, self.hi)
+
+    def document(self) -> dict:
+        return {"range": [self.lo, self.hi]}
+
 
 class ValueSet(NamedTuple):
     values: frozenset[float]
@@ -102,24 +108,26 @@ class ValueSet(NamedTuple):
     def describe(self) -> str:
         return ", ".join(format_value(v) for v in sorted(self.values))
 
+    def bounds(self) -> tuple[float, ...]:
+        return tuple(sorted(self.values))
 
+    def document(self) -> dict:
+        return {"values": sorted(self.values)}
+
+
+#: A metric band, read outside its class only through ``matches``,
+#: ``describe``, ``bounds`` (finite ends, ascending) and ``document``.
 Condition = Interval | ValueSet
 
 
 def conditions_overlap(a: Condition, b: Condition) -> float | None:
-    """A value matched by both conditions, or None when disjoint."""
-    if isinstance(a, Interval) and isinstance(b, Interval):
-        lo = max(a.lo, b.lo)
-        if (a.hi is None or lo <= a.hi) and (b.hi is None or lo <= b.hi):
-            return lo
-        return None
-    if isinstance(a, ValueSet) and isinstance(b, ValueSet):
-        common = a.values & b.values
-        return min(common) if common else None
-    values = a.values if isinstance(a, ValueSet) else b.values
-    interval = b if isinstance(a, ValueSet) else a
-    hits = sorted(v for v in values if interval.matches(v))
-    return hits[0] if hits else None
+    """The least value matched by both conditions, or None when disjoint.
+
+    Where two conditions meet, the least value they share is a bound of
+    one of them, so only the bounds are tried.
+    """
+    return min((v for v in (*a.bounds(), *b.bounds()) if a.matches(v) and b.matches(v)),
+               default=None)
 
 
 class Rule(NamedTuple):
@@ -206,25 +214,14 @@ class KnowledgeBase(NamedTuple("KnowledgeBase", [("name", str), ("rules", tuple[
     def is_complete(self) -> bool:
         """Whether every non-negative integer of every metric matches a rule.
 
-        Each condition covers spans of integers. Sorted by their starts, the
-        spans of a metric must reach from 0 to infinity with no gap.
+        If one does not, the least such integer n is 0, or n - 1 matches a
+        rule whose condition ends below n; so n is floor(b) + 1 for some
+        bound b, and only those integers are tried.
         """
         for metric in METRICS:
-            spans = []
-            for rule in self.rules_for(metric):
-                cond = rule.condition
-                if isinstance(cond, ValueSet):
-                    spans.extend((int(v), int(v)) for v in cond.values
-                                 if float(v).is_integer())
-                else:
-                    spans.append((math.ceil(cond.lo), math.inf if cond.hi is None
-                                  else math.floor(cond.hi)))
-            covered = 0  # the least integer that no span so far covers
-            for lo, hi in sorted(spans):
-                if lo > covered:
-                    return False
-                covered = max(covered, hi + 1)
-            if covered < math.inf:
+            conditions = [rule.condition for rule in self.rules_for(metric)]
+            tried = {0, *(math.floor(b) + 1 for c in conditions for b in c.bounds())}
+            if any(n >= 0 and not any(c.matches(n) for c in conditions) for n in tried):
                 return False
         return True
 
@@ -242,8 +239,8 @@ def build_knowledge_base(name: str, rules: list[Rule]) -> KnowledgeBase:
             if attribute not in ATTRIBUTES:
                 raise RuleError(f"rule {rule.id!r}: unregistered attribute "
                                 f"{attribute!r}")
-        if (isinstance(rule.condition, Interval) and rule.condition.hi is not None
-                and rule.condition.hi < rule.condition.lo):
+        # a condition that matches none of its bounds matches nothing
+        if not any(map(rule.condition.matches, rule.condition.bounds())):
             raise RuleError(f"rule {rule.id!r}: invalid range")
 
     for metric in METRICS:
@@ -258,11 +255,7 @@ def build_knowledge_base(name: str, rules: list[Rule]) -> KnowledgeBase:
 
 
 def _rule_sort_key(rule: Rule) -> tuple:
-    if isinstance(rule.condition, Interval):
-        low = rule.condition.lo
-    else:
-        low = min(rule.condition.values)
-    return (METRICS.index(rule.metric), low, rule.id)
+    return (METRICS.index(rule.metric), rule.condition.bounds()[0], rule.id)
 
 
 # --- document form -----------------------------------------------------------
@@ -378,12 +371,8 @@ def rules_to_document(kb: KnowledgeBase) -> dict:
     entries = []
     for rule in kb.rules:
         entry: dict = {"id": rule.id, "metric": rule.metric}
-        if isinstance(rule.condition, Interval):
-            entry["range"] = [_plain(rule.condition.lo),
-                              None if rule.condition.hi is None
-                              else _plain(rule.condition.hi)]
-        else:
-            entry["values"] = [_plain(v) for v in sorted(rule.condition.values)]
+        for key, numbers in rule.condition.document().items():
+            entry[key] = [v if v is None else _plain(v) for v in numbers]
         entry["conclusions"] = [
             {"attribute": attribute, "level": LEVEL_NAMES[level]}
             for attribute, level in rule.conclusions

@@ -10,6 +10,7 @@ sole argument, as in ``step((n))``, as one argument.
 
 from dataclasses import dataclass
 
+from ckeval.errors import DuplicateClassError
 from ckeval.java.lexer import LexError, MODIFIERS, PRIMITIVES, Token, tokenize
 from ckeval.java.parser import (ClassDecl, FieldDecl, MethodDecl, ParseDiagnostic,
                                 ParseError, SourceUnit, TypeRef)
@@ -330,12 +331,23 @@ def qualified_name(package: str, simple: str) -> str:
 
 
 def oracle_lower_to_model(units: list[SourceUnit], project_name: str = "") -> ClassModel:
-    """Join parsed units into one validated ClassModel."""
+    """Join parsed units into one validated ClassModel.
+
+    The first class declared a second time, in unit order, raises
+    DuplicateClassError with the files of both declarations.
+    """
     package_index: dict[str, dict[str, str]] = {}
+    paths: dict[str, list[str]] = {}
     for unit in units:
         bucket = package_index.setdefault(unit.package_name, {})
         for decl in unit.classes:
-            bucket[decl.name] = qualified_name(unit.package_name, decl.name)
+            name = qualified_name(unit.package_name, decl.name)
+            bucket[decl.name] = name
+            paths.setdefault(name, []).append(unit.path)
+            if len(paths[name]) == 2:
+                first, second = paths[name]
+                raise DuplicateClassError(
+                    name, f"twice in {first}" if first == second else f"in {first} and {second}")
 
     classes: list[ClassInfo] = []
     for unit in units:

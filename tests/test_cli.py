@@ -707,7 +707,30 @@ def test_analyze_unreadable_file_is_an_input_error(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: refuse(self))
     code, _, err = run_cli(["analyze", str(tmp_path)], capsys)
     assert code == 2
-    assert "cannot read" in err and "A.java" in err
+    # worded as tables.read_text words it
+    assert err == f"ckeval: error: cannot read {source}: Permission denied\n"
+
+
+def test_analyze_names_both_files_of_a_duplicate_class(tmp_path, capsys):
+    for package in ("p", "q"):
+        (tmp_path / package).mkdir()
+        (tmp_path / package / "A.java").write_text(
+            "package p; public class A { void m(){} }", encoding="utf-8")
+    code, out, err = run_cli(["analyze", str(tmp_path / "p"), str(tmp_path / "q")], capsys)
+    assert (code, out) == (2, "")
+    first, second = ((tmp_path / d / "A.java").as_posix() for d in ("p", "q"))
+    assert err == f"ckeval: error: duplicate class name: p.A, in {first} and {second}\n"
+
+
+def test_text_evaluate_reads_no_provenance(fixtures, capsys, monkeypatch):
+    def refuse(paths):
+        raise AssertionError("text output prints no provenance")
+
+    monkeypatch.setattr("ckeval.export.input_provenance", refuse)
+    for options in ([], ["--select", "WMC=2-5"]):
+        code, _, err = run_cli(
+            ["evaluate", str(fixtures / "moreunit_classes.csv"), *options], capsys)
+        assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("spec, shown", [

@@ -110,8 +110,14 @@ def test_empty_unit_collection():
 def test_duplicate_class_across_units():
     unit1 = parse_source("package p; class A {}", "1.java")
     unit2 = parse_source("package p; class A {}", "2.java")
-    with pytest.raises(DuplicateClassError):
-        lower_to_model([unit1, unit2])
+    with pytest.raises(DuplicateClassError) as err:
+        lower_to_model([parse_source("package p; class B {}", "B.java"), unit1, unit2])
+    assert err.value.name == "p.A"
+    assert str(err.value) == "duplicate class name: p.A, in 1.java and 2.java"
+    # two top-level classes of one name in one file
+    with pytest.raises(DuplicateClassError) as err:
+        lower_to_model([parse_source("class A {} class B {} class A {}", "A.java")])
+    assert str(err.value) == "duplicate class name: A, twice in A.java"
 
 
 def test_resolution_order_field_before_package_class():

@@ -19,6 +19,8 @@ from ckeval.rules import (
     Level,
     Rule,
     ValueSet,
+    build_knowledge_base,
+    conditions_overlap,
     default_rule_base,
     evaluate_project,
     filter_by_ranges,
@@ -29,8 +31,10 @@ from ckeval.rules import (
     round_half_up,
     serialize_rules,
 )
-from ckeval.rules import _load_builtin
+from ckeval.rules import _load_builtin, _rule_sort_key
 from ckeval.tables import metrics_from_csv
+from rules_oracle import (oracle_build_knowledge_base, oracle_conditions_overlap,
+                          oracle_is_complete, oracle_rule_sort_key)
 
 # The three published example rules, written out pair by pair.
 PAPER_DIT_5 = [
@@ -136,6 +140,7 @@ def test_default_base_has_42_rules():
 
 def test_default_base_disjoint_and_complete_scan():
     kb = default_rule_base()
+    assert kb.is_complete()
     for metric in METRICS:
         rules = kb.rules_for(metric)
         for v in range(0, 1001):
@@ -795,3 +800,100 @@ def test_a_base_shared_across_threads_chains_as_the_oracle():
     for (metric, value), effect in kb._effect_table.items():
         rule = scan_oracle(kb, metric, value)
         assert effect == effect_of(rule)
+
+
+# --- conditions read through their bounds, against the type switches ------------
+
+large_bounds = st.one_of(st.integers(0, 10**20), st.floats(0, 1e300),
+                         st.sampled_from([10**20, 1e20, 1e300, 2**53 + 1, float(2**53)]))
+any_conditions = st.one_of(
+    conditions,
+    st.tuples(large_bounds, st.one_of(st.none(), large_bounds)).map(
+        lambda b: Interval(b[0]) if b[1] is None else Interval(min(b), max(b))),
+    st.frozensets(st.one_of(bounds, large_bounds), min_size=1, max_size=6).map(ValueSet),
+)
+
+
+@st.composite
+def covering_rules(draw):
+    """Rules whose bands cover the integers from 0 up, as intervals that may
+    end half way to the next band, value sets and an open or huge last band;
+    now and then one band is dropped or moved, which leaves a gap."""
+    rules = []
+    for metric in METRICS:
+        cuts = sorted(draw(st.sets(st.integers(1, 40), max_size=5)))
+        for lo, hi in zip([0, *cuts], cuts):
+            rules.append((metric, draw(st.sampled_from([
+                Interval(lo, hi - 1), Interval(float(lo), hi - 0.5),
+                ValueSet(frozenset(range(lo, hi)))]))))
+        last = cuts[-1] if cuts else 0
+        rules.append((metric, Interval(last, draw(st.sampled_from([None] * 11 + [1e300])))))
+    now_and_then = st.sampled_from([False] * 3 + [True])
+    if draw(now_and_then):
+        del rules[draw(st.integers(0, len(rules) - 1))]
+    if draw(now_and_then):
+        i = draw(st.integers(0, len(rules) - 1))
+        rules[i] = (rules[i][0], draw(any_conditions))
+    return [Rule(f"r{i}", metric, condition, (("quality", Level.NORMAL),))
+            for i, (metric, condition) in enumerate(rules)]
+
+
+def g_text(value):
+    return None if value is None else f"{value:g}"
+
+
+def rules_or_error(build, rules):
+    """The rules of the base that ``build`` makes, or the type and text of
+    the error it raises."""
+    try:
+        return build("hand", rules).rules
+    except RuleError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_conditions, any_conditions)
+@example(Interval(0, 5), ValueSet(frozenset([5.0, 3])))
+@example(Interval(10**20), ValueSet(frozenset([1e20])))
+@example(Interval(1e300, 1e300), Interval(0))
+@example(ValueSet(frozenset([2**53 + 1])), Interval(float(2**53), float(2**53)))
+def test_overlap_from_bounds_is_the_type_switch(a, b):
+    for first, second in ((a, b), (b, a)):
+        got = conditions_overlap(first, second)
+        want = oracle_conditions_overlap(first, second)
+        assert (got, g_text(got)) == (want, g_text(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(covering_rules(),
+                 hand_built_rules.map(lambda drawn: [
+                     Rule(f"r{i}", metric, condition, tuple(conclusions))
+                     for i, (metric, condition, conclusions) in enumerate(drawn)]),
+                 st.lists(st.tuples(st.sampled_from(METRICS), any_conditions), max_size=14).map(
+                     lambda drawn: [Rule(f"r{i}", metric, condition, (("quality", Level.LOW),))
+                                    for i, (metric, condition) in enumerate(drawn)])))
+def test_cover_and_order_from_bounds_are_the_type_switch(rules):
+    kb = KnowledgeBase(name="hand", rules=tuple(rules))
+    assert kb.is_complete() == oracle_is_complete(kb)
+    assert list(map(_rule_sort_key, rules)) == list(map(oracle_rule_sort_key, rules))
+    assert rules_or_error(build_knowledge_base, rules) \
+        == rules_or_error(oracle_build_knowledge_base, rules)
+
+
+invalid_conditions = st.tuples(bounds, bounds).filter(lambda b: b[0] != b[1]).map(
+    lambda b: Interval(max(b), min(b)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abcdefghij"),
+                          st.sampled_from(METRICS[:2]),
+                          st.one_of(any_conditions, invalid_conditions),
+                          st.sampled_from(["quality"] * 6 + ["coupling", "elegance"])),
+                max_size=8))
+def test_rule_base_errors_come_as_from_the_type_switch(drawn):
+    """Duplicate ids, unregistered attributes, invalid ranges and overlaps:
+    the same error, with the same text, raised first."""
+    rules = [Rule(rule_id, metric, condition, ((attribute, Level.HIGH),))
+             for rule_id, metric, condition, attribute in drawn]
+    assert rules_or_error(build_knowledge_base, rules) \
+        == rules_or_error(oracle_build_knowledge_base, rules)
