@@ -185,9 +185,11 @@ def _cmd_analyze(args) -> int:
 # --- evaluate ----------------------------------------------------------------
 
 def _cmd_evaluate(args) -> int:
+    # a bad selection is a usage error, whatever the input holds
+    selection = rules_mod.parse_selection(args.select) if args.select else None
     pm = tables.load_metrics_input(args.input)
-    if args.select:
-        filters = rules_mod.filter_by_ranges(pm, rules_mod.parse_selection(args.select))
+    if selection:
+        filters = rules_mod.filter_by_ranges(pm, selection)
         if args.format == "structured":
             doc = export_mod.filters_document(filters, export_mod.input_provenance([args.input]))
             _write_output(export_mod.export_structured(doc), args.out)

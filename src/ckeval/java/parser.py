@@ -111,15 +111,15 @@ def parse_source(text: str, path: str) -> SourceUnit:
 class _Parser:
     """Recursive descent over the kind and text columns of a ``Tokens``.
 
-    A position is a token index. ``self.kinds`` and ``self.texts`` are the
-    columns with one more eof, so the token after any token but the last
-    eof is there to look at. The grammar rules index them directly on their
-    success path and keep the position in a local, storing it back in
-    ``self.pos`` before they call another rule. Only a diagnostic asks the
-    tokens for a line and column. A check that fails goes through
-    ``expected`` or ``fail``, whose diagnostics are the ones ``expect``
-    gives. A keyword or punctuation token is recognized by its text alone:
-    no identifier, literal or end-of-file token has such a text.
+    A position is a token index, and ``self.pos`` is the current one.
+    ``self.kinds`` and ``self.texts`` are the columns with one more eof, so
+    the token after any token but the last eof is there to look at. The
+    grammar rules look ahead by indexing them and move on by adding to
+    ``self.pos``. A keyword or punctuation token is recognized by its text
+    alone: no identifier, literal or end-of-file token has such a text.
+    Every token that must be there is read through ``expect``; a check that
+    fails goes through ``expected`` or ``fail``. Only a diagnostic asks the
+    tokens for a line and column.
     """
 
     def __init__(self, tokens: Tokens, path: str):
@@ -131,20 +131,14 @@ class _Parser:
 
     # --- token plumbing ---
 
-    def at(self, kind: str, text: str | None = None) -> bool:
+    def expect(self, wanted: str) -> int:
+        """Move past the token at the position, which must have the text
+        ``wanted`` (any identifier for ``"ident"``), and return its position."""
         pos = self.pos
-        return self.kinds[pos] == kind and (text is None or self.texts[pos] == text)
-
-    def take(self) -> int:
-        pos = self.pos
-        if self.kinds[pos] != "eof":
-            self.pos += 1
+        if (self.kinds if wanted == "ident" else self.texts)[pos] != wanted:
+            self.expected(wanted, pos)
+        self.pos = pos + 1
         return pos
-
-    def expect(self, kind: str, text: str | None = None) -> int:
-        if not self.at(kind, text):
-            self.expected(text if text is not None else kind, self.pos)
-        return self.take()
 
     def expected(self, wanted: str, pos: int) -> NoReturn:
         """Fail as ``expect`` does when the token at pos is not wanted."""
@@ -161,44 +155,36 @@ class _Parser:
     # --- grammar ---
 
     def parse_unit(self) -> SourceUnit:
-        kinds, texts = self.kinds, self.texts
+        texts = self.texts
         package = ""
         if texts[self.pos] == "package":
             self.pos += 1
             package = self.qualified_name()
-            self.expect("punct", ";")
+            self.expect(";")
 
         imports: list[tuple[str, bool]] = []
-        pos = self.pos
-        while texts[pos] == "import":
-            pos += 1
-            if texts[pos] == "static":
-                pos += 1
-            if kinds[pos] != "ident":
-                self.expected("ident", pos)
-            first = pos
-            pos += 1
-            while texts[pos] == "." and kinds[pos + 1] == "ident":
-                pos += 2
-            name = ".".join(texts[first:pos:2])
-            on_demand = texts[pos] == "."
+        while texts[self.pos] == "import":
+            self.pos += 1
+            if texts[self.pos] == "static":
+                self.pos += 1
+            name = self.qualified_name()
+            on_demand = texts[self.pos] == "."
             if on_demand:
-                if texts[pos + 1] != "*":
-                    self.expected("ident", pos + 1)
-                pos += 2
-            if texts[pos] != ";":
-                self.expected(";", pos)
-            pos += 1
+                # the name stopped at this dot: no identifier follows it
+                if texts[self.pos + 1] != "*":
+                    self.expected("ident", self.pos + 1)
+                self.pos += 2
+            self.expect(";")
             imports.append((name, on_demand))
-        self.pos = pos
 
         classes = []
-        while not self.at("eof"):
+        while self.kinds[self.pos] != "eof":
             classes.append(self.type_declaration())
         return SourceUnit(path=self.path, package_name=package,
                           imports=tuple(imports), classes=tuple(classes))
 
     def qualified_name(self) -> str:
+        # type_ref reads every type through here: the check stays inline
         kinds, texts = self.kinds, self.texts
         first = pos = self.pos
         if kinds[pos] != "ident":
@@ -209,11 +195,20 @@ class _Parser:
         self.pos = pos
         return ".".join(texts[first:pos:2])
 
+    def qualified_names(self) -> tuple[str, ...]:
+        """One or more comma-separated qualified names."""
+        names = [self.qualified_name()]
+        while self.texts[self.pos] == ",":
+            self.pos += 1
+            names.append(self.qualified_name())
+        return tuple(names)
+
     def skip_annotations(self) -> None:
-        while self.at("punct", "@"):
-            self.take()
+        texts = self.texts
+        while texts[self.pos] == "@":
+            self.pos += 1
             self.qualified_name()
-            if self.at("punct", "("):
+            if texts[self.pos] == "(":
                 self.skip_balanced("(", ")")
 
     def skip_balanced(self, opener: str, closer: str) -> Tokens:
@@ -223,7 +218,7 @@ class _Parser:
         at which the openers passed are one fewer than the closers; the
         tuple methods find each closer and count the openers before it.
         """
-        start = self.expect("punct", opener)
+        start = self.expect(opener)
         texts = self.texts
         first = i = self.pos
         depth = 1
@@ -255,8 +250,9 @@ class _Parser:
 
     def type_declaration(self) -> ClassDecl:
         self.modifiers()
+        texts = self.texts
         pos = self.pos
-        kind = self.texts[pos]
+        kind = texts[pos]
         if kind == "enum":
             self.fail("enum declarations are not supported", pos)
         if kind not in ("class", "interface"):
@@ -264,46 +260,39 @@ class _Parser:
                       pos)
         self.pos = pos + 1
         name_pos = self.expect("ident")
-        name = self.texts[name_pos]
+        name = texts[name_pos]
 
-        if self.at("punct", "<"):
+        if texts[self.pos] == "<":
             self.fail("generic type parameters are not supported")
 
-        extends: list[str] = []
-        implements: list[str] = []
-        if self.at("keyword", "extends"):
-            self.take()
-            extends.append(self.qualified_name())
-            while kind == "interface" and self.at("punct", ","):
-                self.take()
-                extends.append(self.qualified_name())
-        if self.at("keyword", "implements"):
+        extends: tuple[str, ...] = ()
+        implements: tuple[str, ...] = ()
+        if texts[self.pos] == "extends":
+            self.pos += 1
+            extends = (self.qualified_names() if kind == "interface"
+                       else (self.qualified_name(),))
+        if texts[self.pos] == "implements":
             if kind == "interface":
                 self.fail("interfaces cannot implement")
-            self.take()
-            implements.append(self.qualified_name())
-            while self.at("punct", ","):
-                self.take()
-                implements.append(self.qualified_name())
+            self.pos += 1
+            implements = self.qualified_names()
 
-        self.expect("punct", "{")
+        self.expect("{")
         fields: list[FieldDecl] = []
         methods: list[MethodDecl] = []
-        texts = self.texts
         while texts[self.pos] != "}":
-            if self.at("eof"):
+            if self.kinds[self.pos] == "eof":
                 self.fail("unexpected end of file inside type body")
             self.member(name, fields, methods)
         self.pos += 1
         if name == ".".join(extends[:1]):
             self.fail("class must not extend itself", name_pos)
-        return ClassDecl(name=name, kind=kind,
-                         extends=tuple(extends), implements=tuple(implements),
+        return ClassDecl(name=name, kind=kind, extends=extends, implements=implements,
                          fields=tuple(fields), methods=tuple(methods))
 
     def member(self, class_name: str, fields: list[FieldDecl],
                methods: list[MethodDecl]) -> None:
-        kinds, texts = self.kinds, self.texts
+        texts = self.texts
         if texts[self.pos] == ";":  # stray semicolon
             self.pos += 1
             return
@@ -314,7 +303,7 @@ class _Parser:
             self.fail("nested type declarations are not supported", pos)
 
         # constructor: ClassName '('
-        if name == class_name and texts[pos + 1] == "(" and kinds[pos] == "ident":
+        if name == class_name and texts[pos + 1] == "(" and self.kinds[pos] == "ident":
             self.pos = pos + 1
             params = self.parameters()
             self.skip_throws()
@@ -322,13 +311,9 @@ class _Parser:
             return
 
         type_ = self.type_ref()
-        pos = self.pos
-        if kinds[pos] != "ident":
-            self.expected("ident", pos)
-        name = texts[pos]
-        self.pos = pos + 1
+        name = texts[self.expect("ident")]
 
-        if texts[pos + 1] == "(":
+        if texts[self.pos] == "(":
             params = self.parameters()
             self.skip_throws()
             if texts[self.pos] == ";":
@@ -346,17 +331,11 @@ class _Parser:
             if texts[self.pos] == "=":
                 self.pos += 1
                 self.skip_initializer()
-            pos = self.pos
-            if texts[pos] == ",":
-                if kinds[pos + 1] != "ident":
-                    self.expected("ident", pos + 1)
-                name = texts[pos + 1]
-                self.pos = pos + 2
-                continue
-            if texts[pos] != ";":
-                self.expected(";", pos)
-            self.pos = pos + 1
-            return
+            if texts[self.pos] != ",":
+                break
+            self.pos += 1
+            name = texts[self.expect("ident")]
+        self.expect(";")
 
     def type_ref(self) -> TypeRef:
         """A type, with any array dims after it."""
@@ -382,45 +361,29 @@ class _Parser:
         self.pos = pos
 
     def parameters(self) -> tuple[tuple[TypeRef, str], ...]:
-        kinds, texts = self.kinds, self.texts
-        pos = self.pos
-        if texts[pos] != "(":
-            self.expected("(", pos)
-        pos += 1
+        texts = self.texts
+        self.expect("(")
         params: list[tuple[TypeRef, str]] = []
-        if texts[pos] != ")":
+        if texts[self.pos] != ")":
             while True:
-                if texts[pos] == "@":
-                    self.pos = pos
+                if texts[self.pos] == "@":
                     self.skip_annotations()
-                    pos = self.pos
-                if texts[pos] == "final":
-                    pos += 1
-                self.pos = pos
+                if texts[self.pos] == "final":
+                    self.pos += 1
                 type_ = self.type_ref()
-                pos = self.pos
-                if kinds[pos] != "ident":
-                    self.expected("ident", pos)
-                params.append((type_, texts[pos]))
-                pos += 1
-                while texts[pos] == "[" and texts[pos + 1] == "]":
-                    pos += 2
-                if texts[pos] == ",":
-                    pos += 1
-                    continue
-                break
-        if texts[pos] != ")":
-            self.expected(")", pos)
-        self.pos = pos + 1
+                params.append((type_, texts[self.expect("ident")]))
+                if texts[self.pos] == "[":  # C-style dims: int a[]
+                    self.array_dims()
+                if texts[self.pos] != ",":
+                    break
+                self.pos += 1
+        self.expect(")")
         return tuple(params)
 
     def skip_throws(self) -> None:
         if self.texts[self.pos] == "throws":
             self.pos += 1
-            self.qualified_name()
-            while self.at("punct", ","):
-                self.take()
-                self.qualified_name()
+            self.qualified_names()
 
     def skip_initializer(self) -> None:
         """Swallow an initializer expression up to ',' or ';' at depth 0."""

@@ -269,6 +269,11 @@ def load_class_model(document: str | dict, project_name: str = "") -> ClassModel
         raise SchemaError("classes", _ARRAY)
 
     classes = [_read_class(entry, i) for i, entry in enumerate(raw_classes)]
+    first: dict[str, int] = {}
+    for i, cls in enumerate(classes):
+        j = first.setdefault(cls.qualified_name, i)
+        if j != i:
+            raise DuplicateClassError(cls.qualified_name, f"at classes[{j}] and classes[{i}]")
     return build_model(project, classes)
 
 

@@ -115,6 +115,24 @@ def test_duplicate_class_name_rejected():
         load_class_model(doc([{"name": "A"}, {"name": "A"}]))
 
 
+@pytest.mark.parametrize("names, message", [
+    (["p.A", "p.B", "p.A"], "duplicate class name: p.A, at classes[0] and classes[2]"),
+    # the first entry whose name an earlier one has, not the first name in order
+    (["B", "A", "B", "A"], "duplicate class name: B, at classes[0] and classes[2]"),
+    (["A", "B", "B", "A"], "duplicate class name: B, at classes[1] and classes[2]"),
+])
+def test_duplicate_class_names_both_entries(names, message):
+    with pytest.raises(DuplicateClassError) as err:
+        load_class_model(doc([{"name": name} for name in names]))
+    assert str(err.value) == message
+
+
+def test_schema_error_after_a_duplicate_class_is_raised_first():
+    with pytest.raises(SchemaError) as err:
+        load_class_model(doc([{"name": "A"}, {"name": "A"}, {"name": ""}]))
+    assert err.value.path == "classes[2].name"
+
+
 def test_self_extends_rejected():
     with pytest.raises(SchemaError):
         load_class_model(doc([{"name": "A", "extends": "A"}]))
@@ -679,11 +697,14 @@ NOT_AN_ARRAY = "\0 stands for a member that is not an array"
 
 def expected_outcome(document: dict):
     """The oracle's outcome, except where the reader refuses a fields,
-    methods or calls member that is not an array, which the oracle iterated.
+    methods or calls member that is not an array, which the oracle iterated,
+    and where it names the entries of a duplicate class.
 
     Each such member is given to the oracle as ``[NOT_AN_ARRAY]``. When the
     oracle's first error is at that entry, the reader's first error is at
-    the member; any other outcome is the reader's as well.
+    the member. When the oracle refuses a duplicate class name, the reader
+    names the first entry whose name an earlier entry has, and that earlier
+    entry. Any other outcome is the reader's as well.
     """
     marked = copy.deepcopy(document)
     members = set()
@@ -707,6 +728,13 @@ def expected_outcome(document: dict):
             and result[3][:-3] in members:
         path = result[3][:-3]
         return ("raised", SchemaError, f"{path}: must be an array", path, None)
+    if result[0] == "raised" and result[1] is DuplicateClassError:
+        first: dict[str, int] = {}
+        for i, cls in enumerate(document["classes"]):
+            j = first.setdefault(cls["name"], i)
+            if j != i:
+                message = f"duplicate class name: {cls['name']}, at classes[{j}] and classes[{i}]"
+                return result[:2] + (message,) + result[3:]
     return result
 
 

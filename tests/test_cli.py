@@ -171,6 +171,17 @@ def test_bad_selection_exits_1(fixtures, capsys):
     assert "unknown metric" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "{missing}", "--select", "WMC=x"],
+    ["compare", "{missing}", "--metrics", "XYZ"],
+])
+def test_bad_selection_is_a_usage_error_before_the_input_is_read(tmp_path, capsys, argv):
+    missing = str(tmp_path / "no" / "such.csv")
+    code, out, err = run_cli([arg.format(missing=missing) for arg in argv], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("ckeval: ") and "cannot read" not in err
+
+
 def test_help_exits_0(capsys):
     code, out, _ = run_cli(["--help"], capsys)
     assert code == 0

@@ -91,6 +91,15 @@ GRAMMAR_WORDS = ["package", "import", "static", "p", "a.b", ".", "*", ";", "clas
 @example("class A implements B, { }")
 @example("class A { void m() { { f(); } ")
 @example("class A { @X(1 void m() {} }")
+@example("interface I extends A, { }")
+@example("class A extends B, C { }")
+@example("class A { void m() throws B, { } }")
+@example("import static ; class A {}")
+@example("import a.b.; class A {}")
+@example("class A { void m(int x,) {} }")
+@example("class A { void m(@X final int a[], int) {} }")
+@example("class A { void m(int a[][], int b[) {} }")
+@example("class A { int x[ ; }")
 def test_word_soups_match_oracle(text):
     assert_same_frontend([text])
 
