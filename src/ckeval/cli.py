@@ -205,10 +205,9 @@ def _cmd_evaluate(args) -> int:
         _write_output(export_mod.assessments_text(assessments, kb, args.scope, inputs),
                       args.out)
     else:
-        report = report_mod.assessment_report(assessments, locale=args.locale,
-                                              project_name=pm.project_name,
-                                              scope=args.scope)
-        _write_output(report_mod.render_text(report), args.out)
+        _write_output(report_mod.assessment_text(assessments, locale=args.locale,
+                                                 project_name=pm.project_name,
+                                                 scope=args.scope), args.out)
     return 0
 
 

@@ -36,7 +36,7 @@ def input_provenance(paths: list[str | Path]) -> list[dict]:
         try:
             stamp = datetime.fromtimestamp(p.stat().st_mtime, tz=timezone.utc)
             modified = stamp.isoformat(timespec="seconds")
-        except OSError:
+        except (OSError, ValueError, OverflowError):  # no stat, or a time no datetime holds
             modified = None
         entries.append({"path": str(path), "modified": modified})
     return entries

@@ -2,6 +2,12 @@
 
 Rendering is deterministic; the Turkish templates mirror the wording of the
 original evaluation screens line by line, English is the default.
+
+The builders return a ``Report`` of ``Section``s, which ``render_text``
+writes. ``assessment_text`` writes the assessments' text without building
+a report, and equals ``render_text(assessment_report(...))``; the CLI
+writes its text assessments with it, and ``tests/test_report.py`` holds it
+to that reference on generated assessments.
 """
 
 from typing import NamedTuple
@@ -252,6 +258,72 @@ def assessment_report(assessments: list[Assessment], locale: str = "en",
             name_line, *found,
             (s["fired_rules"], ", ".join(a.fired_rules) or s["none"]))))
     return Report(title=s["title"], sections=tuple(sections), locale=locale)
+
+
+class _Widths(dict):
+    """attribute -> the width of its text, looked up once per call."""
+
+    def __init__(self, locale: str):
+        self.locale = locale
+
+    def __missing__(self, attribute) -> int:
+        width = self[attribute] = len(attribute_text(attribute, self.locale))
+        return width
+
+
+class _Lines(dict):
+    """(attribute, level) -> its line at one key width, formatted once; the
+    name and fired-rules keys padded to that width ride along."""
+
+    def __init__(self, width: int, name_key: str, fired_key: str, locale: str):
+        self.width, self.locale = width, locale
+        self.name = f"{name_key:<{width}} : "
+        self.fired = f"{fired_key:<{width}} : "
+
+    def __missing__(self, pair: tuple[str, Level]) -> str:
+        attribute, level = pair
+        line = self[pair] = (f"{attribute_text(attribute, self.locale):<{self.width}} : "
+                             f"{level_text(attribute, level, self.locale)}")
+        return line
+
+
+def assessment_text(assessments: list[Assessment], locale: str = "en",
+                    project_name: str = "", scope: str = "class") -> str:
+    """``render_text(assessment_report(...))``, written straight from the
+    assessments.
+
+    No ``Section`` or ``Report`` is built. The heading is uppercased once,
+    a section's key width is read from a table of attribute text widths,
+    and each (attribute, level) line is formatted once per width; a section
+    then appends lines it already has, and one join ends the call.
+    """
+    s = STRINGS[locale]
+    if scope == "project":
+        heading, name_key = s["project_heading"], s["project_key"]
+        name = project_name or "project"
+    else:  # each section is named by its assessment's scope
+        heading, name_key, name = s["class_heading"], s["class_key"], None
+    heading = "\n" + _upper(heading, locale)  # the blank line, then the heading
+    fired_key, none = s["fired_rules"], s["none"]
+    named_width = max(len(name_key), len(fired_key))
+    widths = _Widths(locale).__getitem__
+    by_width: dict[int, _Lines] = {}
+    out = [s["title"]]
+    append, extend = out.append, out.extend
+    for a in assessments:
+        value = a.scope if name is None else name
+        # a bare name line (no value) does not count towards the width
+        width = max(named_width if value is not None else len(fired_key),
+                    max(map(widths, a.derived), default=0))
+        lines = by_width.get(width)
+        if lines is None:
+            lines = by_width[width] = _Lines(width, name_key, fired_key, locale)
+        append(heading)
+        append(name_key if value is None else f"{lines.name}{value}")
+        extend(map(lines.__getitem__, a.derived.items()))
+        append(lines.fired + (", ".join(a.fired_rules) or none))
+    append("")  # the final newline
+    return "\n".join(out)
 
 
 def filter_report(filters: list[RangeFilter], locale: str = "en") -> Report:

@@ -527,8 +527,9 @@ def _chain_columns(rows, kb: KnowledgeBase) -> list[Assessment] | None:
     except Exception:  # an unhashable value or a faulty fact: _chain raises it in row order
         return None
     pairs = _Pairs(effects).__getitem__
-    return [Assessment(name, {**a[1], **b[1], **c[1]}, {**a[2], **b[2], **c[2]},
-                       [*a[0], *b[0], *c[0]])
+    new = tuple.__new__  # builds each Assessment in C
+    return [new(Assessment, (name, {**a[1], **b[1], **c[1]}, {**a[2], **b[2], **c[2]},
+                             [*a[0], *b[0], *c[0]]))
             for name, a, b, c in zip(names, *(map(pairs, zip(*ids[i:i + 2]))
                                               for i in (0, 2, 4)))]
 

@@ -62,6 +62,8 @@ def test_evaluate_matches_golden(fixtures, capsys, golden, options):
 
 @pytest.mark.parametrize("golden, argv", [
     ("shop_v1_evaluate_tr.txt", ["evaluate", "shop_v1.json", "--locale", "tr"]),
+    # sections where no rule fires, padded to their own keys, among wider ones
+    ("shop_v1_evaluate_paper_en.txt", ["evaluate", "shop_v1.json", "--rules", "paper"]),
     ("shop_v2_evaluate_project_tr.txt",
      ["evaluate", "shop_v2.json", "--locale", "tr", "--scope", "project"]),
     ("shop_compare_en.txt", ["compare", "shop_v1.json", "shop_v2.json"]),
@@ -342,6 +344,38 @@ def test_every_subcommand_is_deterministic(fixtures, tmp_path, capsys):
     run_cli(["compare", str(fixtures / "five_versions.csv"),
              "--chart", str(chart2)], capsys)
     assert chart1.read_bytes() == chart2.read_bytes()
+
+
+@pytest.mark.parametrize("mtime", [
+    506804601600,  # year 18029: ValueError, as a file on tmpfs can have
+    1e20,  # OverflowError
+    float("nan"),  # ValueError
+])
+@pytest.mark.parametrize("command, input_name", [
+    ("evaluate", "moreunit_classes.csv"), ("compare", "five_versions.csv")])
+def test_provenance_of_a_file_time_out_of_range_is_null(
+        fixtures, monkeypatch, capsys, mtime, command, input_name):
+    target = fixtures / input_name
+    real_stat = Path.stat
+
+    class Stat:
+        st_mtime = mtime
+
+        def __init__(self, real):
+            self.real = real
+
+        def __getattr__(self, name):
+            return getattr(self.real, name)
+
+    def stat(self, *args, **kwargs):
+        result = real_stat(self, *args, **kwargs)
+        return Stat(result) if self == target else result
+
+    monkeypatch.setattr(Path, "stat", stat)
+    code, out, err = run_cli([command, str(target), "--format", "structured"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["inputs"] == [{"path": str(target), "modified": None}]
+    assert '"modified": null' in out
 
 
 def test_structured_analyze_output_feeds_evaluate_and_compare(

@@ -31,6 +31,7 @@ from ckeval.report import (
     Report,
     Section,
     assessment_report,
+    assessment_text,
     attribute_text,
     comparison_report,
     filter_report,
@@ -243,6 +244,40 @@ def test_assessment_report_is_the_oracle(assessments, locale, scope, project_nam
     report = assessment_report(assessments, locale, project_name, scope)
     assert report == report_oracle.assessment_report(assessments, locale, project_name, scope)
     assert rendered(report) == report_oracle.render_text(report)
+
+
+# attributes with and without wording, and of other widths
+text_attributes = (st.sampled_from(sorted(ATTRIBUTES | {"noWording"}))
+                   | st.text("aiıİ :", max_size=40))
+text_assessments = st.lists(st.builds(
+    Assessment,
+    # None is a bare name line; a non-str scope is formatted as a value
+    st.sampled_from(["p.A", "p.B", "İ.i", ""]) | st.none() | st.integers() | st.just(Level.HIGH),
+    st.dictionaries(text_attributes, st.sampled_from(list(Level)), max_size=13)
+    # a non-str attribute, which the reference refuses
+    | st.dictionaries(text_attributes | st.integers(0, 3) | st.tuples(st.text(max_size=2)),
+                      st.sampled_from(list(Level)), min_size=1, max_size=4),
+    st.builds(dict), st.lists(st.sampled_from(["r1", "wmc-low"]), max_size=6)), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text_assessments, st.sampled_from(LOCALES), st.sampled_from(["class", "project"]),
+       st.sampled_from(["", "shop"]))
+@example([Assessment(None, {"maintenanceEffort": Level.LOW}, {}, []),
+          Assessment("p.A", {}, {}, []),
+          Assessment("p.B", {"quality": Level.HIGH, "noWording": Level.LOW}, {}, ["r1"])],
+         "en", "class", "")
+@example([Assessment("p.A", {"quality": Level.HIGH}, {}, []),
+          Assessment("p.B", {1: Level.LOW}, {}, [])], "tr", "class", "")
+def test_assessment_text_is_the_rendered_report(assessments, locale, scope, project_name):
+    try:
+        expected = render_text(assessment_report(assessments, locale, project_name, scope))
+    except Exception as exc:
+        with pytest.raises(Exception) as raised:
+            assessment_text(assessments, locale, project_name, scope)
+        assert type(raised.value) is type(exc)
+    else:
+        assert assessment_text(assessments, locale, project_name, scope) == expected
 
 
 # --- structured export ----------------------------------------------------------
