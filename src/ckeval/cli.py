@@ -8,8 +8,12 @@ Exit codes: 0 success, 1 usage error, 2 input error, 3 internal error.
 """
 
 import argparse
+import errno
 import functools
+from operator import itemgetter
+import os
 from pathlib import Path
+from stat import S_ISDIR, S_ISREG
 import sys
 
 from . import chart as chart_mod
@@ -19,7 +23,8 @@ from . import rules as rules_mod
 from . import tables
 from . import versions as versions_mod
 from .errors import InputError, UsageError
-from .java import ParseError, decode_source, lower_to_model, parse_source
+from .java import ParseError, SourceUnit, decode_source, lower_to_model, parse_source
+from .java.lower import qualified_name
 from .metrics import METRICS, check_metric, compute_all
 
 
@@ -140,38 +145,112 @@ def _write_output(text: str, out: str | None) -> None:
 
 # --- analyze -----------------------------------------------------------------
 
-def _discover_sources(roots: list[str]) -> list[Path]:
-    found: list[Path] = []
+# the errors pathlib's is_file and is_dir read as "not there"
+_NOT_THERE = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP})
+
+
+def _discover_sources(roots: list[str]) -> list[str]:
+    """The source files of the roots, as distinct POSIX paths in sorted order.
+
+    A root that is a file is taken as it is; a directory root is walked for
+    files named ``*.java``. Each path is built as ``Path.joinpath`` builds
+    it, so root ``.`` gives ``A.java`` and root ``x/`` gives ``x/A.java``.
+    The result equals the sorted ``as_posix()`` texts of the file roots and
+    of ``Path(root).rglob("*.java")`` filtered by ``is_file()``: regular
+    files and symlinks to files are kept, a symlinked directory is not
+    entered, and a directory that may not be listed is skipped. Any other
+    ``OSError`` is an input error naming the path.
+    """
+    found: set[str] = set()
+    pending: list[str] = []  # directories still to list
     for root in roots:
-        path = Path(root)
-        if path.is_file():
-            found.append(path)
-        elif path.is_dir():
-            found.extend(p for p in path.rglob("*.java") if p.is_file())
+        top = Path(root).as_posix()
+        try:
+            mode = os.stat(top).st_mode
+        except ValueError:  # an embedded NUL
+            mode = 0
+        except OSError as exc:
+            if exc.errno not in _NOT_THERE:
+                raise InputError(f"cannot read {top}: {exc.strerror or exc}") from None
+            mode = 0
+        if S_ISREG(mode):
+            found.add(top)
+        elif S_ISDIR(mode):
+            pending.append(top)
         else:
             raise InputError(f"no such file or directory: {root}")
-    return sorted(set(found), key=lambda p: p.as_posix())
+
+    while pending:
+        directory = pending.pop()
+        try:
+            with os.scandir(directory) as listing:
+                entries = list(listing)
+        except PermissionError:  # skipped, as rglob skips it
+            continue
+        except OSError as exc:
+            raise InputError(f"cannot list {directory}: {exc.strerror or exc}") from None
+        prefix = ("" if directory == "." else
+                  directory if directory.endswith("/") else directory + "/")
+        for entry in entries:
+            path = prefix + entry.name
+            try:
+                if entry.is_dir(follow_symlinks=False):
+                    pending.append(path)
+                elif path.endswith(".java") and entry.is_file():
+                    found.add(path)
+            except OSError as exc:
+                if exc.errno not in _NOT_THERE:
+                    raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    return sorted(found)
+
+
+_NAME = itemgetter(0)  # of a MethodDecl
+
+
+def _same_arity_overload(unit: SourceUnit) -> str | None:
+    """The location, as ``p.A.f/1``, of the first method or constructor that
+    a class of the unit declares twice with one number of parameters, or
+    None. The class model tells methods apart by name and arity alone."""
+    for decl in unit.classes:
+        methods = decl.methods
+        if len(set(map(_NAME, methods))) < len(methods):
+            seen = set()
+            for method in methods:
+                signature = (method.name, method.arity)
+                if signature in seen:
+                    return (f"{qualified_name(unit.package_name, decl.name)}."
+                            f"{method.name}/{method.arity}")
+                seen.add(signature)
+    return None
 
 
 def _cmd_analyze(args) -> int:
     units = []
-    failures = 0
-    for path in _discover_sources(args.roots):
+    skipped = 0
+    for name in _discover_sources(args.roots):
         try:
-            data = path.read_bytes()
+            with open(name, "rb", buffering=0) as file:
+                data = file.read()
         except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
-        name = path.as_posix()
+            raise InputError(f"cannot read {name}: {exc.strerror or exc}") from None
         try:
-            units.append(parse_source(decode_source(data, name), name))
+            unit = parse_source(decode_source(data, name), name)
         except ParseError as exc:
-            failures += 1
-            for diag in exc.diagnostics:
-                print(diag.render(), file=sys.stderr)
-            if args.strict:
-                return 2
-    if failures:
-        print(f"ckeval: skipped {failures} file(s) that did not parse",
+            diagnostics = [d.render() for d in exc.diagnostics]
+        else:
+            overload = _same_arity_overload(unit)
+            if overload is None:
+                units.append(unit)
+                continue
+            diagnostics = [f"{name}: DUPLICATE_METHOD: {overload}: "
+                           "method signature (name, arity) declared more than once"]
+        skipped += 1
+        for line in diagnostics:
+            print(line, file=sys.stderr)
+        if args.strict:
+            return 2
+    if skipped:
+        print(f"ckeval: skipped {skipped} file(s) outside the Java subset",
               file=sys.stderr)
     pm = compute_all(lower_to_model(units, project_name=args.project))
     if args.format == "structured":

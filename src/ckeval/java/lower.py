@@ -29,6 +29,8 @@ from ..model import ClassInfo, ClassModel, FieldInfo, build_model, make_method
 from .lexer import PRIMITIVES
 from .parser import ClassDecl, MethodDecl, SourceUnit
 
+# builds a ``FieldInfo`` or ``ClassInfo`` in C, as the document reader does
+_new_tuple = tuple.__new__
 # the longest look-ahead past a body token is three tokens: this . x (
 _PAD_KINDS = ("eof",) * 3
 _PAD_TEXTS = ("",) * 3
@@ -96,15 +98,13 @@ def _lower_class(decl: ClassDecl, own_name: str, names: dict[str, str]) -> Class
         # interfaces carry abstract methods only; their extends list is
         # interface inheritance, which stays off the class tree
         interfaces = tuple(names.get(n, n) for n in decl.extends + decl.implements)
-        return ClassInfo(qualified_name=own_name, superclass=None,
-                         interfaces=interfaces, fields=(), methods=methods)
+        return _new_tuple(ClassInfo, (own_name, None, interfaces, (), methods, False))
 
     superclass = names.get(decl.extends[0], decl.extends[0]) if decl.extends else None
     interfaces = tuple(names.get(n, n) for n in decl.implements)
-    fields = tuple(FieldInfo(name=f.name, declared_type=t)
-                   for f, t in zip(decl.fields, types))
-    return ClassInfo(qualified_name=own_name, superclass=superclass,
-                     interfaces=interfaces, fields=fields, methods=methods)
+    fields = tuple([_new_tuple(FieldInfo, (f.name, t))
+                    for f, t in zip(decl.fields, types)])
+    return _new_tuple(ClassInfo, (own_name, superclass, interfaces, fields, methods, False))
 
 
 def _scan_body(method: MethodDecl, own_name: str, classes: dict[str, str],

@@ -11,6 +11,8 @@ types are outside the subset and reported as syntax errors.
 The parser reads the kind and text columns of the lexer's ``Tokens`` and
 works in token indices; it asks for a line and column only for a
 diagnostic. The declarations hold what lowering reads, and no position.
+A type is handed out from one table (``_TypeRefs``) that every parse and
+thread of the process shares, so each written base is one ``TypeRef``.
 """
 
 from typing import NamedTuple, NoReturn
@@ -38,6 +40,30 @@ class ParseError(Exception):
 class TypeRef(NamedTuple):
     text: str            # base name as written, e.g. "List" or "shop.Item"
     is_primitive: bool
+
+
+class _TypeRefs(dict):
+    """Written base -> its ``TypeRef``, shared by every parse in the process.
+
+    It starts from the primitive types, whose texts no identifier has; a
+    class type is learned the first time it is written, so each repeat is
+    one C-level lookup and every declaration of a type holds the same
+    ``TypeRef``. The table stops learning once it holds ``_LEARNED_TYPES``
+    types past its seed.
+    """
+
+    def __missing__(self, base: str) -> TypeRef:
+        ref = TypeRef(base, False)
+        if len(self) < _SEEDED_TYPES + _LEARNED_TYPES:
+            self[base] = ref
+        return ref
+
+
+_PRIMITIVE_TYPES = {text: TypeRef(text, True) for text in PRIMITIVES}
+_SEEDED_TYPES = len(_PRIMITIVE_TYPES)
+_LEARNED_TYPES = 2**16
+# a full table is replaced, never cleared, as the lexer's kind table is
+_type_refs = _TypeRefs(_PRIMITIVE_TYPES)
 
 
 class FieldDecl(NamedTuple):
@@ -100,12 +126,16 @@ def _universal_newlines(text: str) -> str:
 
 def parse_source(text: str, path: str) -> SourceUnit:
     """Parse one file; raises ParseError with positioned diagnostics."""
+    global _type_refs
     try:
         tokens = tokenize(text)
     except LexError as exc:
         raise ParseError([ParseDiagnostic(path, exc.line, exc.column,
                                           "LEX_ERROR", exc.message)]) from None
-    return _Parser(tokens, path).parse_unit()
+    type_refs = _type_refs
+    if len(type_refs) >= _SEEDED_TYPES + _LEARNED_TYPES:
+        type_refs = _type_refs = _TypeRefs(_PRIMITIVE_TYPES)
+    return _Parser(tokens, path, type_refs).parse_unit()
 
 
 class _Parser:
@@ -122,12 +152,13 @@ class _Parser:
     tokens for a line and column.
     """
 
-    def __init__(self, tokens: Tokens, path: str):
+    def __init__(self, tokens: Tokens, path: str, type_refs: _TypeRefs):
         self.tokens = tokens
         self.kinds = tokens.kinds + ("eof",)
         self.texts = tokens.texts + ("",)
         self.pos = 0
         self.path = path
+        self.type_refs = type_refs
 
     # --- token plumbing ---
 
@@ -338,7 +369,7 @@ class _Parser:
         self.expect(";")
 
     def type_ref(self) -> TypeRef:
-        """A type, with any array dims after it."""
+        """A type, with any array dims after it, as the table's ``TypeRef``."""
         pos = self.pos
         kind, text = self.kinds[pos], self.texts[pos]
         if kind == "ident":
@@ -351,7 +382,7 @@ class _Parser:
         if self.texts[self.pos] == "<":
             self.fail("generic types are not supported")
         self.array_dims()
-        return TypeRef(base, kind != "ident")
+        return self.type_refs[base]
 
     def array_dims(self) -> None:
         texts = self.texts

@@ -1,11 +1,13 @@
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+import errno
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 from time import perf_counter
@@ -14,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 import ckeval
-from ckeval.cli import build_parser, cli_main
+from ckeval.cli import _discover_sources, build_parser, cli_main
 from ckeval.errors import InputError, SchemaError
 from ckeval.metrics import compute_all
 from ckeval.model import load_class_model
@@ -748,6 +750,10 @@ def test_analyze_unreadable_file_is_an_input_error(tmp_path, capsys, monkeypatch
     def refuse(self):
         raise PermissionError(13, "Permission denied", str(self))
 
+    # the file is refused however it is read
+    real_open = open
+    monkeypatch.setattr("builtins.open", lambda file, *a, **k: refuse(file)
+                        if str(file) == str(source) else real_open(file, *a, **k))
     monkeypatch.setattr(Path, "read_bytes", refuse)
     monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: refuse(self))
     code, _, err = run_cli(["analyze", str(tmp_path)], capsys)
@@ -765,6 +771,221 @@ def test_analyze_names_both_files_of_a_duplicate_class(tmp_path, capsys):
     assert (code, out) == (2, "")
     first, second = ((tmp_path / d / "A.java").as_posix() for d in ("p", "q"))
     assert err == f"ckeval: error: duplicate class name: p.A, in {first} and {second}\n"
+
+
+# --- source discovery ----------------------------------------------------------
+
+def rglob_sources(roots):
+    """The sources analyze found when it walked with ``Path.rglob``."""
+    found = set()
+    for root in roots:
+        path = Path(root)
+        if path.is_file():
+            found.add(path.as_posix())
+        else:
+            found.update(p.as_posix() for p in path.rglob("*.java") if p.is_file())
+    return sorted(found)
+
+
+def make_source_tree(top: Path) -> None:
+    """Nested packages and every kind of entry the walk must tell apart."""
+    for rel in ("x/A.java", "x/p/B.java", "x/p/q/C.java", "x/.hidden/H.java",
+                "x/.D.java", "x/.java", "x/U.JAVA", "x/notes.txt",
+                "x/X.java/Inner.java", "y/Y.java", "y/z/Z.java"):
+        (top / rel).parent.mkdir(parents=True, exist_ok=True)
+        (top / rel).write_text(f"class {Path(rel).stem.strip('.') or 'E'} {{}}",
+                               encoding="utf-8")
+    os.symlink(top / "y", top / "x" / "linked")          # a directory: not entered
+    os.symlink(top / "y", top / "x" / "LinkedDir.java")  # not a file either
+    os.symlink("A.java", top / "x" / "Alias.java")       # a file: kept
+    os.symlink("missing.java", top / "x" / "Broken.java")
+    os.symlink("Loop.java", top / "x" / "Loop.java")
+
+
+@pytest.mark.parametrize("roots", [
+    ["."], ["x"], ["x/"], ["./x"], ["./x/"], ["x//p/", "x/./p"], ["{top}"], ["{top}/x/"],
+    ["x", "x/p/B.java"], ["x/p/B.java", "./x", "x/p"], ["x/Alias.java", "x/A.java"],
+    ["y", "{top}/y"], ["x/X.java", "x/linked"],
+])
+def test_discovery_equals_rglob(tmp_path, monkeypatch, roots):
+    make_source_tree(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    roots = [root.format(top=tmp_path.as_posix()) for root in roots]
+    assert _discover_sources(roots) == rglob_sources(roots)
+
+
+def test_discovery_finds_what_the_tree_holds(tmp_path, monkeypatch):
+    make_source_tree(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert _discover_sources(["."]) == [
+        "x/.D.java", "x/.hidden/H.java", "x/.java", "x/A.java", "x/Alias.java",
+        "x/X.java/Inner.java", "x/p/B.java", "x/p/q/C.java", "y/Y.java", "y/z/Z.java"]
+    assert _discover_sources(["x/linked"]) == ["x/linked/Y.java", "x/linked/z/Z.java"]
+
+
+ENTRY_NAMES = ["a", "b", "A.java", "b.java", "C.JAVA", ".h", ".java", "d.java"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.sampled_from(ENTRY_NAMES), min_size=1, max_size=3),
+                          st.sampled_from(["dir", "file", "to-file", "to-dir", "broken"])),
+                max_size=12),
+       st.lists(st.sampled_from([".", "t", "t/", "./t", "t/a", "{top}/t", "t/A.java"]),
+                min_size=1, max_size=3))
+def test_discovery_of_generated_trees_equals_rglob(entries, roots):
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as top:
+        (Path(top) / "out").mkdir()
+        (Path(top) / "out" / "O.java").write_text("class O {}", encoding="utf-8")
+        (Path(top) / "t").mkdir()
+        for parts, kind in entries:
+            path = Path(top, "t", *parts)
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                if kind == "dir":
+                    path.mkdir()
+                elif kind == "file":
+                    path.write_text("class F {}", encoding="utf-8")
+                else:
+                    target = {"to-file": "out/O.java", "to-dir": "out",
+                              "broken": "out/none"}[kind]
+                    os.symlink(Path(top, target), path)
+            except OSError:  # a name already taken, or a file on the way
+                pass
+        os.chdir(top)
+        try:
+            roots = [root.format(top=top) for root in roots]
+            if all(Path(root).exists() for root in roots):
+                assert _discover_sources(roots) == rglob_sources(roots)
+            else:
+                with pytest.raises(InputError, match="no such file or directory"):
+                    _discover_sources(roots)
+        finally:
+            os.chdir(here)
+
+
+def test_diagnostics_under_root_dot_name_the_file_without_dot_slash(tmp_path, capsys,
+                                                                   monkeypatch):
+    (tmp_path / "A.java").write_text("class A {}", encoding="utf-8")
+    (tmp_path / "B.java").write_text("class B { void m( }", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["analyze", "."], capsys)
+    assert (code, out) == (0, "CLASS,WMC,DIT,NOC,CBO,RFC,LCOM\nA,0,0,0,0,0,0\n")
+    assert err.startswith("B.java:1:19: SYNTAX_ERROR: ")
+    assert err.endswith("\nckeval: skipped 1 file(s) outside the Java subset\n")
+
+
+def test_analyze_directory_that_cannot_be_listed_is_an_input_error(tmp_path, capsys,
+                                                                  monkeypatch):
+    (tmp_path / "A.java").write_text("class A {}", encoding="utf-8")
+
+    def scandir(path="."):
+        raise OSError(errno.EIO, "Input/output error", path)
+
+    monkeypatch.setattr(os, "scandir", scandir)
+    code, out, err = run_cli(["analyze", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"ckeval: error: cannot list {tmp_path.as_posix()}: Input/output error\n"
+
+
+def test_analyze_root_that_cannot_be_read_is_an_input_error(tmp_path, capsys,
+                                                           monkeypatch):
+    real_stat = os.stat
+
+    def stat(path, *args, **kwargs):
+        if str(path) == str(tmp_path):
+            raise OSError(errno.EIO, "Input/output error", path)
+        return real_stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", stat)
+    code, out, err = run_cli(["analyze", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"ckeval: error: cannot read {tmp_path.as_posix()}: Input/output error\n"
+
+
+class _FaultyEntry:
+    """A directory entry whose file test fails as a failing disk would."""
+
+    def __init__(self, entry):
+        self.name = entry.name
+        self.path = entry.path
+        self.is_dir = entry.is_dir
+
+    def is_file(self, follow_symlinks=True):
+        raise OSError(errno.EIO, "Input/output error", self.path)
+
+
+def test_analyze_entry_that_cannot_be_tested_is_an_input_error(tmp_path, capsys,
+                                                              monkeypatch):
+    (tmp_path / "A.java").write_text("class A {}", encoding="utf-8")
+    real_scandir = os.scandir
+
+    @contextmanager
+    def scandir(path="."):
+        with real_scandir(path) as entries:
+            yield [_FaultyEntry(e) if e.name == "A.java" else e for e in entries]
+
+    monkeypatch.setattr(os, "scandir", scandir)
+    code, out, err = run_cli(["analyze", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"ckeval: error: cannot read {tmp_path.as_posix()}/A.java: "
+                   "Input/output error\n")
+
+
+def test_analyze_skips_a_directory_it_may_not_list(tmp_path, capsys, monkeypatch):
+    for rel in ("p/A.java", "q/B.java"):
+        (tmp_path / rel).parent.mkdir()
+        (tmp_path / rel).write_text(f"package {rel[0]}; class {rel[2]} {{}}",
+                                    encoding="utf-8")
+    real_scandir = os.scandir
+
+    def scandir(path="."):
+        if os.fspath(path).endswith("/q"):
+            raise PermissionError(errno.EACCES, "Permission denied", path)
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", scandir)
+    code, out, err = run_cli(["analyze", str(tmp_path)], capsys)
+    assert (code, out, err) == (0, "CLASS,WMC,DIT,NOC,CBO,RFC,LCOM\np.A,0,0,0,0,0,0\n", "")
+
+
+def test_analyze_walks_a_tree_deeper_than_the_recursion_limit(tmp_path, capsys):
+    deep = tmp_path.joinpath(*["d"] * 300)
+    deep.mkdir(parents=True)
+    (deep / "A.java").write_text("class A {}", encoding="utf-8")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        code, out, err = run_cli(["analyze", str(tmp_path)], capsys)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, out, err) == (0, "CLASS,WMC,DIT,NOC,CBO,RFC,LCOM\nA,0,0,0,0,0,0\n", "")
+
+
+# --- same-arity overloads ------------------------------------------------------
+
+@pytest.mark.parametrize("source, location", [
+    ("package p; class A { void f(int a) {} void f(String s) {} }", "p.A.f/1"),
+    ("package p; class A { A(int a) {} void g() {} A(String s) {} }", "p.A.A/1"),
+    ("package p; interface A { void f(); int f(); }", "p.A.f/0"),
+    ("class B {} class A { void g(int a, int b) {} void g() {} void g(B x, B y) {} }",
+     "A.g/2"),
+])
+def test_analyze_skips_only_the_file_of_a_same_arity_overload(tmp_path, capsys, monkeypatch,
+                                                              source, location):
+    (tmp_path / "p").mkdir()
+    (tmp_path / "p" / "A.java").write_text(source, encoding="utf-8")
+    (tmp_path / "p" / "D.java").write_text("package p; class D { void f(int a) {} "
+                                           "void f() {} }", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    diagnostic = (f"p/A.java: DUPLICATE_METHOD: {location}: "
+                  "method signature (name, arity) declared more than once\n")
+    code, out, err = run_cli(["analyze", "."], capsys)
+    assert (code, out) == (0, "CLASS,WMC,DIT,NOC,CBO,RFC,LCOM\np.D,2,0,0,0,2,1\n")
+    assert err == diagnostic + "ckeval: skipped 1 file(s) outside the Java subset\n"
+
+    code, out, err = run_cli(["analyze", ".", "--strict"], capsys)
+    assert (code, out, err) == (2, "", diagnostic)
 
 
 def test_text_evaluate_reads_no_provenance(fixtures, capsys, monkeypatch):

@@ -7,12 +7,16 @@ lowered models as ``ckeval.java`` on every input.
 """
 
 import random
+import sys
+import threading
 from pathlib import Path
 from time import perf_counter
 
 from hypothesis import example, given, settings, strategies as st
 
-from ckeval.java import ParseError, SourceUnit, lower_to_model, parse_source
+from ckeval.java import ParseError, SourceUnit, lower_to_model, parse_source, parser
+from ckeval.java.lexer import PRIMITIVES
+from ckeval.java.parser import TypeRef
 from frontend_oracle import oracle_lower_to_model, oracle_parse_source
 from test_java_frontend import TORTURE, _generate_source
 from test_lexer import FRAGMENTS, PARSER_WORDS, edited_sources
@@ -173,3 +177,74 @@ def test_nested_call_lowering_stays_linear():
         return best
 
     assert seconds(4000) < 8 * seconds(1000)
+
+
+# --- the shared TypeRef table --------------------------------------------------
+
+def fresh_type_table(monkeypatch, bound: int) -> None:
+    monkeypatch.setattr(parser, "_LEARNED_TYPES", bound)
+    monkeypatch.setattr(parser, "_type_refs", parser._TypeRefs(parser._PRIMITIVE_TYPES))
+
+
+def test_each_written_type_is_one_shared_type_ref(monkeypatch):
+    fresh_type_table(monkeypatch, 64)
+    first = parse_source("package p; class A { List a; int n; void m(List x, int[] y) {} }",
+                         "A.java")
+    second = parse_source("package q; class B { List b; int k[]; q.List c; }", "B.java")
+    (a, n), (b, k, c) = first.classes[0].fields, second.classes[0].fields
+    [(x, _), (y, _)] = first.classes[0].methods[0].params
+    assert a.type is b.type is x == TypeRef("List", False)
+    assert n.type is k.type is y == TypeRef("int", True)
+    assert c.type == TypeRef("q.List", False)
+    assert [first, second] == [oracle_parse_source(text, path) for text, path in (
+        ("package p; class A { List a; int n; void m(List x, int[] y) {} }", "A.java"),
+        ("package q; class B { List b; int k[]; q.List c; }", "B.java"))]
+
+
+def test_a_full_type_table_is_replaced_and_units_stay_the_same(monkeypatch):
+    bound = 4
+    fresh_type_table(monkeypatch, bound)
+    tables = {}  # each table by its id, kept alive so no id is reused
+    for k in range(40):
+        assert_same_frontend([f"package p; import q.V{k}; class A{k} {{ T{k} f; q.U{k}[] g;"
+                              f" int h; void m(V{k} a, boolean b, T{k % 3} c) {{}} }}"])
+        tables[id(parser._type_refs)] = parser._type_refs
+        assert len(parser._type_refs) <= parser._SEEDED_TYPES + bound
+        assert all(parser._type_refs[text] == TypeRef(text, True) for text in PRIMITIVES)
+    assert len(tables) > 1
+
+
+def test_threads_sharing_the_type_table_parse_what_a_serial_run_parses(monkeypatch):
+    # a small bound, so that threads also replace the table under each other
+    fresh_type_table(monkeypatch, 16)
+    texts = [f"package p{k % 3}; import q.V{k}; class A{k} extends B{k % 5} {{"
+             f" T{k} f; q.U{k % 7}[] g; long h; V{k} v;"
+             f" void m(T{k % 4} a, char b, V{k} c) {{ f.go(a); }} }}" for k in range(24)]
+    paths = [f"F{k}.java" for k in range(len(texts))]
+
+    def parse_all(offset: int) -> list:
+        order = [(offset + k) % len(texts) for k in range(len(texts))]
+        units = {i: parse_source(texts[i], paths[i]) for i in order}
+        return [units[i] for i in range(len(texts))]
+
+    serial = parse_all(0)
+    assert serial == [oracle_parse_source(t, p) for t, p in zip(texts, paths)]
+    start = threading.Barrier(8, timeout=60)
+    results = [None] * 8
+
+    def worker(slot: int) -> None:
+        start.wait()
+        results[slot] = [parse_all(slot) for _ in range(5)]
+
+    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(units == serial for rounds in results for units in rounds)
