@@ -177,6 +177,8 @@ def _discover_sources(roots: list[str]) -> list[str]:
             found.add(top)
         elif S_ISDIR(mode):
             pending.append(top)
+        elif mode:  # a device, a FIFO or a socket
+            raise InputError(f"not a file or directory: {root}")
         else:
             raise InputError(f"no such file or directory: {root}")
 

@@ -439,6 +439,8 @@ def model_to_document(model: ClassModel) -> dict:
         entry: dict = {"name": cls.qualified_name}
         if cls.is_external:
             entry["external"] = True
+            if cls.interfaces:
+                entry["implements"] = list(cls.interfaces)
             classes.append(entry)
             continue
         if cls.superclass is not None:

@@ -4,10 +4,9 @@ Rendering is deterministic; the Turkish templates mirror the wording of the
 original evaluation screens line by line, English is the default.
 
 The builders return a ``Report`` of ``Section``s, which ``render_text``
-writes. ``assessment_text`` writes the assessments' text without building
-a report, and equals ``render_text(assessment_report(...))``; the CLI
-writes its text assessments with it, and ``tests/test_report.py`` holds it
-to that reference on generated assessments.
+writes. ``assessment_text`` is the fast writer of the assessments' text:
+it equals ``render_text(assessment_report(...))`` without building a
+report, and the CLI writes text assessments with it.
 """
 
 from typing import NamedTuple
@@ -35,35 +34,14 @@ class Report(NamedTuple):
 
 
 def render_text(report: Report) -> str:
-    """Title, then sections in order; headings uppercased; aligned ' : '.
-
-    Each distinct heading is uppercased once. A section's keys are padded
-    to its widest key that has a value; each padded key is built once per
-    width, in one table per width.
-    """
+    """Title, then each section: heading uppercased, keys padded to its widest valued key."""
     out = [report.title]
-    append = out.append
-    headings: dict[str, str] = {}  # heading -> uppercased
-    pads_by_width: dict[int, dict[str, str]] = {}  # width -> key -> the line up to its value
     for section in report.sections:
-        append("")
-        heading = headings.get(section.heading)
-        if heading is None:
-            heading = headings[section.heading] = _upper(section.heading, report.locale)
-        append(heading)
+        out += ["", _upper(section.heading, report.locale)]
         width = max([len(k) for k, v in section.lines if v is not None], default=0)
-        pads = pads_by_width.get(width)
-        if pads is None:
-            pads = pads_by_width[width] = {}
-        for key, value in section.lines:
-            if value is None:
-                append(key)
-                continue
-            pad = pads.get(key)
-            if pad is None:
-                pad = pads[key] = f"{key:<{width}} : "
-            append(f"{pad}{value}")
-    append("")  # the final newline, without copying the joined text
+        out += [key if value is None else f"{key:<{width}} : {value}"
+                for key, value in section.lines]
+    out.append("")  # the final newline
     return "\n".join(out)
 
 
@@ -235,29 +213,16 @@ def assessment_report(assessments: list[Assessment], locale: str = "en",
     """Report assessments made at ``scope``, as ``evaluate_project`` takes
     it: one section per class, or the one project section."""
     s = STRINGS[locale]
-    wording: dict[tuple, Line] = {}  # (attribute, level) -> its line
-
-    def word(pair: tuple[str, Level]) -> Line:
-        attribute, level = pair
-        line = wording[pair] = (attribute_text(attribute, locale),
-                                level_text(attribute, level, locale))
-        return line
-
-    sections = []
-    for a in assessments:
-        if scope == "project":
-            heading = s["project_heading"]
-            name_line: Line = (s["project_key"], project_name or "project")
-        else:
-            heading = s["class_heading"]
-            name_line = (s["class_key"], a.scope)
-        found = list(map(wording.get, a.derived.items()))
-        if not all(found):
-            found = [line or word(pair) for line, pair in zip(found, a.derived.items())]
-        sections.append(Section(heading, (
-            name_line, *found,
-            (s["fired_rules"], ", ".join(a.fired_rules) or s["none"]))))
-    return Report(title=s["title"], sections=tuple(sections), locale=locale)
+    if scope == "project":
+        heading, name_key = s["project_heading"], s["project_key"]
+    else:
+        heading, name_key = s["class_heading"], s["class_key"]
+    sections = tuple(Section(heading, (
+        (name_key, (project_name or "project") if scope == "project" else a.scope),
+        *[(attribute_text(attribute, locale), level_text(attribute, level, locale))
+          for attribute, level in a.derived.items()],
+        (s["fired_rules"], ", ".join(a.fired_rules) or s["none"]))) for a in assessments)
+    return Report(title=s["title"], sections=sections, locale=locale)
 
 
 class _Widths(dict):

@@ -206,6 +206,7 @@ def test_roundtrip_is_identity_on_normalized_form():
                                 {"class": None, "method": "g"}],
                       "touchesClasses": ["p.A"]}]},
         {"name": "p.A", "methods": [{"name": "f", "arity": 0}]},
+        {"name": "X", "external": True, "implements": ["I"]},
     ])
     first = load_class_model(document)
     text = serialize_model(first)

@@ -40,13 +40,14 @@ def test_compare_turkish_tie_text(fixtures, capsys):
     assert "EN KÜÇÜK değere sahip sürüm/ler : SÜRÜM-5 (0)" in out
 
 
-def test_compare_matches_golden(fixtures, capsys):
-    code, out, _ = run_cli(
-        ["compare", str(fixtures / "five_versions.csv"),
-         "--metrics", "WMC", "--locale", "tr"], capsys)
-    golden = (fixtures / "golden" / "five_versions_wmc_tr.txt").read_text(encoding="utf-8")
+@pytest.mark.parametrize("golden, options", [
+    ("five_versions_wmc_tr.txt", ["--metrics", "WMC", "--locale", "tr"]),
+    ("five_versions_tr.txt", ["--locale", "tr"]),
+])
+def test_compare_matches_golden(fixtures, capsys, golden, options):
+    code, out, _ = run_cli(["compare", str(fixtures / "five_versions.csv"), *options], capsys)
     assert code == 0
-    assert out == golden
+    assert out == (fixtures / "golden" / golden).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("golden, options", [
@@ -901,6 +902,18 @@ def test_analyze_root_that_cannot_be_read_is_an_input_error(tmp_path, capsys,
     code, out, err = run_cli(["analyze", str(tmp_path)], capsys)
     assert (code, out) == (2, "")
     assert err == f"ckeval: error: cannot read {tmp_path.as_posix()}: Input/output error\n"
+
+
+@pytest.mark.parametrize("kind", ["device", "fifo", "missing"])
+def test_analyze_root_that_is_not_a_file_or_directory_is_named_so(tmp_path, capsys, kind):
+    root = {"device": os.devnull, "fifo": str(tmp_path / "pipe"),
+            "missing": str(tmp_path / "none")}[kind]
+    if kind == "fifo":
+        os.mkfifo(root)
+    message = "no such file or directory" if kind == "missing" else "not a file or directory"
+    code, out, err = run_cli(["analyze", root], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"ckeval: error: {message}: {root}\n"
 
 
 class _FaultyEntry:
