@@ -272,8 +272,8 @@ def _cmd_evaluate(args) -> int:
     if selection:
         filters = rules_mod.filter_by_ranges(pm, selection)
         if args.format == "structured":
-            doc = export_mod.filters_document(filters, export_mod.input_provenance([args.input]))
-            _write_output(export_mod.export_structured(doc), args.out)
+            _write_output(export_mod.filters_text(
+                filters, export_mod.input_provenance([args.input])), args.out)
         else:
             report = report_mod.filter_report(filters, locale=args.locale)
             _write_output(report_mod.render_text(report), args.out)

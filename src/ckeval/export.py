@@ -11,8 +11,9 @@ The canonical text of a document is exactly
 newline; ``tests/test_report.py`` checks ``export_structured`` against that
 expression on generated documents and on every result document. The
 ``*_document`` builders with ``export_structured`` define each text;
-``assessments_text`` writes the assessments' text without building the
-document, and the same tests hold it to ``json.dumps`` of that document.
+``assessments_text`` and ``filters_text`` write the text of the
+assessments and of a range selection without building the document, and
+the same tests hold each to ``json.dumps`` of its document.
 """
 
 from datetime import datetime, timezone
@@ -178,6 +179,45 @@ def filters_document(filters: list[RangeFilter], inputs: list[dict]) -> dict:
         "inputs": inputs,
         "filters": out,
     }
+
+
+# the text between a record's name and value, and between two records
+_RECORD_VALUE = ',\n          "value": '
+_RECORD_BREAK = '\n        },\n        {\n          "class": '
+
+
+def filters_text(filters: list[RangeFilter], inputs: list[dict]) -> str:
+    """``export_structured(filters_document(...))``, written straight from
+    the filters.
+
+    Each record is one piece, its name and value joined by the text
+    between them, and one fixed text joins the records of a partition. A
+    name that is not a plain ``str`` or a value that is not a plain
+    ``int`` goes through ``_value``, so a bool, a float or an ``int``
+    subclass is written as json writes it.
+    """
+    out = []
+    for f in filters:
+        column = value_getter(f.metric)
+        partitions = []
+        for records in (f.in_range, f.out_of_range):
+            pieces = []
+            for record in records:
+                name, value = record.class_name, column(record)
+                if type(name) is str and type(value) is int:
+                    pieces.append(encode_basestring(name) + _RECORD_VALUE + str(value))
+                else:
+                    pieces.append(_value(name, 5) + _RECORD_VALUE + _value(value, 5))
+            partitions.append(('[\n        {\n          "class": ' + _RECORD_BREAK.join(pieces)
+                               + "\n        }\n      ]") if pieces else "[]")
+        out.append('    {\n      "condition": ' + _value(f.condition.document(), 3)
+                   + ',\n      "inRange": ' + partitions[0]
+                   + ',\n      "metric": ' + _value(f.metric, 3)
+                   + ',\n      "outOfRange": ' + partitions[1] + "\n    }")
+    return ('{\n  "filters": ' + ("[\n" + ",\n".join(out) + "\n  ]" if out else "[]")
+            + ',\n  "inputs": ' + _value(inputs, 1)
+            + ',\n  "kind": "filters",\n  "schemaVersion": ' + _value(EXPORT_SCHEMA_VERSION, 1)
+            + "\n}\n")
 
 
 _INDENT_IN_C = sys.version_info >= (3, 13)

@@ -330,7 +330,9 @@ def _read_condition(entry: dict, path: str) -> Condition:
 
 def parse_selection(specs: list[str]) -> dict[str, Condition]:
     """Conditions from ``METRIC=RANGE`` specs: ``lo-hi``, ``lo-``, ``a,b,c``
-    or one value. A bad spec raises UsageError."""
+    or one value. A range splits at its first minus that is neither the
+    leading sign nor right after ``e``/``E``, so ``1e-3-2`` is 0.001 to 2.
+    A bad spec raises UsageError."""
     selection: dict[str, Condition] = {}
     for spec in specs:
         if "=" not in spec:
@@ -351,8 +353,12 @@ def _parse_condition(text: str, origin: str) -> Condition:
 
     if "," in text:
         return ValueSet(frozenset(number(part) for part in text.split(",")))
-    if "-" in text and not text.startswith("-"):  # a leading minus is a sign
-        lo_text, _, hi_text = text.partition("-")
+    # a leading minus is a sign, and a minus right after e or E an exponent's
+    split = -1 if text.startswith("-") else text.find("-")
+    while split > 0 and text[split - 1] in "eE":
+        split = text.find("-", split + 1)
+    if split > 0:
+        lo_text, hi_text = text[:split], text[split + 1:]
         lo = number(lo_text.strip())
         hi = None if not hi_text.strip() else number(hi_text.strip())
         if hi is not None and hi < lo:

@@ -20,7 +20,10 @@ from ckeval.cli import _discover_sources, build_parser, cli_main
 from ckeval.errors import InputError, SchemaError
 from ckeval.metrics import compute_all
 from ckeval.model import load_class_model
-from ckeval.rules import default_rule_base, load_rules, paper_rule_preset, serialize_rules
+from ckeval.rules import (
+    Interval, ValueSet, default_rule_base, load_rules, paper_rule_preset, parse_selection,
+    serialize_rules,
+)
 from ckeval.tables import load_metrics_input, metrics_to_document
 from test_report import import_structured
 
@@ -77,6 +80,19 @@ def test_class_model_documents_match_golden(fixtures, capsys, golden, argv):
     code, out, err = run_cli(argv, capsys)
     assert (code, err) == (0, "")
     assert out == (fixtures / "golden" / golden).read_text(encoding="utf-8")
+
+
+def test_select_structured_matches_golden(fixtures, tmp_path, monkeypatch, capsys):
+    # a relative path and a fixed file time keep the recorded inputs stable
+    table = tmp_path / "moreunit_classes.csv"
+    table.write_bytes((fixtures / "moreunit_classes.csv").read_bytes())
+    os.utime(table, (1_600_000_000,) * 2)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["evaluate", "moreunit_classes.csv", "--select", "WMC=2-5",
+                              "--select", "LCOM=0,1,2", "--format", "structured"], capsys)
+    assert (code, err) == (0, "")
+    golden = fixtures / "golden" / "moreunit_select_structured.json"
+    assert out == golden.read_text(encoding="utf-8")
 
 
 def test_evaluate_select_filter_report(fixtures, capsys):
@@ -1018,6 +1034,9 @@ def test_text_evaluate_reads_no_provenance(fixtures, capsys, monkeypatch):
     # a leading minus is the number's sign, not a range separator
     ("WMC=-1", "'-1' is negative"), ("WMC=-2.5", "'-2.5' is negative"),
     ("WMC=-inf", "'-inf' is not a finite"), ("WMC=-1-5", "'-1-5' is not a number"),
+    # a range splits once; a minus after e or E stays with its number
+    ("WMC=1-2-3", "'2-3' is not a number"), ("WMC=1e-", "'1e-' is not a number"),
+    ("WMC=1e-3-1e-4", "empty range"),
 ])
 def test_select_rejects_non_finite_numbers(fixtures, capsys, spec, shown):
     code, out, err = run_cli(
@@ -1026,6 +1045,26 @@ def test_select_rejects_non_finite_numbers(fixtures, capsys, spec, shown):
     assert code == 1
     assert out == ""
     assert shown in err and repr(spec) in err
+
+
+@pytest.mark.parametrize("spec, condition", [
+    ("WMC=1e-3", ValueSet(frozenset([0.001]))),
+    ("WMC=2e-0-5", Interval(2.0, 5.0)),
+    ("WMC=0.5e-1-", Interval(0.05)),
+    ("WMC=1E-1,2", ValueSet(frozenset([0.1, 2.0]))),
+    ("WMC=1e-1-2E-0", Interval(0.1, 2.0)),
+    ("WMC= 1e+1 - 12 ", Interval(10.0, 12.0)),
+])
+def test_select_reads_numbers_with_a_negative_exponent(spec, condition):
+    # a minus right after e or E belongs to the exponent, not to the range
+    assert parse_selection([spec]) == {"WMC": condition}
+
+
+def test_select_with_a_negative_exponent_runs(fixtures, capsys):
+    code, out, err = run_cli(
+        ["evaluate", str(fixtures / "moreunit_classes.csv"), "--select", "WMC=1e-3"], capsys)
+    assert (code, err) == (0, "")
+    assert "WMC SELECTION: 0.001\n" in out
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])

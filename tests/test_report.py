@@ -20,10 +20,11 @@ from ckeval.export import (
     assessments_text,
     export_structured,
     filters_document,
+    filters_text,
     input_provenance,
     verdicts_document,
 )
-from ckeval.metrics import METRICS, compute_all
+from ckeval.metrics import METRICS, MetricRecord, ProjectMetrics, compute_all
 from ckeval.report import (
     ATTRIBUTE_TEXT,
     LEVEL_TEXT_BY_ATTRIBUTE,
@@ -45,6 +46,7 @@ from ckeval.rules import (
     Interval,
     LEVEL_NAMES,
     Level,
+    RangeFilter,
     ValueSet,
     default_rule_base,
     evaluate_project,
@@ -483,6 +485,69 @@ def test_assessments_text_is_export_on_result_documents(fixtures, tmp_path):
         for scope in ("class", "project"):
             assert_assessments_text_is_export(evaluate_project(pm, kb, scope),
                                               kb, scope, inputs)
+
+
+# --- structured range selections written straight from the filters -------------
+
+def assert_filters_text_is_export(filters, inputs):
+    document = filters_document(filters, inputs)
+    expected = dumps_oracle(document)
+    assert export_structured(document) == expected
+    assert filters_text(filters, inputs) == expected
+
+
+class Count(int):
+    pass
+
+
+class Name(str):
+    pass
+
+
+class_names = st.one_of(st.sampled_from(TRICKY_STRINGS + ['a"b', "a\\b", "\x07\t", "\u2028x",
+                                                         "İçğ", "\U0001d518🙂"]),
+                        st.text())
+# values 0-6 against bounds 0-6, so a partition is often empty or whole
+selections = st.dictionaries(st.sampled_from(METRICS), st.one_of(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)).map(
+        lambda ends: Interval(float(min(ends)), float(max(ends)))),
+    st.integers(0, 6).map(lambda lo: Interval(float(lo))),
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.25, 3.0, 6.0]), min_size=1, max_size=4).map(
+        lambda values: ValueSet(frozenset(values)))), min_size=1, max_size=6)
+
+
+@st.composite
+def metric_tables(draw):
+    """Up to 300 records whose names and values come from small pools."""
+    pool = draw(st.lists(class_names, min_size=1, max_size=6))
+    rng = draw(st.randoms(use_true_random=False))
+    return ProjectMetrics("p", tuple(
+        MetricRecord(rng.choice(pool), *(rng.randint(0, 6) for _ in METRICS))
+        for _ in range(draw(st.integers(0, 300)))), {})
+
+
+odd_values = st.one_of(st.booleans(), st.floats(), st.integers().map(Count), st.integers(0, 9))
+odd_records = st.lists(st.builds(MetricRecord, st.one_of(class_names, class_names.map(Name)),
+                                 *[odd_values] * len(METRICS)), max_size=3).map(tuple)
+hand_built_filters = st.lists(st.builds(RangeFilter, st.sampled_from(METRICS), selections.map(
+    lambda selection: next(iter(selection.values()))), odd_records, odd_records), max_size=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pm=metric_tables(), selection=selections, extra=hand_built_filters, inputs=inputs_lists)
+@example(pm=ProjectMetrics("p", (), {}), selection={"WMC": Interval(0.0)}, extra=[],
+         inputs=[{"path": "t.csv", "modified": None}])
+@example(pm=ProjectMetrics("p", (MetricRecord('"\\\u2028🙂', 1, 2, 3, 4, 5, 6),), {}),
+         selection={m: ValueSet(frozenset({0.5, 6.0})) for m in METRICS},
+         extra=[RangeFilter("CBO", Interval(1.0, 2.0),
+                            (MetricRecord(Name("n"), True, 1.5, Count(3), math.nan, -0.0, 7),),
+                            ())], inputs=[])
+def test_filters_text_is_export_of_the_document(pm, selection, extra, inputs):
+    assert_filters_text_is_export(filter_by_ranges(pm, selection) + extra, inputs)
+
+
+def test_filters_text_of_no_filters_is_export():
+    assert_filters_text_is_export([], [])
 
 
 # --- SVG chart -------------------------------------------------------------------
