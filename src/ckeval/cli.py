@@ -296,7 +296,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_compare(args) -> int:
     selected = None
-    if args.metrics:
+    if args.metrics is not None:
         selected = []
         for name in args.metrics.split(","):
             if name.strip():

@@ -1,8 +1,9 @@
 """Tokenizer for the supported Java subset.
 
-Comments and whitespace (space, tab, CR, LF) are skipped; every token has
-a 1-based line and column so diagnostics can point into the file. A column
-counts characters since the last line feed, so CR and tab advance it by one.
+Comments and whitespace (space, tab, form feed, CR, LF, as JLS 3.6 has
+it) are skipped; every token has a 1-based line and column so diagnostics
+can point into the file. A column counts characters since the last line
+feed, so CR, tab and form feed advance it by one.
 
 ``tokenize`` returns a ``Tokens``: the kinds and texts of the tokens as two
 parallel tuples, ``kinds`` and ``texts``, which the parser and lowering
@@ -22,14 +23,20 @@ token, or the empty string for a declined character. The line feed ends a
 trailing line comment or literal, so the NUL is always declined. In a
 text the pattern accepts whole, the only empty row is therefore the last,
 and it becomes the empty text of the end; an earlier one marks the first
-declined character. ``map`` then looks up each kind by the token's text
-in one table (``_KindOf``) that every text and thread of the process
-shares. The table starts with the keywords and punctuation and learns each
-identifier and number text by its first character the first time it
-appears, so Python code runs once per distinct text in the process, not
-per token. Literals are classified but not kept, and a table that has
-learned ``_LEARNED_TEXTS`` texts is replaced by a fresh one, never
-cleared, so a seeded text always reads as its kind.
+declined character. One ``operator.itemgetter`` call then looks up the
+kind of every token by its text in one table (``_KindOf``) that every text
+and thread of the process shares. The table starts with the keywords and
+punctuation and learns each identifier and number text by its first
+character the first time it appears, so Python code runs once per distinct
+text in the process, not per token. Literals are classified but not kept,
+and a table that has learned ``_LEARNED_TEXTS`` texts is replaced by a
+fresh one, never cleared, so a seeded text always reads as its kind.
+
+The skipped span and the identifier run repeat possessively (``*+``): the
+rest of a match always succeeds, so they never need to give a character
+back, and the regex engine keeps no state for doing so. ``re`` reads
+possessive repeats from Python 3.11; on 3.10 the same pattern text is
+compiled with plain greedy repeats, which match the same rows.
 
 The pattern covers the ASCII language. Identifiers and numbers are defined
 by ``str.isalpha``/``isdigit``/``isalnum``, which accept non-ASCII letters
@@ -46,9 +53,11 @@ times however many exact tokens there are.
 
 import re
 import string
+import sys
 from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import accumulate
+from operator import itemgetter
 from typing import NamedTuple
 
 KEYWORDS = {
@@ -165,14 +174,28 @@ class Tokens(Sequence[Token]):
 
 
 # skipped span: whitespace, line comments, terminated block comments; a
-# whitespace run is one charset repeat, and each comment takes the run after it
-_SKIPPED = r"[ \t\r\n]*(?:(?://[^\n]*|/\*[\s\S]*?\*/)[ \t\r\n]*)*"
-_SKIP = re.compile(_SKIPPED)
-_SCAN = re.compile(
+# whitespace run is one charset repeat, and each comment takes the run after
+# it. Its repeats, and the identifier run's, are possessive ('*+'), which
+# changes no row. After the span comes a token or [\s\S], which takes any
+# character, and every scanned text ends in _TAIL's NUL, which is never
+# skipped, so the rest of a match never fails for want of a skipped
+# character handed back. A shorter identifier run would be followed by a
+# character that extends it, which the lookahead refuses. So giving nothing
+# back only saves the state kept for backtracking.
+_SKIPPED = r"[ \t\f\r\n]*+(?:(?://[^\n]*+|/\*[\s\S]*?\*/)[ \t\f\r\n]*+)*+"
+
+
+def _plain(pattern: str) -> str:
+    """The pattern with its possessive repeats made greedy, for ``re``
+    before Python 3.11, which refuses '*+' as a multiple repeat."""
+    return pattern.replace("*+", "*")
+
+
+_SCAN_PATTERN = (
     _SKIPPED + r"(?:("
     # identifier or keyword, not followed by a character that could extend
     # it: [A-Za-z0-9_$] or any non-ASCII character, as one negated class
-    r"[A-Za-z_$][A-Za-z0-9_$]*(?![^\x00-#%-/:-@\[-^`{-\x7f])"
+    r"[A-Za-z_$][A-Za-z0-9_$]*+(?![^\x00-#%-/:-@\[-^`{-\x7f])"
     # punctuation; a '/' that opens a block comment here is unterminated
     r"|[(){}\[\];,.=+\-*%<>!&|^~?:@]|/(?!\*)"
     # number: a '.' continues it only before a digit; it must not be
@@ -184,6 +207,9 @@ _SCAN = re.compile(
     r'|"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*"'
     r"|'[^'\\\n]*(?:\\[^\n][^'\\\n]*)*'"
     r")|[\s\S])")
+_SKIP = re.compile(_plain(_SKIPPED))
+_SCAN = re.compile(_SCAN_PATTERN if sys.version_info >= (3, 11)
+                   else _plain(_SCAN_PATTERN))
 # appended to each scanned text: the line feed ends a trailing line comment
 # or literal, so every scan declines the NUL, and its row is the last
 _TAIL = "\n\x00"
@@ -236,7 +262,8 @@ def tokenize(text: str) -> Tokens:
     kind_of = _kind_of
     if len(kind_of) >= _SEEDED + _LEARNED_TEXTS:
         kind_of = _kind_of = _KindOf(_KIND_OF_TEXT)
-    kinds = tuple(map(kind_of.__getitem__, texts))
+    # one key makes itemgetter return the value, not a tuple
+    kinds = itemgetter(*texts)(kind_of) if len(texts) > 1 else ("eof",)
     return Tokens(kinds, texts, _Positions(text, texts), range(len(texts)))
 
 

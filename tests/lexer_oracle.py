@@ -37,7 +37,7 @@ def oracle_tokenize(text: str) -> list[OracleToken]:
 
     while i < n:
         ch = text[i]
-        if ch in " \t\r\n":
+        if ch in " \t\f\r\n":
             advance(1)
             continue
         if ch == "/" and i + 1 < n and text[i + 1] == "/":

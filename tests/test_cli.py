@@ -517,6 +517,17 @@ def test_compare_refuses_a_metric_listed_twice(fixtures, tmp_path, capsys, metri
     assert err.startswith(f"ckeval: metric {metrics.split(',')[0].strip()} selected twice")
 
 
+@pytest.mark.parametrize("metrics", ["", ",", " , "])
+def test_compare_refuses_a_selection_of_no_metric(fixtures, tmp_path, capsys, metrics):
+    chart = tmp_path / "none.svg"
+    code, out, err = run_cli(
+        ["compare", str(fixtures / "five_versions.csv"),
+         "--metrics", metrics, "--chart", str(chart)], capsys)
+    assert code == 1
+    assert out == "" and not chart.exists()
+    assert err.startswith("ckeval: --metrics must select at least one metric")
+
+
 def test_compare_noc_direction_flag(tmp_path, capsys):
     table = ("VERSION,WMC,DIT,NOC,CBO,RFC,LCOM\n"
              "v1,0,0,0,0,0,0\n"

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import threading
 from pathlib import Path
@@ -49,6 +50,8 @@ SEEDS = [
     # constructs at the end, and texts with no token at all
     "a // é", "a é", "a #", "a\x00b", '"a\x00b"', "# // c", "x /* é", 'x "é',
     " \t\r\n ", "\n\n\t", "// c", "/* c */", "/* a */ // b", "/**/\n//\n/* */ ",
+    # form feeds are white space, vertical tabs are not
+    "\f\fx", "x/*\f*/\f// \f\n\fy", "\f\v", "a\f\n\fé", "\f/* x",
 ]
 
 
@@ -100,6 +103,39 @@ def test_token_is_an_immutable_named_tuple():
     with pytest.raises(AttributeError):
         tok.kind = "keyword"
     assert tokenize("x")[-1] == Token("eof", "", 1, 2)
+
+
+def test_a_form_feed_is_white_space():
+    # JLS 3.6: a form feed separates tokens and, like a tab, moves the column
+    # on by one; a vertical tab is not white space in Java
+    assert tokenize("a\fb")[1] == Token("ident", "b", 1, 3)
+    unit = parse_source("package p;\n\fpublic class F { int x; }\n", "F.java")
+    assert [c.name for c in unit.classes] == ["F"]
+    assert lexed(tokenize, "a\vb") == ("LexError", "unexpected character '\\x0b'", 1, 2)
+
+
+@pytest.mark.parametrize("text", ["", "  \n", "// c", "/* c */"])
+def test_a_text_without_tokens_has_the_end_alone(text):
+    tokens = tokenize(text)
+    assert tokens.kinds == ("eof",) and tokens.texts == ("",)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="re reads possessive repeats from Python 3.11")
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(SEEDS), st.text(), java_ish()), st.data())
+def test_possessive_scan_gives_the_rows_of_the_plain_scan(text, data):
+    # the plain form is what Python 3.10 compiles
+    possessive = re.compile(lexer._SCAN_PATTERN)
+    plain = re.compile(lexer._plain(lexer._SCAN_PATTERN))
+    padded = text + lexer._TAIL
+    assert possessive.findall(padded) == plain.findall(padded)
+    start = data.draw(st.integers(0, len(padded)), label="start")
+
+    def rows(scan):
+        return [(m.groups(), m.span(), m.span(1)) for m in scan.finditer(padded, start)]
+
+    assert rows(possessive) == rows(plain)
 
 
 def test_many_exact_tokens_stay_linear():
