@@ -140,6 +140,7 @@ def _write_output(text: str, out: str | None) -> None:
     if out:
         tables.write_text(out, text)
     else:
+        tables.encode_output(text, "standard output")  # refused before any of it is written
         sys.stdout.write(text)
 
 

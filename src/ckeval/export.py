@@ -6,22 +6,18 @@ in the document. Serialization is canonical, so exporting an imported
 document reproduces it byte for byte; provenance is carried, never
 regenerated, which keeps repeated runs on identical inputs identical.
 
-The canonical text of a document is exactly
+There is one canonical writer: ``export_structured`` is
 ``json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True)`` plus a
-newline; ``tests/test_report.py`` checks ``export_structured`` against that
-expression on generated documents and on every result document. The
-``*_document`` builders with ``export_structured`` define each text;
+newline, and the ``*_document`` builders with it define each text.
 ``assessments_text`` and ``filters_text`` write the text of the
-assessments and of a range selection without building the document, and
-the same tests hold each to ``json.dumps`` of its document.
+assessments and of a range selection without building the document;
+``tests/test_report.py`` holds each to ``json.dumps`` of its document.
 """
 
 from datetime import datetime, timezone
-from functools import cache
 import json
-from json.encoder import JSONEncoder, c_make_encoder, encode_basestring
+from json.encoder import encode_basestring
 from pathlib import Path
-import sys
 
 from .metrics import value_getter
 from .rules import Assessment, KnowledgeBase, LEVEL_NAMES, RangeFilter
@@ -220,123 +216,13 @@ def filters_text(filters: list[RangeFilter], inputs: list[dict]) -> str:
             + "\n}\n")
 
 
-_INDENT_IN_C = sys.version_info >= (3, 13)
-
-
 def export_structured(document: dict) -> str:
-    """Canonical JSON text for any result document.
-
-    The text is exactly ``json.dumps(document, indent=2, ensure_ascii=False,
-    sort_keys=True)`` plus a newline. From Python 3.13 ``json`` encodes
-    indented output in C, and the document goes to it whole. Before 3.13,
-    ``indent`` makes ``json`` fall back to its pure-Python encoder, so the
-    nesting is walked here, and every container that holds only scalars,
-    and every list of non-empty dicts that hold only scalars, goes to the C
-    encoder in one call.
-    """
-    if _INDENT_IN_C or c_make_encoder is None:
-        return _canonical_dumps(document)
-    out: list[str] = []
-    try:
-        _write(document, 0, out)
-    except RecursionError:  # a cycle or very deep nesting: json says which
-        return _canonical_dumps(document)
-    out.append("\n")
-    return "".join(out)
+    """The canonical JSON text of any result document: exactly
+    ``json.dumps(document, indent=2, ensure_ascii=False, sort_keys=True)``
+    plus a newline."""
+    return _canonical_dumps(document)
 
 
 def _canonical_dumps(document) -> str:
     return json.dumps(document, indent=2, ensure_ascii=False,
                       sort_keys=True) + "\n"
-
-
-_CONTAINERS = (dict, list, tuple)
-
-
-@cache
-def _level(depth: int) -> tuple:
-    """The C encoder for containers at ``depth`` and the line breaks around them.
-
-    Its item separator carries the indentation of the members, which is
-    all ``indent`` adds inside a container of scalars: an encoded scalar
-    never holds a raw newline.
-    """
-    inner = "\n" + "  " * (depth + 1)
-    encoder = c_make_encoder(None, JSONEncoder().default, encode_basestring,
-                             None, ": ", "," + inner, True, False, True)
-    return encoder, inner, inner[:-2]
-
-
-def _write(value, depth: int, out: list[str]) -> None:
-    """Append ``value`` as json.dumps(indent=2) writes it at nesting ``depth``."""
-    if isinstance(value, dict):
-        members = value.values()
-    elif isinstance(value, (list, tuple)):
-        members = value
-    else:
-        out.append(_scalar(value))
-        return
-    if not value:
-        out.append("{}" if isinstance(value, dict) else "[]")
-        return
-    encoder, inner, outer = _level(depth)
-    if _scalars(members):  # one call, then the breaks after the opener and before the closer
-        text = "".join(encoder(value, 0))
-        out.append(text[0] + inner + text[1:-1] + outer + text[-1])
-        return
-    if not isinstance(value, dict) and _records(value):
-        # one call at the members' depth gives '[{a,<in1>b},<in1>{c}]'; the
-        # text "},<in1>{" falls only between members, as a key opens with '"'
-        # and a scalar ends in no '}', so the member breaks replace it
-        record_encoder, record_inner, _ = _level(depth + 1)
-        text = "".join(record_encoder(value, 0))
-        between = inner + "}," + inner + "{" + record_inner
-        out.append("[" + inner + "{" + record_inner
-                   + text[2:-2].replace("}," + record_inner + "{", between)
-                   + inner + "}" + outer + "]")
-        return
-    separator = inner
-    if isinstance(value, dict):
-        out.append("{")
-        for key, member in sorted(value.items()):
-            out.append(separator + _key(key) + ": ")
-            _write(member, depth + 1, out)
-            separator = "," + inner
-        out.append(outer + "}")
-    else:
-        out.append("[")
-        for member in value:
-            out.append(separator)
-            _write(member, depth + 1, out)
-            separator = "," + inner
-        out.append(outer + "]")
-
-
-def _scalars(members) -> bool:
-    for member in members:
-        if isinstance(member, _CONTAINERS):
-            return False
-    return True
-
-
-def _records(members) -> bool:
-    """Whether every member is a non-empty dict that holds only scalars."""
-    for member in members:
-        if not isinstance(member, dict) or not member or not _scalars(member.values()):
-            return False
-    return True
-
-
-def _scalar(value) -> str:
-    return "".join(_level(0)[0](value, 0))
-
-
-def _key(key) -> str:
-    """A dict key as json writes it: a string, or a quoted number, bool or null."""
-    if isinstance(key, str):
-        return encode_basestring(key)
-    if key is None or isinstance(key, (int, float)):
-        return '"' + _scalar(key) + '"'
-    raise TypeError("keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-

@@ -344,10 +344,22 @@ def read_text(path: str | Path) -> str:
     return text.removeprefix("\ufeff")
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Write text to a file as UTF-8."""
+def encode_output(text: str, name: str | Path) -> bytes:
+    """``text`` as UTF-8 for the output ``name``. A code point that UTF-8
+    cannot encode, such as a lone surrogate from a JSON escape or a file
+    name that is not UTF-8, is an input error."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InputError(f"cannot write {name}: U+{ord(exc.object[exc.start]):04X} "
+                         "cannot be encoded as UTF-8") from None
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write text to a file as UTF-8, encoded before the file is opened."""
+    data = encode_output(text, path)
+    try:
+        Path(path).write_bytes(data)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 

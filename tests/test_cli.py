@@ -24,7 +24,7 @@ from ckeval.rules import (
     Interval, ValueSet, default_rule_base, load_rules, paper_rule_preset, parse_selection,
     serialize_rules,
 )
-from ckeval.tables import load_metrics_input, metrics_to_document
+from ckeval.tables import load_metrics_input, metrics_to_document, write_text
 from test_report import import_structured
 
 
@@ -93,6 +93,25 @@ def test_select_structured_matches_golden(fixtures, tmp_path, monkeypatch, capsy
     assert (code, err) == (0, "")
     golden = fixtures / "golden" / "moreunit_select_structured.json"
     assert out == golden.read_text(encoding="utf-8")
+
+
+def test_structured_metrics_and_verdicts_match_golden(fixtures, tmp_path, monkeypatch, capsys):
+    # the two outputs export_structured writes, pinned byte for byte on
+    # every interpreter the tests run on
+    code, out, err = run_cli(["analyze", str(fixtures / "corpus"), "--format", "structured"],
+                             capsys)
+    assert (code, err) == (0, "")
+    assert out == (fixtures / "golden" / "corpus_analyze_structured.json").read_text(
+        encoding="utf-8")
+    table = tmp_path / "five_versions.csv"
+    table.write_bytes((fixtures / "five_versions.csv").read_bytes())
+    os.utime(table, (1_600_000_000,) * 2)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["compare", "five_versions.csv", "--format", "structured",
+                              "--locale", "tr"], capsys)
+    assert (code, err) == (0, "")
+    assert out == (fixtures / "golden" / "five_versions_structured_tr.json").read_text(
+        encoding="utf-8")
 
 
 def test_evaluate_select_filter_report(fixtures, capsys):
@@ -1536,11 +1555,63 @@ def test_unwritable_output_is_an_input_error(fixtures, tmp_path, capsys, option)
     assert err == f"ckeval: error: cannot write {target}: No such file or directory\n"
 
 
+# --- text that UTF-8 cannot encode ---------------------------------------------------
+
+@pytest.mark.parametrize("argv, output, code_point", [
+    (["evaluate", "s.json"], "standard output", "U+D800"),
+    (["evaluate", "s.json", "--select", "WMC=0-5"], "standard output", "U+D800"),
+    (["evaluate", "s.json", "--format", "structured", "--out", "o.json"], "o.json", "U+D800"),
+    (["compare", "v.json", "--chart", "c.svg"], "c.svg", "U+D800"),
+    (["rules", "list", "--rules", "r.json"], "standard output", "U+D800"),
+    # a file name or an argument that is not UTF-8 reaches the text as a
+    # surrogate escape
+    (["evaluate", os.fsdecode(b"\xff.csv"), "--format", "structured", "--out", "o.json"],
+     "o.json", "U+DCFF"),
+    (["analyze", "src", "--project", os.fsdecode(b"\xfe"), "--format", "structured",
+      "--out", "o.json"], "o.json", "U+DCFE"),
+], ids=["evaluate", "select", "structured-out", "chart", "rules-list", "file-name", "project"])
+def test_text_that_utf8_cannot_encode_is_an_input_error(fixtures, tmp_path, monkeypatch, capsys,
+                                                       argv, output, code_point):
+    # JSON escapes of the lone surrogate U+D800 in a metrics document, a
+    # versions document and a rules file
+    (tmp_path / "s.json").write_text(
+        '{"schemaVersion": 1, "metrics": [{"class": "A\\ud800", "wmc": 1, "dit": 0, '
+        '"noc": 0, "cbo": 0, "rfc": 1, "lcom": 0}]}', encoding="utf-8")
+    means = '"means": {"wmc": 1, "dit": 0, "noc": 0, "cbo": 2, "rfc": 3, "lcom": 0}'
+    (tmp_path / "v.json").write_text(
+        '{"schemaVersion": 1, "versions": [{"version": "v\\ud800", "path": "a.csv", '
+        + means + '}, {"version": "w", "path": "b.csv", ' + means + "}]}", encoding="utf-8")
+    (tmp_path / "r.json").write_text(
+        '{"schemaVersion": 1, "name": "x\\ud800", "rules": [{"id": "a", "metric": "WMC", '
+        '"range": [0, null], "conclusions": [{"attribute": "quality", "level": "Low"}]}]}',
+        encoding="utf-8")
+    (tmp_path / os.fsdecode(b"\xff.csv")).write_bytes(
+        (fixtures / "moreunit_classes.csv").read_bytes())
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "A.java").write_text("class A { }", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"ckeval: error: cannot write {output}: "
+                   f"{code_point} cannot be encoded as UTF-8\n")
+    assert not any(tmp_path.glob("[oc].*"))  # no partial --out or --chart file
+
+
+def test_write_text_of_text_utf8_cannot_encode_leaves_no_file(tmp_path):
+    target = tmp_path / "out.txt"
+    with pytest.raises(InputError, match=f"^cannot write {re.escape(str(target))}: "
+                                         "U\\+D800 cannot be encoded as UTF-8$"):
+        write_text(target, "a\ud800")
+    assert not target.exists()
+    write_text(target, "çğı\n🙂")
+    assert target.read_bytes() == "çğı\n🙂".encode("utf-8")
+
+
 # --- mutated inputs never end in an internal error -------------------------------------
 
 # short tokens that break the syntax or the values of every input kind
 TOKENS = [b"{", b"}", b"[", b"(", b",", b";", b'"', b"-1", b"1e999", b"nan", b"null",
-          b"\xef\xbb\xbf", b"\x00", b"\xff", b"\n", b" ", b"A", b"0"]
+          b"\xef\xbb\xbf", b"\x00", b"\xff", b"\n", b" ", b"A", b"0", b"\\ud800"]
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -1581,7 +1652,8 @@ def edits(draw, data: bytes) -> bytes:
 def test_mutated_inputs_end_in_a_result_or_an_input_error(tmp_path, name, data, argv, drawn):
     path = tmp_path / name
     path.write_bytes(drawn.draw(edits(data)))
-    stdout, stderr = io.StringIO(), io.StringIO()
+    # stdout is strict UTF-8, as a StringIO, which takes any str, is not
+    stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
         code = cli_main([str(path) if a == "{input}" else a for a in argv])
     assert code in (0, 1, 2), stderr.getvalue()

@@ -10,7 +10,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 import pytest
 
 import ckeval
-from ckeval import export
 from ckeval.chart import (
     AXIS_LABEL_CHARS, HEIGHT, ChartSpec, _axis_label, build_chart_svg, emit_chart, escape,
 )
@@ -305,71 +304,8 @@ def assert_same_as_oracle(document):
     assert export_structured(document) == expected
 
 
-class Mapping(dict):
-    pass
-
-
-class Items(list):
-    pass
-
-
 TRICKY_STRINGS = ["", "{", "}", ",", "\n", "{\n}", '{"a": 1,\n  "b"', "[],{}",
                   "çğıİöşü", "\x00\x1f\x7f", '"\\', "\u2028\u2029", "\ud800", "🙂"]
-scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.floats(),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e308, 5e-324]),
-    st.sampled_from(list(Level)), st.sampled_from(TRICKY_STRINGS), st.text(),
-)
-# keys of one dict mostly share a kind, so sort_keys can order them; a mixed
-# dict checks that both sides refuse it alike
-number_keys = st.one_of(st.integers(), st.floats(), st.booleans(),
-                        st.sampled_from(list(Level)))
-key_kinds = [st.one_of(st.text(), st.sampled_from(TRICKY_STRINGS)), number_keys,
-             st.none(), st.one_of(st.text(max_size=2), number_keys, st.none())]
-
-
-def containers(children):
-    members = st.lists(children, max_size=5)
-    dicts = st.one_of(*[st.dictionaries(k, children, max_size=5) for k in key_kinds])
-    return st.one_of(members, members.map(tuple), members.map(Items),
-                     dicts, dicts.map(Mapping))
-
-
-json_values = st.recursive(scalars, containers, max_leaves=40)
-
-# lists of flat records, the shape one encoder call writes whole: strings that
-# look like the member break, empty dicts and dict subclasses mixed in
-RECORD_STRINGS = TRICKY_STRINGS + ["},", '{"', "}, {", "},\n    {", '"},\n  {"a": ', "}]"]
-record_scalars = st.one_of(scalars, st.sampled_from(RECORD_STRINGS))
-records = st.one_of(*[st.dictionaries(k, record_scalars, min_size=1, max_size=4)
-                      for k in key_kinds[:3]])
-record_lists = st.lists(st.one_of(records, records.map(Mapping),
-                                  st.just({}), st.just(Mapping())),
-                        min_size=1, max_size=5)
-record_documents = st.recursive(
-    st.one_of(record_lists, record_lists.map(tuple), record_lists.map(Items)),
-    lambda children: st.one_of(st.dictionaries(st.text(max_size=3), children, max_size=3),
-                               st.lists(children, max_size=3)),
-    max_leaves=8)
-
-
-@settings(max_examples=200, deadline=None)
-@given(record_documents)
-@example([{"a": "},\n    {", "b": 1}, {"a": '{"'}])
-@example({"x": [{"attribute": "}", "level": "{", "rule": "},"}, {}, Mapping(z=None)]})
-@example([Mapping(a=1), {"b": [], "c": 2}])
-def test_export_structured_is_json_dumps_on_record_lists(document):
-    assert_same_as_oracle(document)
-
-
-@settings(max_examples=400, deadline=None)
-@given(json_values)
-@example({"a": [], "b": {}, "c": [1, [], {}, "x"], "d": ({"e": ()},)})
-@example(Mapping(z=Items([Level.HIGH, (True, None)]), a={1: -0.0, 2.5: math.nan}))
-@example({None: {"k": math.inf}, "s": ["{\n}", ",", "\u00e7\x01"]})
-@example({True: [1], False: {"x": -math.inf}, 3: []})
-def test_export_structured_is_json_dumps(document):
-    assert_same_as_oracle(document)
 
 
 def test_export_structured_refuses_what_json_refuses():
@@ -379,22 +315,6 @@ def test_export_structured_refuses_what_json_refuses():
     cyclic["a"].append(cyclic)
     with pytest.raises(ValueError, match="Circular reference"):
         export_structured(cyclic)
-
-
-def test_export_structured_walks_the_nesting_only_before_python_3_13(monkeypatch):
-    # from 3.13 json indents in C, so the output must not come from _write
-    document = {"b": [1, {"c": "x", "d": [2, 3]}], "a": {}, "e": [{"f": None}]}
-    depths = []
-    walk = export._write
-
-    def spy(value, depth, out):
-        depths.append(depth)
-        walk(value, depth, out)
-
-    monkeypatch.setattr(export, "_write", spy)
-    assert export_structured(document) == dumps_oracle(document)
-    walked = sys.version_info < (3, 13) and export.c_make_encoder is not None
-    assert bool(depths) == walked
 
 
 def test_export_structured_is_json_dumps_on_result_documents(fixtures, corpus_model, tmp_path):
