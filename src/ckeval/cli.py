@@ -140,8 +140,14 @@ def _write_output(text: str, out: str | None) -> None:
     if out:
         tables.write_text(out, text)
     else:
-        tables.encode_output(text, "standard output")  # refused before any of it is written
-        sys.stdout.write(text)
+        # refused before any of it is written: as UTF-8, then in the stream's
+        # own encoding (a StringIO has none and takes any str)
+        tables.encode_output(text, "standard output")
+        stream = sys.stdout
+        if stream.encoding:
+            tables.encode_output(text, "standard output", stream.encoding,
+                                 stream.errors or "strict")
+        stream.write(text)
 
 
 # --- analyze -----------------------------------------------------------------

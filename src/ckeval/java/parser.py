@@ -11,10 +11,12 @@ types are outside the subset and reported as syntax errors.
 The parser reads the kind and text columns of the lexer's ``Tokens`` and
 works in token indices; it asks for a line and column only for a
 diagnostic. The declarations hold what lowering reads, and no position.
-A type is handed out from one table (``_TypeRefs``) that every parse and
-thread of the process shares, so each written base is one ``TypeRef``.
+A primitive type is one of ``_PRIMITIVE_TYPES``, and a class type comes
+from ``_class_type``, a cache that every parse and thread of the process
+shares: a written base is one ``TypeRef`` while the cache holds it.
 """
 
+from functools import lru_cache
 from typing import NamedTuple, NoReturn
 
 from .lexer import LexError, MODIFIERS, PRIMITIVES, Tokens, line_column, tokenize
@@ -42,28 +44,13 @@ class TypeRef(NamedTuple):
     is_primitive: bool
 
 
-class _TypeRefs(dict):
-    """Written base -> its ``TypeRef``, shared by every parse in the process.
-
-    It starts from the primitive types, whose texts no identifier has; a
-    class type is learned the first time it is written, so each repeat is
-    one C-level lookup and every declaration of a type holds the same
-    ``TypeRef``. The table stops learning once it holds ``_LEARNED_TYPES``
-    types past its seed.
-    """
-
-    def __missing__(self, base: str) -> TypeRef:
-        ref = TypeRef(base, False)
-        if len(self) < _SEEDED_TYPES + _LEARNED_TYPES:
-            self[base] = ref
-        return ref
-
-
 _PRIMITIVE_TYPES = {text: TypeRef(text, True) for text in PRIMITIVES}
-_SEEDED_TYPES = len(_PRIMITIVE_TYPES)
-_LEARNED_TYPES = 2**16
-# a full table is replaced, never cleared, as the lexer's kind table is
-_type_refs = _TypeRefs(_PRIMITIVE_TYPES)
+
+
+@lru_cache(maxsize=2**16)
+def _class_type(base: str) -> TypeRef:
+    """The ``TypeRef`` of a class type written as ``base``."""
+    return TypeRef(base, False)
 
 
 class FieldDecl(NamedTuple):
@@ -126,16 +113,12 @@ def _universal_newlines(text: str) -> str:
 
 def parse_source(text: str, path: str) -> SourceUnit:
     """Parse one file; raises ParseError with positioned diagnostics."""
-    global _type_refs
     try:
         tokens = tokenize(text)
     except LexError as exc:
         raise ParseError([ParseDiagnostic(path, exc.line, exc.column,
                                           "LEX_ERROR", exc.message)]) from None
-    type_refs = _type_refs
-    if len(type_refs) >= _SEEDED_TYPES + _LEARNED_TYPES:
-        type_refs = _type_refs = _TypeRefs(_PRIMITIVE_TYPES)
-    return _Parser(tokens, path, type_refs).parse_unit()
+    return _Parser(tokens, path).parse_unit()
 
 
 class _Parser:
@@ -152,13 +135,12 @@ class _Parser:
     tokens for a line and column.
     """
 
-    def __init__(self, tokens: Tokens, path: str, type_refs: _TypeRefs):
+    def __init__(self, tokens: Tokens, path: str):
         self.tokens = tokens
         self.kinds = tokens.kinds + ("eof",)
         self.texts = tokens.texts + ("",)
         self.pos = 0
         self.path = path
-        self.type_refs = type_refs
 
     # --- token plumbing ---
 
@@ -369,20 +351,20 @@ class _Parser:
         self.expect(";")
 
     def type_ref(self) -> TypeRef:
-        """A type, with any array dims after it, as the table's ``TypeRef``."""
+        """A type, with any array dims after it, as its shared ``TypeRef``."""
         pos = self.pos
         kind, text = self.kinds[pos], self.texts[pos]
         if kind == "ident":
-            base = self.qualified_name()
+            type_ = _class_type(self.qualified_name())
         elif text in PRIMITIVES:
             self.pos += 1
-            base = text
+            type_ = _PRIMITIVE_TYPES[text]
         else:
             self.fail(f"expected a type, found {text or kind!r}", pos)
         if self.texts[self.pos] == "<":
             self.fail("generic types are not supported")
         self.array_dims()
-        return self.type_refs[base]
+        return type_
 
     def array_dims(self) -> None:
         texts = self.texts

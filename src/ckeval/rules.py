@@ -10,17 +10,17 @@ disjoint bands covering every non-negative value) and ``paper`` (the three
 published example rules, encoded verbatim). Band thresholds live in the
 rules files, not in code, and users may load their own.
 
-Each base keeps one effect table for as long as it lives, and it alone
-matches facts and builds effects; the built-in bases live for the process.
-``evaluate_project`` reads its rows a column at a time: each distinct value
-of a metric gets its effect from that table once, and each row's six effects
-are merged as three pairs from a table that lives for the one call. Rows it
-cannot take that way (a repeated scope, an unhashable value, a faulty fact)
-are chained fact by fact by ``_chain``, which ``forward_chain`` uses.
+Each base keeps one effect function, whose bounded cache holds the
+effects of the facts it saw last; it alone matches facts and builds
+effects. ``evaluate_project`` reads its rows a column at a time: each
+distinct value of a metric gets its effect once, and each row's six effects
+are merged as three pairs, each distinct pair once per call. Rows it cannot
+take that way (a repeated scope, an unhashable value, a faulty fact) are
+chained fact by fact by ``_chain``, which ``forward_chain`` uses.
 """
 
 from enum import IntEnum
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import combinations, compress
 import json
 import math
@@ -159,43 +159,19 @@ class Assessment(NamedTuple):
         return list(self.derived.items())
 
 
-class _EffectTable(dict):
-    """(metric, value) -> the effect of that fact: (ids of the rules it
-    fires, {attribute: level}, {attribute: rule id}), one per rule, built
-    with the table; facts that fire nothing share ``NONE``. A missing fact
-    is checked, matched, and kept if its value equals itself (not NaN); a
-    faulty fact raises and adds nothing. Entries are only added, each whole.
-    """
-
-    NONE = ((), {}, {})
-
-    def __init__(self, kb: "KnowledgeBase"):
-        self.match = kb.match
-        self.of_rule = {}  # id of each rule, which the base keeps alive -> its effect
-        for rule in kb.rules:
-            derived = dict(rule.conclusions)
-            self.of_rule[id(rule)] = (rule.id,), derived, dict.fromkeys(derived, rule.id)
-
-    def effect(self, metric: str, value: float) -> tuple[tuple, dict, dict]:
-        """The effect of one fact, checked and matched afresh."""
-        if value < 0:
-            raise RuleError(f"fact {metric}={value} is negative")
-        if metric not in METRICS:
-            raise RuleError(f"fact has unknown metric {metric!r}")
-        rule = self.match(metric, value)
-        return self.NONE if rule is None else self.of_rule[id(rule)]
-
-    def __missing__(self, key: tuple[str, float]) -> tuple[tuple, dict, dict]:
-        effect = self.effect(*key)
-        if key[1] == key[1]:
-            self[key] = effect
-        return effect
+_NO_EFFECT = ((), {}, {})  # the effect of a fact that fires no rule
+_EFFECTS_KEPT = 2**12  # the most facts whose effects one base keeps
 
 
 class KnowledgeBase(NamedTuple("KnowledgeBase", [("name", str), ("rules", tuple[Rule, ...])])):
-    """Rules in order, plus an effect table kept in the instance ``__dict__``
-    for as long as the base lives; the table only grows, so a base may be
-    shared across threads. ==, repr and hash ignore the table."""
+    """Rules in order, plus an effect function kept in the instance
+    ``__dict__``, whose cache is bounded and may be shared across threads.
+    ==, repr and hash ignore it, and a pickled or copied base starts
+    without it."""
+
+    def __getstate__(self) -> None:
+        """No state past the fields: a pickled or copied base builds its own cache."""
+        return None
 
     def rules_for(self, metric: str) -> list[Rule]:
         return [r for r in self.rules if r.metric == metric]
@@ -208,8 +184,25 @@ class KnowledgeBase(NamedTuple("KnowledgeBase", [("name", str), ("rules", tuple[
         return None
 
     @cached_property
-    def _effect_table(self) -> _EffectTable:
-        return _EffectTable(self)
+    def _effect(self):
+        """(metric, value) -> the effect of that fact: (ids of the rules it
+        fires, {attribute: level}, {attribute: rule id}), one per rule, or
+        ``_NO_EFFECT``. A faulty fact raises and is not kept; callers send
+        an unhashable or NaN value to ``__wrapped__``, which keeps nothing."""
+        of_rule = {}  # id of each rule, which the base keeps alive -> its effect
+        for rule in self.rules:
+            derived = dict(rule.conclusions)
+            of_rule[id(rule)] = (rule.id,), derived, dict.fromkeys(derived, rule.id)
+
+        @lru_cache(maxsize=_EFFECTS_KEPT)
+        def effect(metric: str, value: float) -> tuple[tuple, dict, dict]:
+            if value < 0:
+                raise RuleError(f"fact {metric}={value} is negative")
+            if metric not in METRICS:
+                raise RuleError(f"fact has unknown metric {metric!r}")
+            rule = self.match(metric, value)
+            return _NO_EFFECT if rule is None else of_rule[id(rule)]
+        return effect
 
     def is_complete(self) -> bool:
         """Whether every non-negative integer of every metric matches a rule.
@@ -435,16 +428,16 @@ def forward_chain(facts: list[Fact], kb: KnowledgeBase) -> list[Assessment]:
 
 def _chain(groups, kb: KnowledgeBase) -> list[Assessment]:
     """forward_chain over (scope, [(metric, value), ...]) groups of facts,
-    each fact's effect read from the base's table."""
+    each fact's effect read through the base's cache."""
     assessments: dict[str, Assessment] = {}
-    table = kb._effect_table
+    effect_of = kb._effect
     for scope, facts in groups:
         assessment = assessments.get(scope)
         for key in facts:
             try:
-                effect = table[key]
+                effect = (effect_of if key[1] == key[1] else effect_of.__wrapped__)(*key)
             except TypeError:  # an unhashable value
-                effect = table.effect(*key)
+                effect = effect_of.__wrapped__(*key)
             if assessment is None:
                 assessment = assessments[scope] = Assessment(scope, {}, {}, [])
             assessment.fired_rules.extend(effect[0])
@@ -473,8 +466,8 @@ def evaluate_project(pm: ProjectMetrics, kb: KnowledgeBase,
     Either way this is forward_chain over six facts per scope, in METRICS
     order: each class's values taken straight from its record, or the
     rounded means under the one scope ``project``. The rows are chained a
-    column at a time by ``_chain_columns``, whose table of merged effect
-    pairs lives for this call only. Rows with a repeated scope, an
+    column at a time by ``_chain_columns``, which merges each distinct
+    pair of effects once per call. Rows with a repeated scope, an
     unhashable value or a faulty fact go to ``_chain`` instead, which merges
     the scopes and raises at the first fault in row order.
     """
@@ -490,25 +483,12 @@ def evaluate_project(pm: ProjectMetrics, kb: KnowledgeBase,
     return assessments
 
 
-class _Pairs(dict):
-    """(id of one effect, id of the next) -> the two merged as (rule ids,
-    derived, derived_by), each entry built on its first lookup."""
-
-    def __init__(self, effects: dict[int, tuple[tuple, dict, dict]]):
-        self.effects = effects
-
-    def __missing__(self, key: tuple[int, int]) -> tuple[tuple, dict, dict]:
-        a, b = map(self.effects.__getitem__, key)
-        merged = self[key] = (a[0] + b[0], {**a[1], **b[1]}, {**a[2], **b[2]})
-        return merged
-
-
 def _chain_columns(rows, kb: KnowledgeBase) -> list[Assessment] | None:
     """_chain over (scope, six values) rows, a column at a time; None when
     a scope repeats, a value is unhashable or a fact is faulty.
 
-    Each distinct value of a metric gets its effect once, from the base's
-    table. Each row's six effects are merged as three pairs, (WMC, DIT),
+    Each distinct value of a metric gets its effect once, through the base's
+    cache. Each row's six effects are merged as three pairs, (WMC, DIT),
     (NOC, CBO) and (RFC, LCOM), each distinct pair once per call; update is
     associative, so every Assessment has fresh dicts equal to six updates in
     order.
@@ -517,7 +497,7 @@ def _chain_columns(rows, kb: KnowledgeBase) -> list[Assessment] | None:
     if not columns:
         return []
     names = columns[0]
-    table = kb._effect_table
+    effect_of = kb._effect
     effects: dict[int, tuple[tuple, dict, dict]] = {}  # id -> effect, as a pair's half
     ids = []  # per metric, each row's effect as its id
     try:
@@ -526,18 +506,23 @@ def _chain_columns(rows, kb: KnowledgeBase) -> list[Assessment] | None:
         for metric, column in zip(METRICS, columns[1:]):
             id_of = {}
             for value in dict.fromkeys(column):
-                effect = table[metric, value]
+                effect = (effect_of if value == value else effect_of.__wrapped__)(metric, value)
                 id_of[value] = id(effect)
                 effects[id(effect)] = effect
             ids.append(map(id_of.__getitem__, column))
     except Exception:  # an unhashable value or a faulty fact: _chain raises it in row order
         return None
-    pairs = _Pairs(effects).__getitem__
+
+    @cache
+    def pair(a: int, b: int) -> tuple[tuple, dict, dict]:
+        """The effects of ids a and b merged as (rule ids, derived, derived_by)."""
+        a, b = effects[a], effects[b]
+        return a[0] + b[0], {**a[1], **b[1]}, {**a[2], **b[2]}
+
     new = tuple.__new__  # builds each Assessment in C
     return [new(Assessment, (name, {**a[1], **b[1], **c[1]}, {**a[2], **b[2], **c[2]},
                              [*a[0], *b[0], *c[0]]))
-            for name, a, b, c in zip(names, *(map(pairs, zip(*ids[i:i + 2]))
-                                              for i in (0, 2, 4)))]
+            for name, a, b, c in zip(names, *(map(pair, *ids[i:i + 2]) for i in (0, 2, 4)))]
 
 
 # --- manual range selection --------------------------------------------------

@@ -344,15 +344,16 @@ def read_text(path: str | Path) -> str:
     return text.removeprefix("\ufeff")
 
 
-def encode_output(text: str, name: str | Path) -> bytes:
-    """``text`` as UTF-8 for the output ``name``. A code point that UTF-8
-    cannot encode, such as a lone surrogate from a JSON escape or a file
-    name that is not UTF-8, is an input error."""
+def encode_output(text: str, name: str | Path, encoding: str = "UTF-8",
+                  errors: str = "strict") -> bytes:
+    """``text`` in ``encoding`` for the output ``name``. A code point that
+    the encoding cannot encode, such as a lone surrogate from a JSON escape
+    or a file name that is not UTF-8, is an input error."""
     try:
-        return text.encode("utf-8")
+        return text.encode(encoding, errors)
     except UnicodeEncodeError as exc:
         raise InputError(f"cannot write {name}: U+{ord(exc.object[exc.start]):04X} "
-                         "cannot be encoded as UTF-8") from None
+                         f"cannot be encoded as {encoding}") from None
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -398,8 +399,7 @@ def sniff(text: str, label: str) -> tuple[str, str | dict]:
             doc = json.loads(text)
         except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
             raise InputError(f"{label}: invalid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise InputError(f"{label}: top-level JSON value must be an object")
+        # JSON text that starts with { is an object, or not JSON at all
         if "classes" in doc:
             return "model", doc
         if "metrics" in doc:

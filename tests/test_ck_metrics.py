@@ -221,6 +221,20 @@ def test_cbo_excludes_externals_and_unresolved():
     assert cbo(model.get("A"), model) == 0
 
 
+def test_cbo_of_a_class_outside_the_model_counts_every_internal_partner():
+    # no hierarchy holds Z, so none of its partners is excluded as kin
+    model = build_model("t", [
+        cls_of([method("m", refs=["B"])], name="A"),
+        cls_of([method("g", refs=["Z"])], name="B"),
+        cls_of([method("h")], name="C", superclass="A"),
+        ClassInfo("ext.E", is_external=True),
+    ])
+    stand_in = cls_of([method("m", refs=["A", "C", "ext.E", "Y"])], name="Z")
+    assert "Z" not in model
+    assert cbo(stand_in, model) == 3  # A and C by its own uses, B by B's
+    assert cbo(cls_of([], name="Y"), model) == 0
+
+
 def test_rfc_own_methods_only():
     assert rfc(cls_of([method("a"), method("b")])) == 2
 

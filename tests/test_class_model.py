@@ -197,6 +197,29 @@ def test_validate_unknown_field_use():
     assert "ghost" in diags[0].message
 
 
+def test_validate_reports_each_broken_superclass_and_stub():
+    # built by hand: the readers refuse each of these before a model exists
+    model = ClassModel(project_name="x", classes=(
+        ClassInfo("A", superclass="A"),
+        ClassInfo("B", superclass="p.Gone"),
+        ClassInfo("C", superclass="A"),
+        ClassInfo("api.S", superclass="A", is_external=True),
+        ClassInfo("api.T", fields=(FieldInfo("f"),), is_external=True),
+        ClassInfo("api.U", methods=(MethodInfo("m", 0),), is_external=True),
+    ))
+    stub = "external stub must not carry members or a superclass"
+    assert validate_model(model) == [
+        Diagnostic("SELF_EXTENDS", "A", "class extends itself"),
+        Diagnostic("UNKNOWN_SUPERCLASS", "B", "superclass 'p.Gone' is not in the model"),
+        Diagnostic("EXTERNAL_WITH_MEMBERS", "api.S", stub),
+        Diagnostic("EXTERNAL_WITH_MEMBERS", "api.T", stub),
+        Diagnostic("EXTERNAL_WITH_MEMBERS", "api.U", stub),
+        Diagnostic("INHERITANCE_CYCLE", "A", "extends cycle: A"),
+    ]
+    assert "A" in model and "api.U" in model
+    assert "p.Gone" not in model and "a" not in model
+
+
 def test_roundtrip_is_identity_on_normalized_form():
     document = doc([
         {"name": "p.B", "extends": "p.A",
@@ -437,7 +460,7 @@ def fill_caches(value):
     else:
         evaluate_project(metrics_from_csv("CLASS,WMC,DIT,NOC,CBO,RFC,LCOM\nA,1,2,3,4,5,6\n"),
                          value)
-        assert list(vars(value)) == ["_effect_table"] and value._effect_table
+        assert list(vars(value)) == ["_effect"] and value._effect.cache_info().currsize
     return value
 
 

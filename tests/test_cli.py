@@ -184,6 +184,44 @@ def test_analyze_skips_bad_files_unless_strict(tmp_path, capsys):
     assert "SYNTAX_ERROR" in err
 
 
+@pytest.mark.parametrize("source, diagnostic", [
+    ("package p; interface I extends J implements K {}",
+     "p/A.java:1:34: SYNTAX_ERROR: interfaces cannot implement"),
+    ("package p; class A extends A {}",
+     "p/A.java:1:18: SYNTAX_ERROR: class must not extend itself"),
+], ids=["interface-implements", "extends-itself"])
+def test_analyze_skips_a_declaration_outside_the_subset_unless_strict(tmp_path, capsys,
+                                                                      monkeypatch, source,
+                                                                      diagnostic):
+    (tmp_path / "p").mkdir()
+    (tmp_path / "p" / "A.java").write_text(source, encoding="utf-8")
+    # stray semicolons between members are no members at all
+    (tmp_path / "p" / "S.java").write_text("package p; class S { ; int x; ; void m() {} ; }",
+                                           encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["analyze", "."], capsys)
+    assert (code, out) == (0, "CLASS,WMC,DIT,NOC,CBO,RFC,LCOM\np.S,1,0,0,0,1,0\n")
+    assert err == diagnostic + "\nckeval: skipped 1 file(s) outside the Java subset\n"
+
+    code, out, err = run_cli(["analyze", ".", "--strict"], capsys)
+    assert (code, out, err) == (2, "", diagnostic + "\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evaluate", "v.csv"], "v.csv: expected a metrics table or class model document"),
+    (["evaluate", "x.json"],
+     "x.json: unrecognized document (no classes, metrics, or versions key)"),
+    (["compare", "x.json", "v.csv"],
+     "x.json: unrecognized document (no classes, metrics, or versions key)"),
+], ids=["evaluate-versions", "evaluate-unrecognized", "compare-unrecognized"])
+def test_an_input_of_the_wrong_kind_is_named(fixtures, tmp_path, capsys, monkeypatch, argv,
+                                             message):
+    (tmp_path / "v.csv").write_bytes((fixtures / "five_versions.csv").read_bytes())
+    (tmp_path / "x.json").write_text('{"schemaVersion": 1, "name": "x"}', encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv, capsys) == (2, "", f"ckeval: error: {message}\n")
+
+
 def test_unknown_flag_exits_1_with_usage_on_stderr(capsys):
     code, out, err = run_cli(["compare", "x.csv", "--frobnicate"], capsys)
     assert code == 1
@@ -271,6 +309,17 @@ def test_rules_check_valid_and_invalid(tmp_path, capsys):
     assert "overlap" in err
 
 
+def test_rules_check_names_the_place_of_a_schema_error(tmp_path, capsys):
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({
+        "schemaVersion": 1, "name": "odd",
+        "rules": [{"id": "r", "metric": "WMC", "range": [0, None], "values": [1],
+                   "conclusions": [{"attribute": "quality", "level": "High"}]}],
+    }), encoding="utf-8")
+    assert run_cli(["rules", "check", str(rules)], capsys) == (
+        2, "", "ckeval: error: rules[0]: exactly one of range or values is required\n")
+
+
 def test_rules_check_refuses_an_attribute_outside_the_vocabulary(tmp_path, capsys):
     rules = tmp_path / "rules.json"
     rules.write_text(json.dumps({
@@ -292,7 +341,8 @@ PAPER_RULES = str(Path(ckeval.__file__).parent / "data" / "paper_rules.json")
      "rules check reads no --rules; give the rules file as FILE"),
     (["rules", "check", PAPER_RULES, "--rules", "default"],
      "rules check reads no --rules; give the rules file as FILE"),
-], ids=["list-file", "check-rules", "check-rules-default"])
+    (["rules", "check"], "rules check requires a FILE argument"),
+], ids=["list-file", "check-rules", "check-rules-default", "check-no-file"])
 def test_rules_refuses_the_argument_its_action_does_not_read(capsys, argv, advice):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
@@ -631,11 +681,12 @@ def test_class_model_member_that_is_not_an_array_exits_2(tmp_path, capsys, metho
     assert f"{where}: must be an array" in err and "internal error" not in err
 
 
-def run_in_new_process(argv) -> subprocess.CompletedProcess:
-    """argv run by ``python -m ckeval.cli`` in a new interpreter."""
+def run_in_new_process(argv, env: dict | None = None) -> subprocess.CompletedProcess:
+    """argv run by ``python -m ckeval.cli`` in a new interpreter, with the
+    variables of ``env`` added to its environment."""
     # the child imports the same ckeval as this test, installed or not
     package_root = str(Path(ckeval.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "ckeval.cli", *argv],
                           capture_output=True, text=True, env=env)
@@ -1605,6 +1656,48 @@ def test_write_text_of_text_utf8_cannot_encode_leaves_no_file(tmp_path):
     assert not target.exists()
     write_text(target, "çğı\n🙂")
     assert target.read_bytes() == "çğı\n🙂".encode("utf-8")
+
+
+@pytest.mark.parametrize("locale, code_point", [("tr", "U+011E"), ("en", "U+00DC")])
+def test_text_the_stdout_encoding_cannot_encode_is_an_input_error(fixtures, locale,
+                                                                  code_point):
+    # the Turkish report's first heading holds Ğ; the English one first meets Ü in SÜRÜM-5
+    stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="ascii"), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = cli_main(["compare", str(fixtures / "five_versions.csv"), "--locale", locale])
+    stdout.flush()
+    assert (code, stdout.buffer.getvalue()) == (2, b"")
+    assert stderr.getvalue() == (f"ckeval: error: cannot write standard output: "
+                                 f"{code_point} cannot be encoded as ascii\n")
+
+
+def test_an_ascii_stdout_refuses_what_it_cannot_encode_in_a_new_process(fixtures):
+    argv = ["compare", str(fixtures / "five_versions.csv"), "--locale", "tr"]
+    proc = run_in_new_process(argv, {"PYTHONIOENCODING": "ascii"})
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("ckeval: error: cannot write standard output: "
+                           "U+011E cannot be encoded as ascii\n")
+    # an ASCII report goes out as before
+    proc = run_in_new_process(["evaluate", str(fixtures / "moreunit_classes.csv")],
+                              {"PYTHONIOENCODING": "ascii"})
+    assert proc.returncode == 0
+    assert proc.stdout == (fixtures / "golden" / "moreunit_evaluate_class_en.txt").read_text(
+        encoding="utf-8")
+
+
+def test_stdout_refuses_a_lone_surrogate_as_utf8_before_its_own_encoding(tmp_path):
+    source = tmp_path / "s.json"
+    source.write_text('{"schemaVersion": 1, "metrics": [{"class": "\\u011e\\ud800", '
+                      '"wmc": 1, "dit": 0, "noc": 0, "cbo": 0, "rfc": 1, "lcom": 0}]}',
+                      encoding="utf-8")
+    for encoding in ("ascii", "utf-8"):
+        stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding=encoding), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = cli_main(["evaluate", str(source)])
+        stdout.flush()
+        assert (code, stdout.buffer.getvalue()) == (2, b"")
+        assert stderr.getvalue() == ("ckeval: error: cannot write standard output: "
+                                     "U+D800 cannot be encoded as UTF-8\n")
 
 
 # --- mutated inputs never end in an internal error -------------------------------------

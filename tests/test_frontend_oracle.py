@@ -6,6 +6,7 @@ list. Both must give the same ``SourceUnit``s, ``ParseDiagnostic``s and
 lowered models as ``ckeval.java`` on every input.
 """
 
+from functools import lru_cache
 import random
 import sys
 import threading
@@ -179,15 +180,17 @@ def test_nested_call_lowering_stays_linear():
     assert seconds(4000) < 8 * seconds(1000)
 
 
-# --- the shared TypeRef table --------------------------------------------------
+# --- the shared TypeRef cache --------------------------------------------------
 
-def fresh_type_table(monkeypatch, bound: int) -> None:
-    monkeypatch.setattr(parser, "_LEARNED_TYPES", bound)
-    monkeypatch.setattr(parser, "_type_refs", parser._TypeRefs(parser._PRIMITIVE_TYPES))
+def fresh_type_cache(monkeypatch, bound: int):
+    """An empty class-type cache of ``bound`` entries in place of the parser's."""
+    cache = lru_cache(maxsize=bound)(parser._class_type.__wrapped__)
+    monkeypatch.setattr(parser, "_class_type", cache)
+    return cache
 
 
 def test_each_written_type_is_one_shared_type_ref(monkeypatch):
-    fresh_type_table(monkeypatch, 64)
+    fresh_type_cache(monkeypatch, 64)
     first = parse_source("package p; class A { List a; int n; void m(List x, int[] y) {} }",
                          "A.java")
     second = parse_source("package q; class B { List b; int k[]; q.List c; }", "B.java")
@@ -202,21 +205,22 @@ def test_each_written_type_is_one_shared_type_ref(monkeypatch):
 
 
 def test_a_full_type_table_is_replaced_and_units_stay_the_same(monkeypatch):
+    # a full cache drops the types written longest ago, and they come back
+    # as equal TypeRefs
     bound = 4
-    fresh_type_table(monkeypatch, bound)
-    tables = {}  # each table by its id, kept alive so no id is reused
+    cache = fresh_type_cache(monkeypatch, bound)
     for k in range(40):
         assert_same_frontend([f"package p; import q.V{k}; class A{k} {{ T{k} f; q.U{k}[] g;"
                               f" int h; void m(V{k} a, boolean b, T{k % 3} c) {{}} }}"])
-        tables[id(parser._type_refs)] = parser._type_refs
-        assert len(parser._type_refs) <= parser._SEEDED_TYPES + bound
-        assert all(parser._type_refs[text] == TypeRef(text, True) for text in PRIMITIVES)
-    assert len(tables) > 1
+        assert cache.cache_info().currsize <= bound
+        assert all(parser._PRIMITIVE_TYPES[text] == TypeRef(text, True) for text in PRIMITIVES)
+    # more misses than the 120 distinct class types: some were dropped and made again
+    assert cache.cache_info().misses > 40 * 3
 
 
 def test_threads_sharing_the_type_table_parse_what_a_serial_run_parses(monkeypatch):
-    # a small bound, so that threads also replace the table under each other
-    fresh_type_table(monkeypatch, 16)
+    # a small bound, so that threads also drop types under each other
+    cache = fresh_type_cache(monkeypatch, 16)
     texts = [f"package p{k % 3}; import q.V{k}; class A{k} extends B{k % 5} {{"
              f" T{k} f; q.U{k % 7}[] g; long h; V{k} v;"
              f" void m(T{k % 4} a, char b, V{k} c) {{ f.go(a); }} }}" for k in range(24)]
@@ -248,3 +252,4 @@ def test_threads_sharing_the_type_table_parse_what_a_serial_run_parses(monkeypat
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(units == serial for rounds in results for units in rounds)
+    assert cache.cache_info().currsize <= 16

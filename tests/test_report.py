@@ -528,6 +528,17 @@ def test_chart_refuses_a_value_that_is_not_finite(bad):
         build_chart_svg(spec)
 
 
+@pytest.mark.parametrize("series, message", [
+    ((("WMC", (1.0, 2.0)), ("CBO", (1.0,))), "series 'CBO' must carry one value per group"),
+    ((("WMC", (1.0, 2.0, 3.0)),), "series 'WMC' must carry one value per group"),
+    ((("WMC", (1.0, 2.0)), ("CBO", (0.0, -0.5))), "series 'CBO' contains a negative value"),
+], ids=["short", "long", "negative"])
+def test_chart_refuses_a_series_of_the_wrong_length_or_sign(series, message):
+    with pytest.raises(InputError) as err:
+        build_chart_svg(ChartSpec(groups=("a", "b"), series=series))
+    assert str(err.value) == message
+
+
 def test_chart_zero_groups_rejected():
     with pytest.raises(InputError):
         build_chart_svg(ChartSpec(groups=(), series=()))

@@ -1,6 +1,9 @@
+import copy
 from decimal import ROUND_HALF_UP, Decimal
+import itertools
 import json
 import math
+import pickle
 import random
 import sys
 import threading
@@ -8,7 +11,7 @@ import threading
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
-from ckeval.errors import RuleError, RuleOverlapError, UsageError
+from ckeval.errors import RuleError, RuleOverlapError, SchemaError, UsageError
 from ckeval.metrics import METRICS, MetricRecord, ProjectMetrics
 from ckeval.rules import (
     BUILTIN_BASES,
@@ -31,7 +34,7 @@ from ckeval.rules import (
     round_half_up,
     serialize_rules,
 )
-from ckeval.rules import _load_builtin, _rule_sort_key
+from ckeval.rules import _EFFECTS_KEPT, _load_builtin, _rule_sort_key
 from ckeval.tables import metrics_from_csv
 from rules_oracle import (oracle_build_knowledge_base, oracle_conditions_overlap,
                           oracle_is_complete, oracle_rule_sort_key)
@@ -124,6 +127,59 @@ def test_attribute_outside_the_vocabulary_rejected():
     doc["rules"][2]["conclusions"].append({"attribute": "elegance", "level": "High"})
     with pytest.raises(RuleError, match=r"rule 'r-NOC': unregistered attribute 'elegance'"):
         load_rules(doc)
+
+
+def with_second_rule(**changes) -> dict:
+    """A rules document whose second rule is the first with ``changes``;
+    a change to None drops the key."""
+    first = {"id": "a", "metric": "WMC", "range": [0, None],
+             "conclusions": [{"attribute": "quality", "level": "Low"}]}
+    second = {key: value for key, value in {**first, "id": "b", **changes}.items()
+              if value is not None}
+    return {"schemaVersion": 1, "name": "x", "rules": [first, second]}
+
+
+NUMBERS = "must be [lo, hi] with hi a number or null"
+
+
+@pytest.mark.parametrize("document, message", [
+    ([], "$: rules document must be an object"),
+    ({"name": "", "rules": []}, "name: must be a non-empty string"),
+    ({"name": 7, "rules": []}, "name: must be a non-empty string"),
+    ({"name": "x"}, "rules: must be an array"),
+    ({"rules": {}}, "rules: must be an array"),
+    ({"rules": [None]}, "rules[0]: rule entry must be an object"),
+    (with_second_rule(id=None), "rules[1].id: must be a non-empty string"),
+    (with_second_rule(id=""), "rules[1].id: must be a non-empty string"),
+    (with_second_rule(metric="NOM"),
+     "rules[1].metric: must be one of WMC, DIT, NOC, CBO, RFC, LCOM"),
+    (with_second_rule(range=None), "rules[1]: exactly one of range or values is required"),
+    (with_second_rule(values=[1]), "rules[1]: exactly one of range or values is required"),
+    (with_second_rule(range=[0]), f"rules[1].range: {NUMBERS}"),
+    (with_second_rule(range=["0", 1]), f"rules[1].range: {NUMBERS}"),
+    (with_second_rule(range=[0, True]), f"rules[1].range: {NUMBERS}"),
+    (with_second_rule(range={"lo": 0}), f"rules[1].range: {NUMBERS}"),
+    (with_second_rule(range=None, values=[]), "rules[1].values: must be a non-empty number array"),
+    (with_second_rule(range=None, values=[1, "2"]),
+     "rules[1].values: must be a non-empty number array"),
+    (with_second_rule(range=None, values=3), "rules[1].values: must be a non-empty number array"),
+    (with_second_rule(conclusions=None), "rules[1].conclusions: must be a non-empty array"),
+    (with_second_rule(conclusions=[]), "rules[1].conclusions: must be a non-empty array"),
+    (with_second_rule(conclusions=[{"attribute": "quality", "level": "Low"}, "x"]),
+     "rules[1].conclusions[1]: conclusion must be an object"),
+    (with_second_rule(conclusions=[{"level": "Low"}]),
+     "rules[1].conclusions[0].attribute: must be a non-empty string"),
+    (with_second_rule(conclusions=[{"attribute": "", "level": "Low"}]),
+     "rules[1].conclusions[0].attribute: must be a non-empty string"),
+    (with_second_rule(conclusions=[{"attribute": "quality", "level": 2}]),
+     "rules[1].conclusions[0].level: must be a string"),
+    (with_second_rule(conclusions=[{"attribute": "quality"}]),
+     "rules[1].conclusions[0].level: must be a string"),
+])
+def test_rules_document_schema_errors_name_their_place(document, message):
+    with pytest.raises(SchemaError) as err:
+        load_rules(document)
+    assert str(err.value) == message
 
 
 def test_empty_base_rejected():
@@ -595,22 +651,23 @@ def effect_of(rule: Rule | None) -> tuple[tuple, dict, dict]:
     return (rule.id,), dict(rule.conclusions), {a: rule.id for a, _ in rule.conclusions}
 
 
-def assert_table_holds_the_scan(kb: KnowledgeBase, keys) -> None:
-    """Each of keys that the base's table holds maps to the effect of the
-    rule the scan finds, one object per rule; NaN, unhashable and negative
-    values are not held."""
-    table = kb._effect_table
+def assert_cache_holds_the_scan(kb: KnowledgeBase, keys, held_before: int) -> None:
+    """Each of keys gives the effect of the rule the scan finds, one object
+    per rule, from the base's cache; it held ``held_before`` entries before
+    the keys were chained, and NaN, unhashable and negative values add none."""
+    effect = kb._effect
     effect_by_rule = {}
+    kept = set()
     for metric, value in keys:
-        if isinstance(value, Unhashable):
+        if isinstance(value, Unhashable) or value != value or value < 0:
             continue
-        if value != value or value < 0:
-            assert (metric, value) not in table
-        elif (metric, value) in table:
-            rule = scan_oracle(kb, metric, value)
-            assert table[metric, value] == effect_of(rule)
-            assert table[metric, value] is effect_by_rule.setdefault(
-                None if rule is None else id(rule), table[metric, value])
+        kept.add((metric, value))
+        rule = scan_oracle(kb, metric, value)
+        assert effect(metric, value) == effect_of(rule)
+        assert effect(metric, value) is effect_by_rule.setdefault(
+            None if rule is None else id(rule), effect(metric, value))
+    info = effect.cache_info()
+    assert info.currsize <= min(info.maxsize, held_before + len(kept))
 
 
 means = st.tuples(*[st.floats(0, 40) | st.floats(-3, 0) | st.integers(0, 40)] * 6)
@@ -640,9 +697,11 @@ def test_both_scopes_chain_as_the_oracle(kb, rows, row_means):
     project_facts = [Fact(m, round_half_up(pm.means[m])) for m in METRICS]
     for scope, fact_list in (("class", class_facts), ("project", project_facts)):
         expected = outcome(lambda: chain_oracle(fact_list, kb))
+        held_before = kb._effect.cache_info().currsize
         for _ in range(2):  # the second call reads what the first one kept
             assert outcome(lambda: evaluate_project(pm, kb, scope)) == expected
-        assert_table_holds_the_scan(kb, [(f.metric, f.value) for f in fact_list])
+        assert_cache_holds_the_scan(kb, [(f.metric, f.value) for f in fact_list],
+                                    held_before)
 
 
 def test_assessments_share_no_dict_or_list():
@@ -654,7 +713,9 @@ def test_assessments_share_no_dict_or_list():
     made = [a for _ in range(2) for scope in ("class", "project")
             for a in evaluate_project(pm, kb, scope)]
     objects = [id(o) for a in made for o in (a.derived, a.derived_by, a.fired_rules)]
-    effects = {id(effect): effect for effect in kb._effect_table.values()}.values()
+    facts = [(m, rec.value(m)) for rec in pm.per_class for m in METRICS]
+    facts += [(m, round_half_up(pm.means[m])) for m in METRICS]
+    effects = {id(effect): effect for effect in itertools.starmap(kb._effect, facts)}.values()
     objects += [id(d) for effect in effects for d in effect[1:]]
     assert len(set(objects)) == len(objects)
     made[0].derived.clear()
@@ -698,7 +759,7 @@ def test_builtin_bases_are_loaded_once_and_files_on_every_call(tmp_path):
     assert len(before.rules) == 3 and len(after.rules) == 1
 
 
-# --- the effect table each base keeps ------------------------------------------
+# --- the effect cache each base keeps ------------------------------------------
 
 def wmc_bands(name: str, bands) -> KnowledgeBase:
     return load_rules({"name": name, "rules": [
@@ -727,9 +788,12 @@ def test_effect_tables_are_kept_per_base():
             assert outcome(lambda: forward_chain(facts, kb)) \
                 == outcome(lambda: chain_oracle(facts, kb))
     assert low == twin and repr(low) == repr(twin) and hash(low) == hash(twin)
-    assert low._effect_table is not twin._effect_table
-    assert low._effect_table[("WMC", 9)][0] == ("low-1",)
-    assert high._effect_table[("WMC", 9)][0] == ("high-0",)
+    assert low._effect is not twin._effect
+    # each base holds 0, 3, 5, 9 and 10 (3.0 and True equal 3 and 1)
+    for kb in (low, high, twin):
+        assert kb._effect.cache_info().currsize == 6
+    assert low._effect("WMC", 9)[0] == ("low-1",)
+    assert high._effect("WMC", 9)[0] == ("high-0",)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -745,8 +809,13 @@ def test_faulty_fact_raises_on_every_call(bad, message):
                 assert outcome(lambda: forward_chain(fact_list, base)) \
                     == outcome(lambda: chain_oracle(fact_list, base)) \
                     == ("RuleError", message)
-        assert (bad.metric, bad.value) not in base._effect_table
-    assert list(kb._effect_table) == [("WMC", 3)]
+        held = base._effect.cache_info()
+        with pytest.raises(RuleError, match=f"^{message}$"):  # not held: a miss that adds nothing
+            base._effect(bad.metric, bad.value)
+        assert base._effect.cache_info() == held._replace(misses=held.misses + 1)
+    held = kb._effect.cache_info()
+    assert held.currsize == 1 and kb._effect("WMC", 3) == effect_of(kb.rules[0])
+    assert kb._effect.cache_info() == held._replace(hits=held.hits + 1)
 
 
 def test_nan_and_unhashable_values_add_no_entry():
@@ -760,16 +829,19 @@ def test_nan_and_unhashable_values_add_no_entry():
         for _ in range(2):
             assert outcome(lambda: forward_chain(fact_list, kb)) \
                 == outcome(lambda: chain_oracle(fact_list, kb))
-    assert kb._effect_table == {}
+    assert kb._effect.cache_info().currsize == 0
     pm = ProjectMetrics("p", (MetricRecord("p.A", nan, nan, nan, nan, nan, nan),), {})
     evaluate_project(pm, kb, "class")
-    assert kb._effect_table == {}
+    assert kb._effect.cache_info().currsize == 0
     # hashable values that equal themselves are kept, equal keys once
     fact_list = odd + [Fact("WMC", 3), Fact("WMC", 3.0), Fact("DIT", True), Fact("DIT", 1)]
     assert outcome(lambda: forward_chain(fact_list, kb)) \
         == outcome(lambda: chain_oracle(fact_list, kb))
-    assert kb._effect_table == {("WMC", 3): effect_of(kb.rules[0]),
-                                ("DIT", True): effect_of(kb.rules[1])}
+    held = kb._effect.cache_info()
+    assert held.currsize == 2
+    assert kb._effect("WMC", 3) == effect_of(kb.rules[0])
+    assert kb._effect("DIT", 1) == effect_of(kb.rules[1])
+    assert kb._effect.cache_info() == held._replace(hits=held.hits + 2)
 
 
 def test_a_base_shared_across_threads_chains_as_the_oracle():
@@ -796,10 +868,44 @@ def test_a_base_shared_across_threads_chains_as_the_oracle():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [[want] * 5 for want in expected]
-    assert kb._effect_table
-    for (metric, value), effect in kb._effect_table.items():
-        rule = scan_oracle(kb, metric, value)
-        assert effect == effect_of(rule)
+    # every distinct fact is held once, with the effect of the rule the scan finds
+    keys = {(f.metric, f.value) for fact_list in fact_lists for f in fact_list}
+    held = kb._effect.cache_info()
+    assert held.currsize == len(keys)
+    for metric, value in keys:
+        assert kb._effect(metric, value) == effect_of(scan_oracle(kb, metric, value))
+    assert kb._effect.cache_info() == held._replace(hits=held.hits + len(keys))
+
+
+def test_a_used_builtin_base_pickles_and_copies_without_its_cache():
+    pm = metrics_from_csv("CLASS,WMC,DIT,NOC,CBO,RFC,LCOM\nA,18,5,0,1,4,50\nB,3,0,2,7,9,0\n")
+    for kb in (default_rule_base(), paper_rule_preset()):
+        expected = [evaluate_project(pm, kb, scope) for scope in ("class", "project")]
+        assert kb._effect.cache_info().currsize
+        copies = [pickle.loads(pickle.dumps(kb, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in [*copies, copy.copy(kb), copy.deepcopy(kb)]:
+            assert type(twin) is KnowledgeBase and twin == kb and vars(twin) == {}
+            assert [evaluate_project(pm, twin, scope) for scope in ("class", "project")] \
+                == expected
+            assert twin._effect is not kb._effect
+
+
+def test_the_effect_cache_holds_no_more_than_its_bound(monkeypatch):
+    assert default_rule_base()._effect.cache_info().maxsize == _EFFECTS_KEPT
+    monkeypatch.setattr("ckeval.rules._EFFECTS_KEPT", 8)
+    kb = load_rules(serialize_rules(default_rule_base()))  # a base whose cache holds 8
+    facts = [Fact(m, i / 4, f"p.C{i % 5}") for i in range(200) for m in METRICS]
+    pm = ProjectMetrics("p", tuple(MetricRecord(f"p.C{i}", *(i / 4 + k for k in range(6)))
+                                   for i in range(100)), dict.fromkeys(METRICS, 2.5))
+    for _ in range(2):
+        assert outcome(lambda: forward_chain(facts, kb)) \
+            == outcome(lambda: chain_oracle(facts, kb))
+        assert kb._effect.cache_info().currsize == 8
+        assert evaluate_project(pm, kb, "class") == chain_oracle(
+            [Fact(m, rec.value(m), rec.class_name) for rec in pm.per_class for m in METRICS], kb)
+        assert kb._effect.cache_info().currsize == 8
+    assert kb._effect.cache_info().maxsize == 8
 
 
 # --- conditions read through their bounds, against the type switches ------------

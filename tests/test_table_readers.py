@@ -11,6 +11,7 @@ import io
 import json
 
 from hypothesis import given, settings, strategies as st
+import pytest
 
 from ckeval.errors import CkevalError
 from ckeval.metrics import METRICS, MetricRecord
@@ -20,6 +21,7 @@ from ckeval.tables import (
     _document_records,
     metrics_from_csv,
     metrics_from_document,
+    sniff,
 )
 
 import table_reader_oracle as oracle
@@ -209,3 +211,11 @@ def test_document_reader_matches_oracle_on_edge_documents():
                 {"metrics": [row, row]}, {"metrics": [Row(row)]},
                 {"metrics": [{**row, "class": Name("p.A")}, row]}]:
         assert outcome(metrics_from_document, doc) == outcome(oracle.metrics_from_document, doc)
+
+
+@pytest.mark.parametrize("text", ["\x1c{}", "\u00a0{}", "{} []", "{"])
+def test_sniff_reads_text_that_starts_with_a_brace_as_an_object_or_invalid_json(text):
+    # str.strip drops more blanks than JSON allows, so none of these is an object
+    with pytest.raises(CkevalError, match="^x.json: invalid JSON: "):
+        sniff(text, "x.json")
+    assert sniff(" \t\r\n{\"metrics\": []}", "x.json") == ("metrics", {"metrics": []})

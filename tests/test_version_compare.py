@@ -4,6 +4,7 @@ import pytest
 
 from ckeval.errors import InputError
 from ckeval.metrics import METRICS
+from ckeval.tables import versions_from_csv, versions_from_document
 from ckeval.versions import VersionRecord, compare_versions, load_versions
 
 
@@ -189,3 +190,38 @@ def test_duplicate_version_check_is_linear_and_names_each_duplicate_once():
 def test_load_versions_unreadable_path(tmp_path):
     with pytest.raises(InputError):
         load_versions([tmp_path / "missing.csv"])
+
+
+MEANS = {"wmc": 1, "dit": 0, "noc": 0, "cbo": 2, "rfc": 3, "lcom": 0}
+
+
+@pytest.mark.parametrize("rows, message", [
+    ({}, "versions: must be an array"),
+    ([[]], "versions[0]: version entry must be an object"),
+    ([{"means": MEANS}], "versions[0].version: must be a non-empty string"),
+    ([{"version": "", "means": MEANS}], "versions[0].version: must be a non-empty string"),
+    ([{"version": "v"}], "versions[0].means: must be an object"),
+    ([{"version": "v", "means": {**MEANS, "cbo": "2"}}],
+     "versions[0].means.cbo: '2' is not a number"),
+    ([{"version": "v", "means": {**MEANS, "noc": True}}],
+     "versions[0].means.noc: True is not a number"),
+    ([{"version": "v", "means": {"wmc": 1}}], "versions[0].means.dit: None is not a number"),
+    ([{"version": "v", "means": MEANS}, {"version": "w", "means": MEANS, "path": 7}],
+     "versions[1].path: must be a string"),
+], ids=["not-array", "entry", "no-name", "empty-name", "no-means", "text-mean", "bool-mean",
+        "missing-mean", "path"])
+def test_versions_document_errors_name_their_place(rows, message):
+    with pytest.raises(InputError) as err:
+        versions_from_document({"schemaVersion": 1, "versions": rows})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty versions table"),
+    ("VERSION,WMC,DIT,NOC,CBO,RFC,LCOM\nv1,1,0,0,0,1,0\n  ,2,0,0,0,2,0\n",
+     "line 3: empty version name"),
+], ids=["empty", "empty-name"])
+def test_versions_table_errors_name_their_line(text, message):
+    with pytest.raises(InputError) as err:
+        versions_from_csv(text)
+    assert str(err.value) == message
