@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 input error, 3 internal error.
 """
 
 import argparse
+import codecs
 import errno
 import functools
 from operator import itemgetter
@@ -33,6 +34,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}".rstrip())
 
 
+def _file_name(text: str) -> str:
+    """An output file name as given; an empty one names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file name, got ''")
+    return text
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on the first call; parsing
@@ -47,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "structured"),
                         default="text",
                         help="output format (default: text)")
-    common.add_argument("--out", metavar="FILE",
+    common.add_argument("--out", metavar="FILE", type=_file_name,
                         help="write output to FILE instead of stdout")
     common.add_argument("--locale", choices=report_mod.LOCALES, default="en",
                         help="report language (default: en)")
@@ -87,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "in version order")
     p_cmp.add_argument("--metrics", default=None, metavar="LIST",
                        help="comma-separated metric subset (default: all six)")
-    p_cmp.add_argument("--chart", metavar="FILE",
+    p_cmp.add_argument("--chart", metavar="FILE", type=_file_name,
                        help="also write a grouped bar chart as SVG")
     p_cmp.add_argument("--noc-direction",
                        choices=("higher-worse", "higher-better"),
@@ -137,15 +145,17 @@ def main() -> None:
 
 
 def _write_output(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         tables.write_text(out, text)
     else:
         # refused before any of it is written: as UTF-8, then in the stream's
-        # own encoding (a StringIO has none and takes any str)
+        # own encoding unless that is UTF-8 too (a StringIO has none and
+        # takes any str)
         tables.encode_output(text, "standard output")
         stream = sys.stdout
-        if stream.encoding:
-            tables.encode_output(text, "standard output", stream.encoding,
+        encoding = stream.encoding
+        if encoding and codecs.lookup(encoding).name != "utf-8":
+            tables.encode_output(text, "standard output", encoding,
                                  stream.errors or "strict")
         stream.write(text)
 
@@ -320,7 +330,7 @@ def _cmd_compare(args) -> int:
         records, metrics=selected,
         noc_higher_is_worse=(args.noc_direction == "higher-worse"))
 
-    if args.chart:
+    if args.chart is not None:
         spec = chart_mod.ChartSpec(
             groups=tuple(r.version_name for r in records),
             series=tuple((m, tuple(r.mean(m) for r in records))

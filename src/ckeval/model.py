@@ -171,7 +171,7 @@ def _check(model: ClassModel) -> tuple[list[Diagnostic], list[str] | None]:
                                                 f"method uses undeclared field {used!r}"))
 
     cycle = _find_cycle(seen)
-    if cycle is not None:
+    if cycle is not None and len(cycle) > 1:  # a self-extends is reported above
         diags.append(Diagnostic("INHERITANCE_CYCLE", cycle[0],
                                 "extends cycle: " + " -> ".join(cycle)))
     return diags, cycle

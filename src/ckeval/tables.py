@@ -18,7 +18,9 @@ from itertools import chain
 import json
 import math
 from operator import itemgetter
+import os
 from pathlib import Path
+from stat import S_ISREG
 from typing import NamedTuple
 
 from .errors import CkevalError, InputError, SchemaError
@@ -356,11 +358,34 @@ def encode_output(text: str, name: str | Path, encoding: str = "UTF-8",
                          f"cannot be encoded as {encoding}") from None
 
 
+def _open_in_place(path: str | Path, flags: int) -> int:
+    """The opener of ``write_text``: mode ``"wb"``'s flags, creation mode and
+    all, without ``O_TRUNC``."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def write_text(path: str | Path, text: str) -> None:
-    """Write text to a file as UTF-8, encoded before the file is opened."""
+    """Write text to a file as UTF-8, encoded before the file is opened.
+
+    An existing regular file is rewritten in place and then cut at the end
+    of what was written, instead of being truncated to zero when it is
+    opened: ext4 (with its default ``auto_da_alloc``) starts the writeback
+    of a file that was truncated to zero and written again as soon as it is
+    closed, which costs more than the write. The cut is made even when a
+    write fails part-way, so no byte of the old output is left after the
+    new ones. A device, a FIFO or a terminal is written without a cut.
+    Nothing is synced.
+    """
     data = encode_output(text, path)
     try:
-        Path(path).write_bytes(data)
+        with open(path, "wb", buffering=0, opener=_open_in_place) as file:
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[file.write(view):]
+            finally:
+                if S_ISREG(os.fstat(file.fileno()).st_mode):
+                    file.truncate()  # at the end of what was written
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 

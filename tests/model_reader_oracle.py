@@ -201,7 +201,7 @@ def check(model: ClassModel) -> tuple[list[Diagnostic], list[str] | None]:
                                             f"method uses undeclared field {used!r}"))
 
     cycle = _find_cycle(seen)
-    if cycle is not None:
+    if cycle is not None and len(cycle) > 1:  # a self-extends is SELF_EXTENDS alone
         diags.append(Diagnostic("INHERITANCE_CYCLE", cycle[0],
                                 "extends cycle: " + " -> ".join(cycle)))
     return diags, cycle

@@ -214,10 +214,20 @@ def test_validate_reports_each_broken_superclass_and_stub():
         Diagnostic("EXTERNAL_WITH_MEMBERS", "api.S", stub),
         Diagnostic("EXTERNAL_WITH_MEMBERS", "api.T", stub),
         Diagnostic("EXTERNAL_WITH_MEMBERS", "api.U", stub),
-        Diagnostic("INHERITANCE_CYCLE", "A", "extends cycle: A"),
-    ]
+    ]  # the self-extending A once, as SELF_EXTENDS, not also as a cycle
     assert "A" in model and "api.U" in model
     assert "p.Gone" not in model and "a" not in model
+
+
+def test_a_self_extending_class_is_one_diagnostic_and_still_a_cycle_to_build_model():
+    model = ClassModel("x", (ClassInfo("A", superclass="A"),))
+    assert validate_model(model) == [Diagnostic("SELF_EXTENDS", "A", "class extends itself")]
+    with pytest.raises(InheritanceCycleError) as err:
+        build_model("x", list(model.classes))
+    assert err.value.cycle == ["A"]
+    # a cycle of two classes is still reported as one
+    two = ClassModel("x", (ClassInfo("A", superclass="B"), ClassInfo("B", superclass="A")))
+    assert validate_model(two) == [Diagnostic("INHERITANCE_CYCLE", "A", "extends cycle: A -> B")]
 
 
 def test_roundtrip_is_identity_on_normalized_form():

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 import ckeval
+from ckeval import tables
 from ckeval.cli import _discover_sources, build_parser, cli_main
 from ckeval.errors import InputError, SchemaError
 from ckeval.metrics import compute_all
@@ -377,19 +378,24 @@ def test_rules_check_decides_cover_of_every_integer(tmp_path, capsys, bands, cov
     assert out == f"OK: {len(bands) * 6} rules, {cover} cover\n"
 
 
-def test_compare_writes_chart_and_out(fixtures, tmp_path, capsys):
+@pytest.mark.parametrize("old", [None, b"x" * 100_000], ids=["new", "over-longer"])
+def test_compare_writes_chart_and_out(fixtures, tmp_path, capsys, old):
     chart = tmp_path / "chart.svg"
     out_file = tmp_path / "report.txt"
+    if old is not None:
+        chart.write_bytes(old)
+        out_file.write_bytes(old)
     code, out, _ = run_cli(
         ["compare", str(fixtures / "five_versions.csv"),
          "--chart", str(chart), "--out", str(out_file), "--locale", "tr"],
         capsys)
     assert code == 0
     assert out == ""
-    assert "SÜRÜM-2 ve SÜRÜM-3 (5)" in out_file.read_text(encoding="utf-8")
+    assert out_file.read_text(encoding="utf-8") == (
+        fixtures / "golden" / "five_versions_tr.txt").read_text(encoding="utf-8")
     svg = chart.read_text(encoding="utf-8")
     assert svg.count("<title>") == 30
-    assert svg.startswith("<?xml")
+    assert svg.startswith("<?xml") and svg.endswith("</svg>\n")
 
 
 def test_structured_and_text_agree_on_verdicts(fixtures, capsys):
@@ -595,6 +601,24 @@ def test_compare_refuses_a_selection_of_no_metric(fixtures, tmp_path, capsys, me
     assert code == 1
     assert out == "" and not chart.exists()
     assert err.startswith("ckeval: --metrics must select at least one metric")
+
+
+@pytest.mark.parametrize("present", [True, False], ids=["input", "no-input"])
+@pytest.mark.parametrize("argv, option", [
+    (["evaluate", "moreunit_classes.csv", "--out", ""], "--out"),
+    (["evaluate", "moreunit_classes.csv", "--format", "structured", "--out="], "--out"),
+    (["compare", "five_versions.csv", "--chart", ""], "--chart"),
+    (["compare", "five_versions.csv", "--out", "", "--chart", "c.svg"], "--out"),
+], ids=["evaluate-out", "evaluate-out=", "compare-chart", "compare-out"])
+def test_an_empty_output_file_name_is_a_usage_error(fixtures, tmp_path, monkeypatch, capsys,
+                                                    argv, option, present):
+    # refused before the input is read, whether it is there or not
+    monkeypatch.chdir(tmp_path)
+    argv = [str(fixtures / a) if present and a.endswith(".csv") else a for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"ckeval: argument {option}: expected a file name, got ''\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_compare_noc_direction_flag(tmp_path, capsys):
@@ -1648,14 +1672,142 @@ def test_text_that_utf8_cannot_encode_is_an_input_error(fixtures, tmp_path, monk
     assert not any(tmp_path.glob("[oc].*"))  # no partial --out or --chart file
 
 
-def test_write_text_of_text_utf8_cannot_encode_leaves_no_file(tmp_path):
+@pytest.mark.parametrize("old", [None, b"old output\n"], ids=["new", "existing"])
+def test_write_text_of_text_utf8_cannot_encode_leaves_the_file_as_it_was(tmp_path, old):
     target = tmp_path / "out.txt"
+    if old is not None:
+        target.write_bytes(old)
     with pytest.raises(InputError, match=f"^cannot write {re.escape(str(target))}: "
                                          "U\\+D800 cannot be encoded as UTF-8$"):
         write_text(target, "a\ud800")
-    assert not target.exists()
+    if old is None:
+        assert not target.exists()
+    else:
+        assert target.read_bytes() == old
     write_text(target, "çğı\n🙂")
     assert target.read_bytes() == "çğı\n🙂".encode("utf-8")
+
+
+# --- the output file writer ------------------------------------------------------------
+
+NEW_TEXT = "çğı\n" * 1000
+
+
+@pytest.mark.parametrize("old", [None, b"", b"x" * 10, b"y" * 100_000,
+                                 NEW_TEXT.encode("utf-8")],
+                         ids=["new", "empty", "shorter", "longer", "same"])
+def test_write_text_leaves_exactly_the_new_bytes(tmp_path, old):
+    target = tmp_path / "out.txt"
+    if old is not None:
+        target.write_bytes(old)
+    write_text(target, NEW_TEXT)
+    assert target.read_bytes() == NEW_TEXT.encode("utf-8")
+    # a new file gets the mode that open(..., "wb") gives one
+    (tmp_path / "plain").write_bytes(b"")
+    assert target.stat().st_mode == (tmp_path / "plain").stat().st_mode
+    # and longer text over what was just written
+    write_text(target, NEW_TEXT * 3)
+    assert target.read_bytes() == (NEW_TEXT * 3).encode("utf-8")
+
+
+def test_write_text_rewrites_the_file_in_place(tmp_path):
+    target, link = tmp_path / "out.txt", tmp_path / "link.txt"
+    target.write_bytes(b"z" * 50_000)
+    target.chmod(0o640)
+    os.link(target, link)
+    inode = target.stat().st_ino
+    write_text(target, "short\n")
+    assert link.read_bytes() == target.read_bytes() == b"short\n"
+    after = target.stat()
+    assert (after.st_ino, after.st_nlink, after.st_mode & 0o777) == (inode, 2, 0o640)
+
+
+def test_write_text_through_a_symlink_rewrites_its_target(tmp_path):
+    target, link = tmp_path / "target.svg", tmp_path / "link.svg"
+    target.write_bytes(b"old" * 1000)
+    link.symlink_to(target.name)
+    write_text(link, "<svg/>\n")
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == b"<svg/>\n"
+
+
+def test_write_text_opens_without_truncating(tmp_path, monkeypatch):
+    opened = []
+    real_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        opened.append(flags)
+        return real_open(path, flags, *args, **kwargs)
+
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"old")
+    monkeypatch.setattr(os, "open", spy)
+    write_text(target, "new\n")
+    assert len(opened) == 1
+    flags = opened[0]
+    assert not flags & os.O_TRUNC
+    assert flags & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT
+    assert flags & os.O_CLOEXEC
+    assert target.read_bytes() == b"new\n"
+
+
+def test_write_text_to_dev_null_and_a_terminal():
+    write_text(os.devnull, NEW_TEXT)
+    controller, terminal = os.openpty()
+    try:
+        write_text(os.ttyname(terminal), "x" * 1000)
+        got = b""
+        while len(got) < 1000:
+            got += os.read(controller, 1000)
+        assert got == b"x" * 1000
+    finally:
+        os.close(terminal)
+        os.close(controller)
+
+
+def test_write_text_to_a_fifo(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+
+    def drain():
+        with open(fifo, "rb") as reader:
+            got.append(reader.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    text = NEW_TEXT * 40  # more than a pipe holds
+    write_text(fifo, text)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [text.encode("utf-8")]
+
+
+def test_write_text_to_a_directory_is_an_input_error(tmp_path):
+    with pytest.raises(InputError, match=f"^cannot write {re.escape(str(tmp_path))}: "
+                                         "Is a directory$"):
+        write_text(tmp_path, "x")
+
+
+def test_a_write_that_fails_part_way_leaves_only_what_it_wrote(tmp_path):
+    # the child may write 40 bytes to a file; the next byte fails with EFBIG
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"old " * 1000)
+    code = ("import resource, sys\n"
+            "from ckeval.errors import InputError\n"
+            "from ckeval.tables import write_text\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (40, hard))\n"
+            "try:\n"
+            "    write_text(sys.argv[1], 'new ' * 100)\n"
+            "except InputError as exc:\n"
+            "    print(exc)\n")
+    package_root = str(Path(ckeval.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code, str(target)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": package_root})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"cannot write {target}: File too large\n"
+    assert target.read_bytes() == b"new " * 10
 
 
 @pytest.mark.parametrize("locale, code_point", [("tr", "U+011E"), ("en", "U+00DC")])
@@ -1698,6 +1850,26 @@ def test_stdout_refuses_a_lone_surrogate_as_utf8_before_its_own_encoding(tmp_pat
         assert (code, stdout.buffer.getvalue()) == (2, b"")
         assert stderr.getvalue() == ("ckeval: error: cannot write standard output: "
                                      "U+D800 cannot be encoded as UTF-8\n")
+
+
+@pytest.mark.parametrize("encoding, passes", [("utf-8", 1), ("UTF8", 1), ("utf_8", 1),
+                                             ("utf-8-sig", 2), ("ascii", 2)])
+def test_a_utf8_stdout_is_encoded_once(fixtures, monkeypatch, encoding, passes):
+    used = []
+    encode_output = tables.encode_output
+
+    def counted(text, name, encoding="UTF-8", errors="strict"):
+        used.append(encoding)
+        return encode_output(text, name, encoding, errors)
+
+    monkeypatch.setattr(tables, "encode_output", counted)
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding=encoding)
+    with redirect_stdout(stdout):
+        assert cli_main(["evaluate", str(fixtures / "moreunit_classes.csv")]) == 0
+    stdout.flush()
+    assert len(used) == passes
+    assert stdout.buffer.getvalue().decode(encoding) == (
+        fixtures / "golden" / "moreunit_evaluate_class_en.txt").read_text(encoding="utf-8")
 
 
 # --- mutated inputs never end in an internal error -------------------------------------
