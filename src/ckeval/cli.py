@@ -35,7 +35,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _file_name(text: str) -> str:
-    """An output file name as given; an empty one names no file."""
+    """A file name as given; an empty one names no file."""
     if not text:
         raise argparse.ArgumentTypeError("expected a file name, got ''")
     return text
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser(
         "analyze", parents=[common],
         help="parse Java sources and emit a per-class metrics table")
-    p_analyze.add_argument("roots", nargs="+", metavar="ROOT",
+    p_analyze.add_argument("roots", nargs="+", metavar="ROOT", type=_file_name,
                            help="source files or directories searched "
                                 "recursively for .java files")
     p_analyze.add_argument("--project", default="", metavar="NAME",
@@ -74,9 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser(
         "evaluate", parents=[common],
         help="derive quality assessments from a metrics table or class model")
-    p_eval.add_argument("input", metavar="INPUT",
+    p_eval.add_argument("input", metavar="INPUT", type=_file_name,
                         help="metrics table (CSV or JSON) or class model document")
     p_eval.add_argument("--rules", default="default", metavar="FILE|default|paper",
+                        type=_file_name,
                         help="rule base to apply (default: default)")
     p_eval.add_argument("--scope", choices=("class", "project"), default="class",
                         help="evaluate each class or the project means "
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser(
         "compare", parents=[common],
         help="compare metric means across project versions")
-    p_cmp.add_argument("inputs", nargs="+", metavar="INPUT",
+    p_cmp.add_argument("inputs", nargs="+", metavar="INPUT", type=_file_name,
                        help="version tables, metrics tables, or class models, "
                             "in version order")
     p_cmp.add_argument("--metrics", default=None, metavar="LIST",
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rules.add_argument("action", choices=("list", "check"))
     p_rules.add_argument("file", nargs="?", metavar="FILE",
                          help="rules file to check (check only)")
-    p_rules.add_argument("--rules", metavar="FILE|default|paper",
+    p_rules.add_argument("--rules", metavar="FILE|default|paper", type=_file_name,
                          help="rule base to list (list only; default: default)")
     return parser
 

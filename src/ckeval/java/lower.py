@@ -20,16 +20,19 @@ any token there makes at least one, so the sole argument of ``step((n))``
 is ``(n)``. The same scan keeps a stack of open brackets, all three kinds
 on one stack: a comma counts for the innermost one, and a call is recorded
 with its arity when the bracket that closes its ``(`` pops it, or at the
-end of the body if none does. No argument list is scanned twice, so
-lowering stays linear in the body however deeply calls nest.
+end of the body if none does. It is recorded as the ``CallRef`` the class
+model keeps, built in C and added to the body's set, so ``make_method``
+takes the set as it is. No argument list is scanned twice, so lowering
+stays linear in the body however deeply calls nest.
 """
 
 from ..errors import DuplicateClassError
-from ..model import ClassInfo, ClassModel, FieldInfo, build_model, make_method
+from ..model import CallRef, ClassInfo, ClassModel, FieldInfo, build_model, make_method
 from .lexer import PRIMITIVES
 from .parser import ClassDecl, MethodDecl, SourceUnit
 
-# builds a ``FieldInfo`` or ``ClassInfo`` in C, as the document reader does
+# builds a ``CallRef``, ``FieldInfo`` or ``ClassInfo`` in C, as the document
+# reader does
 _new_tuple = tuple.__new__
 # the longest look-ahead past a body token is three tokens: this . x (
 _PAD_KINDS = ("eof",) * 3
@@ -109,8 +112,8 @@ def _lower_class(decl: ClassDecl, own_name: str, names: dict[str, str]) -> Class
 
 def _scan_body(method: MethodDecl, own_name: str, classes: dict[str, str],
                instance_fields: frozenset[str], field_types: dict[str, str | None]):
-    """The used fields, (class, name, arity) calls and referenced classes
-    of one method body, none for a method without one.
+    """The used fields, ``CallRef`` calls and referenced classes of one
+    method body, none for a method without one.
 
     Names resolve through ``classes`` (simple name -> qualified name) and
     ``field_types`` (own field -> the class its type names, None for a
@@ -126,7 +129,7 @@ def _scan_body(method: MethodDecl, own_name: str, classes: dict[str, str],
     local_types = {name: None if t.is_primitive else classes.get(t.text, t.text)
                    for t, name in method.params}
     used_fields: set[str] = set()
-    calls: set[tuple[str | None, str, int]] = set()
+    calls: set[CallRef] = set()
     referenced: set[str] = set()
     # the open brackets, innermost last, as [index, commas directly inside,
     # class and name of the call it opens]; the name is None if no call
@@ -145,7 +148,8 @@ def _scan_body(method: MethodDecl, own_name: str, classes: dict[str, str],
             elif text in _CLOSERS and brackets:
                 start, commas, target, name = brackets.pop()
                 if name is not None:
-                    calls.add((target, name, commas + 1 if i > start + 1 else 0))
+                    calls.add(_new_tuple(CallRef, (target, name,
+                                                   commas + 1 if i > start + 1 else 0)))
             i += 1
 
         elif kind == "ident":
@@ -239,5 +243,5 @@ def _scan_body(method: MethodDecl, own_name: str, classes: dict[str, str],
     # brackets still open close at the end of the body
     for start, commas, target, name in brackets:
         if name is not None:
-            calls.add((target, name, commas + 1 if n > start + 1 else 0))
+            calls.add(_new_tuple(CallRef, (target, name, commas + 1 if n > start + 1 else 0)))
     return used_fields, calls, referenced

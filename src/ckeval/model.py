@@ -5,17 +5,18 @@ and member references. Models come from the Java frontend or from class
 model documents (JSON, ``schemaVersion: 1``); both paths normalize and
 validate before anything downstream sees the data.
 
-The document reader checks each class, method and call entry in one pass,
-in a fixed order, and spells out an entry's location (such as
-``classes[3].methods[0].calls[2].arity``) only when a check fails. A call
-entry as a JSON parser gives it (a ``dict`` whose values are exactly
-``str``, ``int`` or ``None``) passes one exact-type test; any other entry,
-such as a ``str`` subclass, a ``bool`` arity or an ``OrderedDict``, goes
-through the ``isinstance`` checks, which accept or refuse it as before. An
-array of names is checked by one ``str.join``. The reader keeps members in
-document order: ``build_model`` is the one step that sorts and
-de-duplicates them, for both paths, and keeps a class whose members are
-already in order. ``_check`` is the one validation pass.
+The document reader checks each class and method entry in one pass, in a
+fixed order, and spells out an entry's location (such as
+``classes[3].methods[0].calls[2].arity``) only when a check fails. A method
+entry as a JSON parser gives it (a ``dict`` whose values, and those of its
+calls, are exactly ``str``, ``int``, ``list`` or ``None``) is read by one
+exact-type pass, which builds each call's ``CallRef`` as it reads it; any
+other entry, such as one with a ``str`` subclass, a ``bool`` arity or an
+``OrderedDict``, goes whole through the ``isinstance`` checks, which accept
+or refuse it as before. An array of names is checked by one ``str.join``.
+The reader keeps members in document order: ``build_model`` is the one step
+that sorts and de-duplicates them, for both paths, and keeps a class whose
+members are already in order. ``_check`` is the one validation pass.
 
 Every value type here is a ``NamedTuple``: it is iterable, equals and
 hashes as its plain tuple of fields, orders against plain tuples, and is
@@ -24,10 +25,10 @@ copied with ``_replace``. The reader builds ``FieldInfo``, ``CallRef``,
 the ``NamedTuple``'s Python-level ``__new__``. ``ClassModel`` keeps its
 caches, built on first use, in its instance ``__dict__``: they take no part
 in ``==``, ``repr`` or ``hash``, and a ``_replace`` copy starts without them.
-The reader and the Java lowering both build a method through
-``make_method``, which turns each call triple into a ``CallRef`` and gives
-every method without used fields, calls or referenced classes one shared
-empty ``frozenset``.
+The reader and the Java lowering both build each ``CallRef`` once, where
+they read the call, and a method through ``make_method``, which keeps the
+calls as given and gives every method without used fields, calls or
+referenced classes one shared empty ``frozenset``.
 """
 
 from functools import cached_property
@@ -78,17 +79,17 @@ _new_tuple = tuple.__new__
 
 def make_method(name: str, arity: int, used_fields, calls, referenced_classes) -> MethodInfo:
     """The ``MethodInfo`` of ``name``/``arity`` with the given used fields,
-    ``(class_name, method, arity)`` call triples and referenced classes.
+    ``CallRef`` calls and referenced classes.
 
     Equal to ``MethodInfo(name, arity, frozenset(used_fields),
-    frozenset(CallRef(*t) for t in calls), frozenset(referenced_classes))``,
-    built in C with ``tuple.__new__``; an empty member set is one shared
-    ``frozenset()``.
+    frozenset(calls), frozenset(referenced_classes))``, built in C with
+    ``tuple.__new__``; an empty member set is one shared ``frozenset()``.
+    Each call is kept as given, so the caller builds it as a ``CallRef``.
     """
     return _new_tuple(MethodInfo, (
         name, arity,
         frozenset(used_fields) if used_fields else _NO_MEMBERS,
-        frozenset([_new_tuple(CallRef, t) for t in calls]) if calls else _NO_MEMBERS,
+        frozenset(calls) if calls else _NO_MEMBERS,
         frozenset(referenced_classes) if referenced_classes else _NO_MEMBERS))
 
 
@@ -261,7 +262,9 @@ def load_class_model(document: str | dict, project_name: str = "") -> ClassModel
     doc = _parse_json(document, "class model")
     if not isinstance(doc, dict):
         raise SchemaError("$", "document must be an object")
-    if doc.get("schemaVersion") != SCHEMA_VERSION:
+    version = doc.get("schemaVersion")
+    # an integer as an arity is one: a bool or a float 1.0 is not version 1
+    if not isinstance(version, int) or isinstance(version, bool) or version != SCHEMA_VERSION:
         raise SchemaError("schemaVersion", f"expected {SCHEMA_VERSION}")
     project = read_project_name(doc, project_name)
     raw_classes = doc.get("classes")
@@ -299,6 +302,9 @@ def _parse_json(document: str | dict, what: str):
 _NON_EMPTY = "must be a non-empty string"
 _ARRAY = "must be an array"
 _STRINGS = "must be an array of strings"
+# an absent member array: one empty list that no document or caller can
+# pass, so a given ``()`` or ``[]`` is checked as it stands
+_ABSENT: list = []
 
 
 def _read_class(entry, i: int) -> ClassInfo:
@@ -357,13 +363,42 @@ def _read_class(entry, i: int) -> ClassInfo:
 
 
 def _read_method(m, i: int, j: int) -> MethodInfo:
-    """``classes[i].methods[j]``: name, arity, usesFields, calls (an array,
-    then each call's class, arity and method), then touchesClasses.
+    """``classes[i].methods[j]``, tested in one pass by exact type, each
+    call's ``CallRef`` built as it is read; an entry that fails any part of
+    the test goes whole to ``_read_checked_method``."""
+    if m.__class__ is dict:
+        get = m.get
+        name = get("name")
+        arity = get("arity")
+        uses = get("usesFields", _ABSENT)
+        raw_calls = get("calls", _ABSENT)
+        touches = get("touchesClasses", _ABSENT)
+        if (name.__class__ is str and name and arity.__class__ is int and arity >= 0
+                and uses.__class__ is list and raw_calls.__class__ is list
+                and touches.__class__ is list):
+            calls = []
+            for c in raw_calls:
+                if c.__class__ is not dict:
+                    break
+                target = c.get("class")
+                method = c.get("method")
+                call_arity = c.get("arity")
+                if not ((target is None or target.__class__ is str)
+                        and method.__class__ is str and method
+                        and (call_arity is None
+                             or call_arity.__class__ is int and call_arity >= 0)):
+                    break
+                calls.append(_new_tuple(CallRef, (target, method, call_arity)))
+            else:
+                if _all_strings(uses) and _all_strings(touches):
+                    return make_method(name, arity, uses, calls, touches)
+    return _read_checked_method(m, i, j)
 
-    A call entry that a JSON parser gives (a ``dict`` of ``str``, ``int``
-    and ``None`` values) is checked by exact type; any other entry goes to
-    ``_read_call``, which checks it as the reader always has.
-    """
+
+def _read_checked_method(m, i: int, j: int) -> MethodInfo:
+    """``classes[i].methods[j]`` by ``isinstance``, in a fixed order: name,
+    arity, usesFields, calls (an array, then each call through
+    ``_read_call``), then touchesClasses; the first check that fails raises."""
     if not isinstance(m, dict):
         raise SchemaError(f"classes[{i}].methods[{j}]", "method entry must be an object")
     get = m.get
@@ -374,36 +409,25 @@ def _read_method(m, i: int, j: int) -> MethodInfo:
     if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
         raise SchemaError(f"classes[{i}].methods[{j}].arity", "must be a non-negative integer")
 
-    uses = get("usesFields", [])
+    uses = get("usesFields", _ABSENT)
     if not isinstance(uses, list) or not _all_strings(uses):
         raise SchemaError(f"classes[{i}].methods[{j}].usesFields", _STRINGS)
 
-    raw_calls = get("calls", [])
+    raw_calls = get("calls", _ABSENT)
     if not isinstance(raw_calls, list):
         raise SchemaError(f"classes[{i}].methods[{j}].calls", _ARRAY)
-    calls = []
-    for c in raw_calls:
-        if c.__class__ is dict:
-            target = c.get("class")
-            method = c.get("method")
-            call_arity = c.get("arity")
-            if ((target is None or target.__class__ is str) and method.__class__ is str
-                    and method and (call_arity is None
-                                    or call_arity.__class__ is int and call_arity >= 0)):
-                calls.append((target, method, call_arity))
-                continue
-        calls.append(_read_call(c, i, j, len(calls)))
+    calls = [_read_call(c, i, j, k) for k, c in enumerate(raw_calls)]
 
-    touches = get("touchesClasses", [])
+    touches = get("touchesClasses", _ABSENT)
     if not isinstance(touches, list) or not _all_strings(touches):
         raise SchemaError(f"classes[{i}].methods[{j}].touchesClasses", _STRINGS)
 
     return make_method(name, arity, uses, calls, touches)
 
 
-def _read_call(c, i: int, j: int, k: int) -> tuple:
-    """The ``(class, method, arity)`` triple of ``classes[i].methods[j].calls[k]``:
-    an object, then its class, arity and method, each by ``isinstance``."""
+def _read_call(c, i: int, j: int, k: int) -> CallRef:
+    """The ``CallRef`` of ``classes[i].methods[j].calls[k]``: an object, then
+    its class, arity and method, each by ``isinstance``."""
     if not isinstance(c, dict):
         raise SchemaError(f"classes[{i}].methods[{j}].calls[{k}]",
                           "call entry must be an object")
@@ -419,7 +443,7 @@ def _read_call(c, i: int, j: int, k: int) -> tuple:
     method = c.get("method")
     if not isinstance(method, str) or not method:
         raise SchemaError(f"classes[{i}].methods[{j}].calls[{k}].method", _NON_EMPTY)
-    return target, method, call_arity
+    return _new_tuple(CallRef, (target, method, call_arity))
 
 
 def _all_strings(items: list) -> bool:

@@ -59,6 +59,16 @@ def test_wrong_schema_version_rejected():
     assert err.value.path == "schemaVersion"
 
 
+@pytest.mark.parametrize("version", [True, 1.0, False, 2, "1", None, [1]])
+@pytest.mark.parametrize("as_text", [True, False])
+def test_schema_version_other_than_the_integer_1_rejected(version, as_text):
+    document = {"schemaVersion": version, "classes": []}
+    with pytest.raises(SchemaError) as err:
+        load_class_model(json.dumps(document) if as_text else document)
+    assert (err.value.path, str(err.value)) == ("schemaVersion", "schemaVersion: expected 1")
+    assert load_class_model({"schemaVersion": Count(1), "classes": []}).classes == ()
+
+
 def test_invalid_json_rejected():
     with pytest.raises(SchemaError):
         load_class_model("{not json")
@@ -332,24 +342,40 @@ def test_document_lists_calls_in_sort_key_order():
 
 
 def test_make_method_is_the_method_info_constructor():
-    calls = [("p.B", "f", 0), (None, "g", None)]
+    calls = [CallRef("p.B", "f", 0), CallRef(None, "g", None)]
     made = make_method("m", 2, ["x", "y"], calls, {"p.B"})
-    built = MethodInfo("m", 2, frozenset({"x", "y"}), frozenset(CallRef(*t) for t in calls),
-                       frozenset({"p.B"}))
+    built = MethodInfo("m", 2, frozenset({"x", "y"}), frozenset(calls), frozenset({"p.B"}))
     assert type(made) is MethodInfo and made == built and hash(made) == hash(built)
     assert repr(made) == repr(built)
     assert all(type(ref) is CallRef for ref in made.called_methods)
     assert make_method("n", 0, (), (), ()) == MethodInfo("n", 0)
 
 
+def eq_as_in_3_11(self, other):
+    """A dataclass ``__eq__`` as Python 3.11 made it: the field tuples are
+    compared as tuples, which compare items by identity first, so a value
+    that holds one NaN object equals itself. From 3.13 a dataclass compares
+    its fields one by one, and such a value is unequal to itself."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    names = [f.name for f in dataclass_fields(self)]
+    return tuple(getattr(self, n) for n in names) == tuple(getattr(other, n) for n in names)
+
+
+def old_dataclass(name: str, fields: list, frozen: bool = True):
+    """A dataclass of ``fields`` with the 3.11 ``__eq__``; its hash is still
+    the generated one: the hash of its field tuple when frozen, none when not."""
+    return make_dataclass(name, fields, frozen=frozen, namespace={"__eq__": eq_as_in_3_11})
+
+
 # the three model values as they were: frozen dataclasses of the same fields
-OldField = make_dataclass("FieldInfo", [("name", str), ("declared_type", str | None)], frozen=True)
-OldMethod = make_dataclass("MethodInfo", [
+OldField = old_dataclass("FieldInfo", [("name", str), ("declared_type", str | None)])
+OldMethod = old_dataclass("MethodInfo", [
     ("name", str), ("arity", int), ("used_fields", frozenset), ("called_methods", frozenset),
-    ("referenced_classes", frozenset)], frozen=True)
-OldClass = make_dataclass("ClassInfo", [
+    ("referenced_classes", frozenset)])
+OldClass = old_dataclass("ClassInfo", [
     ("qualified_name", str), ("superclass", str | None), ("interfaces", tuple),
-    ("fields", tuple), ("methods", tuple), ("is_external", bool)], frozen=True)
+    ("fields", tuple), ("methods", tuple), ("is_external", bool)])
 
 # few names, so that equal values are drawn often
 _names = st.sampled_from(["a", "b", "p.A", "p.Ä"])
@@ -367,9 +393,8 @@ _raw_classes = st.tuples(_names, _maybe_names, st.lists(_names, max_size=2).map(
 
 def old_value(new_type, *names, **defaults):
     """A frozen dataclass of ``names`` and then the fields with ``defaults``."""
-    return make_dataclass(new_type.__name__, [(n, object) for n in names]
-                          + [(n, object, field(default=d)) for n, d in defaults.items()],
-                          frozen=True)
+    return old_dataclass(new_type.__name__, [(n, object) for n in names]
+                         + [(n, object, field(default=d)) for n, d in defaults.items()])
 
 
 # the other values as they were: frozen dataclasses of the same fields and defaults
@@ -452,10 +477,11 @@ def test_values_keep_the_fields_and_defaults_of_the_dataclasses(new_type, old_ty
 
 
 # the three values that keep a cache or mutable state, as they were
-OldModel = make_dataclass("ClassModel", [("project_name", str), ("classes", tuple)], frozen=True)
-OldBase = make_dataclass("KnowledgeBase", [("name", str), ("rules", tuple)], frozen=True)
-OldAssessment = make_dataclass("Assessment", [("scope", str), ("derived", dict),
-                                              ("derived_by", dict), ("fired_rules", list)])
+OldModel = old_dataclass("ClassModel", [("project_name", str), ("classes", tuple)])
+OldBase = old_dataclass("KnowledgeBase", [("name", str), ("rules", tuple)])
+OldAssessment = old_dataclass("Assessment", [("scope", str), ("derived", dict),
+                                             ("derived_by", dict), ("fired_rules", list)],
+                              frozen=False)
 
 _RULES = default_rule_base().rules[::5] + paper_rule_preset().rules
 
@@ -938,6 +964,103 @@ def test_reader_fallback_reaches_every_outcome():
     model = load_class_model(fallback_document({}, {"class": Name("B"), "arity": Arity.ONE}))
     assert model.get("A").methods[0].called_methods == {(None, "g", None), ("B", "f", 1)}
     assert all(type(ref) is CallRef for ref in model.get("A").methods[0].called_methods)
+
+
+def plant_boundary(document: dict, kind: str, rng: random.Random) -> None:
+    """One value at the edge of the reader's exact-type pass, at a random
+    method or at one of its calls: one that the pass takes, or one that it
+    must hand to the checked path."""
+    targets = [(owner, k) for owner, k in entries(document, "method")
+               if isinstance(owner[k], dict)]
+    if not targets:
+        return
+    owner, k = rng.choice(targets)
+    method = owner[k]
+    calls = method.get("calls")
+    # the call to change, as its list and index, or None to change the method
+    slot = (calls, rng.randrange(len(calls))) if isinstance(calls, list) and calls \
+        and rng.random() < 0.5 else None
+    call = slot[0][slot[1]] if slot else None
+    if kind == "absent":
+        for key in rng.sample(["usesFields", "calls", "touchesClasses"], rng.randint(1, 3)):
+            method.pop(key, None)
+    elif kind == "container":
+        kind_of = rng.choice([OrderedDict, Entry])
+        if slot:
+            slot[0][slot[1]] = kind_of(call)
+        else:
+            owner[k] = kind_of(method)
+    elif kind == "arity":
+        (call if slot else method)["arity"] = rng.choice(
+            [True, False, Arity.ONE, Count(0), Count(2)])
+    elif kind == "name":
+        where = rng.choice(["name", "usesFields", "touchesClasses"])
+        if slot:
+            key = rng.choice(["class", "method"])
+            if isinstance(call.get(key), str):
+                call[key] = Name(call[key])
+        elif where == "name":
+            method["name"] = Name(method["name"])
+        elif method.get(where):
+            method[where] = [Name(x) if rng.random() < 0.5 else x for x in method[where]]
+    elif kind == "late non-str":
+        key = rng.choice(["usesFields", "touchesClasses"])
+        names = method.get(key) or rng.sample(NAMES, rng.randint(1, 2))
+        method[key] = names + [rng.choice([1, None, b"p.C0", 1.5, ["p.C0"]])]
+    elif kind == "extra keys":
+        key = rng.choice(["note", "static", "calls2"])
+        (call if slot else method)[key] = rng.choice([1, None, [], {}, "x"])
+    else:  # not a list
+        key = "calls" if kind == "calls" else rng.choice(["usesFields", "touchesClasses"])
+        method[key] = rng.choice([(), {}, "", "ab", None, 0, tuple(method.get(key) or ())])
+
+
+BOUNDARY_KINDS = ["absent", "container", "arity", "name", "late non-str", "extra keys",
+                  "calls", "not a list"]
+
+
+def assert_reader_matches_oracle(document: dict) -> tuple:
+    """The reader's outcome on ``document``, which must be the oracle's: the
+    same exception, or an equal model with the same ``repr`` and ``hash``
+    whose every call is exactly a ``CallRef``."""
+    result = outcome(load_class_model, document)
+    expected = expected_outcome(document)
+    assert result == expected
+    if result[0] == "model":
+        model, oracle_model = result[1], expected[1]
+        assert repr(model) == repr(oracle_model) and hash(model) == hash(oracle_model)
+        assert all(type(ref) is CallRef for cls in model.classes for m in cls.methods
+                   for ref in m.called_methods)
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.lists(st.sampled_from(BOUNDARY_KINDS), min_size=1, max_size=2))
+def test_reader_matches_oracle_on_the_exact_type_boundary(rng, kinds):
+    document = random_document(rng)
+    for kind in kinds:
+        plant_boundary(document, kind, rng)
+    assert_reader_matches_oracle(document)
+
+
+def test_exact_type_boundary_reaches_every_outcome():
+    rng = random.Random(7)
+    seen = set()
+    for i in range(1600):
+        kind = BOUNDARY_KINDS[i % len(BOUNDARY_KINDS)]
+        document = random_document(rng)
+        plant_boundary(document, kind, rng)
+        result = assert_reader_matches_oracle(document)
+        if result[0] == "model":
+            seen.add((kind, "model"))
+        elif result[3] is not None:
+            seen.add((kind, result[3].rsplit(".", 1)[-1]))
+    # each kind yields models, and each that can be refused is refused
+    assert {(kind, "model") for kind in BOUNDARY_KINDS} <= seen
+    assert {("arity", "arity"), ("late non-str", "usesFields"),
+            ("late non-str", "touchesClasses"), ("calls", "calls"),
+            ("not a list", "usesFields"), ("not a list", "touchesClasses")} <= seen
 
 
 def test_methods_without_members_equal_those_built_with_fresh_sets():

@@ -621,6 +621,36 @@ def test_an_empty_output_file_name_is_a_usage_error(fixtures, tmp_path, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("present", [True, False], ids=["input", "no-input"])
+@pytest.mark.parametrize("argv, name", [
+    (["analyze", ""], "ROOT"),
+    (["analyze", "shop", ""], "ROOT"),
+    (["analyze", "--format", "structured", "", "shop"], "ROOT"),
+    (["evaluate", ""], "INPUT"),
+    (["evaluate", "", "--scope", "project"], "INPUT"),
+    (["compare", ""], "INPUT"),
+    (["compare", "five_versions.csv", ""], "INPUT"),
+    (["evaluate", "moreunit_classes.csv", "--rules", ""], "--rules"),
+    (["evaluate", "moreunit_classes.csv", "--rules="], "--rules"),
+    (["rules", "list", "--rules", ""], "--rules"),
+    (["rules", "list", "--format", "structured", "--rules="], "--rules"),
+], ids=["analyze", "analyze-second", "analyze-first", "evaluate", "evaluate-scope",
+        "compare", "compare-second", "evaluate-rules", "evaluate-rules=", "rules-list",
+        "rules-list-structured"])
+def test_an_empty_operand_is_a_usage_error(fixtures, tmp_path, monkeypatch, capsys, argv,
+                                           name, present):
+    # refused before any input is read; in the corpus, a root '' read as
+    # `.` would find sources
+    root = fixtures / "corpus"
+    monkeypatch.chdir(root if present else tmp_path)
+    argv = [str(fixtures / a) if present and a.endswith(".csv") else a for a in argv]
+    before = sorted(p.name for p in Path.cwd().iterdir())
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"ckeval: argument {name}: expected a file name, got ''\n")
+    assert sorted(p.name for p in Path.cwd().iterdir()) == before
+
+
 def test_compare_noc_direction_flag(tmp_path, capsys):
     table = ("VERSION,WMC,DIT,NOC,CBO,RFC,LCOM\n"
              "v1,0,0,0,0,0,0\n"

@@ -9,6 +9,7 @@ from ckeval.java import (ParseError, Token, Tokens, decode_source, lower_to_mode
                          parse_source)
 from ckeval.java import lower as lower_module
 from ckeval.model import CallRef, validate_model
+import javagen
 
 
 def test_minimal_class():
@@ -345,6 +346,22 @@ def test_generated_sources_lower_to_valid_models():
                  for i, n in enumerate(names)]
         model = lower_to_model(units)
         assert validate_model(model) == []
+
+
+def test_every_lowered_call_is_exactly_a_call_ref(corpus_model):
+    models = [corpus_model, lower_to_model([parse_source(TORTURE, "T.java")])]
+    rng = random.Random(37)
+    for round_no in range(10):
+        names = [f"G{round_no}x{i}" for i in range(rng.randint(1, 5))]
+        models.append(lower_to_model([parse_source(_generate_source(rng, i, names), f"{n}.java")
+                                      for i, n in enumerate(names)]))
+    for seed in range(5):
+        sources, _ = javagen.generate_project(random.Random(f"lower/{seed}"), 30)
+        models.append(lower_to_model([parse_source(text, path)
+                                      for path, text in sorted(sources.items())]))
+    calls = [ref for model in models for cls in model.classes for m in cls.methods
+             for ref in m.called_methods]
+    assert len(calls) > 1000 and all(type(ref) is CallRef for ref in calls)
 
 
 def test_counted_identifiers_appear_in_source():
