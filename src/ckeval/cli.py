@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         "rules", parents=[common],
         help="list or check rule bases")
     p_rules.add_argument("action", choices=("list", "check"))
-    p_rules.add_argument("file", nargs="?", metavar="FILE",
+    p_rules.add_argument("file", nargs="?", metavar="FILE", type=_file_name,
                          help="rules file to check (check only)")
     p_rules.add_argument("--rules", metavar="FILE|default|paper", type=_file_name,
                          help="rule base to list (list only; default: default)")
@@ -355,7 +355,7 @@ def _cmd_rules(args) -> int:
         if args.rules is not None:
             raise UsageError("rules check reads no --rules; "
                              "give the rules file as FILE")
-        if not args.file:
+        if args.file is None:
             raise UsageError("rules check requires a FILE argument")
         kb = rules_mod.load_rules(tables.read_text(args.file))
         complete = "complete" if kb.is_complete() else "incomplete"

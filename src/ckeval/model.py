@@ -262,10 +262,7 @@ def load_class_model(document: str | dict, project_name: str = "") -> ClassModel
     doc = _parse_json(document, "class model")
     if not isinstance(doc, dict):
         raise SchemaError("$", "document must be an object")
-    version = doc.get("schemaVersion")
-    # an integer as an arity is one: a bool or a float 1.0 is not version 1
-    if not isinstance(version, int) or isinstance(version, bool) or version != SCHEMA_VERSION:
-        raise SchemaError("schemaVersion", f"expected {SCHEMA_VERSION}")
+    check_schema_version(doc, required=True)
     project = read_project_name(doc, project_name)
     raw_classes = doc.get("classes")
     if not isinstance(raw_classes, list):
@@ -278,6 +275,15 @@ def load_class_model(document: str | dict, project_name: str = "") -> ClassModel
         if j != i:
             raise DuplicateClassError(cls.qualified_name, f"at classes[{j}] and classes[{i}]")
     return build_model(project, classes)
+
+
+def check_schema_version(doc: dict, required: bool = False) -> None:
+    """Refuse a document whose ``schemaVersion`` is not the integer 1; an
+    absent one passes unless ``required``."""
+    version = doc.get("schemaVersion", None if required else SCHEMA_VERSION)
+    # an integer as an arity is one: a bool or a float 1.0 is not version 1
+    if not isinstance(version, int) or isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise SchemaError("schemaVersion", f"expected {SCHEMA_VERSION}")
 
 
 def read_project_name(doc: dict, default: str = "") -> str:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .errors import RuleError, RuleOverlapError, SchemaError, UsageError
 from .metrics import METRICS, ProjectMetrics, check_metric, value_getter
-from .model import _parse_json
+from .model import _parse_json, check_schema_version
 from .tables import format_value, read_number, read_text
 
 BUILTIN_BASES = ("default", "paper")
@@ -258,6 +258,7 @@ def load_rules(document: str | dict) -> KnowledgeBase:
     doc = _parse_json(document, "rules")
     if not isinstance(doc, dict):
         raise SchemaError("$", "rules document must be an object")
+    check_schema_version(doc)
     name = doc.get("name", "unnamed")
     if not isinstance(name, str) or not name:
         raise SchemaError("name", "must be a non-empty string")

@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .errors import CkevalError, InputError, SchemaError
 from .metrics import (METRICS, MetricRecord, ProjectMetrics, _new_record, _record_name,
                       project_means)
-from .model import SCHEMA_VERSION, load_class_model, read_project_name
+from .model import SCHEMA_VERSION, check_schema_version, load_class_model, read_project_name
 from . import metrics as _metrics
 
 CLASS_HEADER = ("CLASS",) + METRICS
@@ -96,6 +96,7 @@ _row_cells = itemgetter("class", *(m.lower() for m in METRICS))
 
 
 def metrics_from_document(doc: dict, project_name: str = "") -> ProjectMetrics:
+    check_schema_version(doc)
     rows = doc.get("metrics")
     if not isinstance(rows, list):
         raise SchemaError("metrics", "must be an array")
@@ -304,6 +305,7 @@ def versions_from_csv(text: str) -> list[VersionRecord]:
 
 
 def versions_from_document(doc: dict) -> list[VersionRecord]:
+    check_schema_version(doc)
     rows = doc.get("versions")
     if not isinstance(rows, list):
         raise SchemaError("versions", "must be an array")
